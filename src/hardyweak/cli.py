@@ -9,14 +9,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
 from .pointer import (
+    DEFAULT_N_POINTS,
+    MAX_N_POINTS,
+    MIN_N_POINTS,
     PointerSpec,
     build_pointer_profile,
     pointer_moments,
@@ -44,6 +48,8 @@ SCENARIOS = (
     "pointer",
     "pointer-sweep",
 )
+POINTER_SCENARIOS = ("pointer", "pointer-sweep")
+DELAY_SCENARIOS = ("photonic-weak", *POINTER_SCENARIOS)
 FORMATS = ("table", "json", "csv")
 SWAP_MODES = ("coherent", "decohered")
 
@@ -59,101 +65,149 @@ class ConfigError(ValueError):
     """Bad flags or config file contents; maps to exit code 1."""
 
 
+# ------------------------------------------------------------ run inputs
+
+
+@dataclass(frozen=True)
+class Input:
+    """One run input: its flag and config key, its checks, who reads it.
+
+    ``kind`` is float, int, bool, str (a nonempty path), a tuple of the
+    allowed words, or "sweep".  Numbers must be finite and within the
+    inclusive ``minimum``/``maximum``; ``positive`` also excludes zero.
+    ``key`` names the flag and config key where it is not the field name.
+    """
+
+    kind: Any
+    help: str
+    scenarios: tuple[str, ...] = SCENARIOS
+    minimum: float | None = None
+    maximum: float | None = None
+    positive: bool = False
+    key: str | None = None
+
+
+def _input(default: Any, *args: Any, **kwargs: Any) -> Any:
+    return field(default=default, metadata={"input": Input(*args, **kwargs)})
+
+
 @dataclass(frozen=True)
 class Parameters:
-    gamma: float = 0.0
-    epsilon: float = 1.0
-    sigma: float = 8.0
-    phi: float = -math.pi / 4.0
-    bs2_plus: bool = True
-    bs2_minus: bool = True
-    swap_mode: str = "coherent"
-    grid_points: int = 4096
+    gamma: float = _input(0.0, float, "arrival delay of an H photon", DELAY_SCENARIOS)
+    epsilon: float = _input(
+        1.0, float, "arrival delay of a V photon", DELAY_SCENARIOS, minimum=0.0
+    )
+    sigma: float = _input(8.0, float, "pointer width", ("pointer",), positive=True)
+    phi: float = _input(-math.pi / 4.0, float, "analyzer angle", POINTER_SCENARIOS)
+    bs2_plus: bool = _input(True, bool, "install the + exit beamsplitter", ("hardy",))
+    bs2_minus: bool = _input(True, bool, "install the - exit beamsplitter", ("hardy",))
+    swap_mode: str = _input("coherent", SWAP_MODES, "swap preparation", ("swap",))
+    grid_points: int = _input(
+        DEFAULT_N_POINTS, int, "grid resolution per axis", POINTER_SCENARIOS,
+        minimum=MIN_N_POINTS, maximum=MAX_N_POINTS,
+    )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: str
+    scenario: str = _input(MISSING, SCENARIOS, "scenario to run")
     parameters: Parameters = Parameters()
-    sweep: tuple[float, ...] | None = None
-    output_format: str = "table"
-    output_path: str | None = None
+    sweep: tuple[float, ...] | None = _input(
+        None, "sweep", "pointer widths, e.g. sigma=1,2,4", ("pointer-sweep",)
+    )
+    output_format: str = _input("table", FORMATS, "report format", key="format")
+    output_path: str | None = _input(
+        None, str, "write the report to this file instead of stdout", key="out"
+    )
+
+
+# Config key -> (field name, Input), in flag order.
+INPUTS: dict[str, tuple[str, Input]] = {
+    spec.key or f.name: (f.name, spec)
+    for cls in (RunConfig, Parameters)
+    for f in fields(cls)
+    if (spec := f.metadata.get("input")) is not None
+}
+PARAMETER_NAMES = frozenset(f.name for f in fields(Parameters))
+SWEEP_VALUE = INPUTS["sigma"][1]  # every swept width is read and checked as a sigma
+BOOL_WORDS = {
+    "true": True, "1": True, "yes": True, "false": False, "0": False, "no": False,
+}
 
 
 # --------------------------------------------------------------- parsing
-
-CONFIG_KEYS = (
-    "scenario", "gamma", "epsilon", "sigma", "phi",
-    "bs2_plus", "bs2_minus", "swap_mode", "grid_points",
-    "sweep", "format", "out",
-)
 
 
 def _check_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {number}")
+    return number
 
 
-def _check_sweep_values(values: Sequence[Any]) -> tuple[float, ...]:
-    if not values:
+def _check_sweep(value: Any) -> tuple[float, ...]:
+    if isinstance(value, dict):
+        if set(value) != {"sigma"}:
+            raise ConfigError("only sigma can be swept")
+        value = value["sigma"]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError("sweep must be a list of values")
+    if not value:
         raise ConfigError("sweep needs at least one value")
-    floats = tuple(_check_number("sweep value", v) for v in values)
-    if any(v <= 0 for v in floats):
-        raise ConfigError("sweep values must be positive")
-    if any(b <= a for a, b in zip(floats, floats[1:])):
+    sigmas = tuple(_check_value("sweep value", SWEEP_VALUE, v) for v in value)
+    if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ConfigError("sweep values must be strictly ascending")
-    return floats
+    return sigmas
 
 
-def _check_field(key: str, value: Any) -> Any:
-    if key == "scenario":
-        if value not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {value!r}")
-        return value
-    if key in ("gamma", "phi"):
-        return _check_number(key, value)
-    if key == "epsilon":
-        number = _check_number(key, value)
-        if number < 0:
-            raise ConfigError("epsilon must be nonnegative")
-        return number
-    if key == "sigma":
-        number = _check_number(key, value)
-        if number <= 0:
-            raise ConfigError("sigma must be positive")
-        return number
-    if key in ("bs2_plus", "bs2_minus"):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} must be true or false, got {value!r}")
-        return value
-    if key == "swap_mode":
-        if value not in SWAP_MODES:
-            raise ConfigError(f"swap_mode must be one of {SWAP_MODES}")
-        return value
-    if key == "grid_points":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"grid_points must be an integer, got {value!r}")
-        if value < 64:
-            raise ConfigError("grid_points must be at least 64")
-        return value
-    if key == "sweep":
-        if isinstance(value, dict):
-            if set(value) != {"sigma"}:
-                raise ConfigError("only sigma can be swept")
-            value = value["sigma"]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError("sweep must be a list of values")
-        return _check_sweep_values(value)
-    if key == "format":
-        if value not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}")
-        return value
-    if key == "out":
-        if not isinstance(value, str) or not value:
-            raise ConfigError("out must be a nonempty path")
-        return value
-    raise ConfigError(f"unknown config key {key!r}")
+def _check_value(key: str, spec: Input, value: Any) -> Any:
+    """Validate one flag or config value against its table entry."""
+    kind = spec.kind
+    if kind is float:
+        value = _check_number(key, value)
+    elif kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    elif kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    elif kind is str and not (isinstance(value, str) and value):
+        raise ConfigError(f"{key} must be a nonempty path")
+    elif isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(f"unknown {key} {value!r}; {key} must be one of {kind}")
+    elif kind == "sweep":
+        return _check_sweep(value)
+    if spec.positive and value <= 0:
+        raise ConfigError(f"{key} must be positive")
+    if spec.minimum is not None and value < spec.minimum:
+        bound = "nonnegative" if spec.minimum == 0 else f"at least {spec.minimum}"
+        raise ConfigError(f"{key} must be {bound}")
+    if spec.maximum is not None and value > spec.maximum:
+        raise ConfigError(f"{key} must be at most {spec.maximum}")
+    return value
+
+
+def _from_text(key: str, spec: Input, text: str) -> Any:
+    """Read a flag's text as the value a config file would hold."""
+    if spec.kind is bool:
+        if text.lower() not in BOOL_WORDS:
+            raise ConfigError(f"{key} expects true or false, got {text!r}")
+        return BOOL_WORDS[text.lower()]
+    if spec.kind == "sweep":
+        name, sep, tail = text.partition("=")
+        if not sep:
+            raise ConfigError("sweep must look like sigma=v1,v2,...")
+        values = [_from_text("sweep value", SWEEP_VALUE, v) for v in tail.split(",")]
+        return {name: values}
+    if spec.kind is float or spec.kind is int:
+        try:
+            return spec.kind(text)
+        except ValueError:
+            pass  # the check reports the text as not a number
+    return text
 
 
 def parse_config(text: str) -> dict[str, Any]:
@@ -166,32 +220,10 @@ def parse_config(text: str) -> dict[str, Any]:
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    unknown = sorted(set(raw) - set(INPUTS))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    return {key: _check_field(key, value) for key, value in raw.items()}
-
-
-def _parse_bool(flag: str, text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{flag} expects true or false, got {text!r}")
-
-
-def _parse_sweep_flag(text: str) -> tuple[float, ...]:
-    name, sep, tail = text.partition("=")
-    if not sep:
-        raise ConfigError("sweep must look like sigma=v1,v2,...")
-    if name != "sigma":
-        raise ConfigError(f"only sigma can be swept, not {name!r}")
-    try:
-        values = [float(piece) for piece in tail.split(",")]
-    except ValueError:
-        raise ConfigError(f"sweep values must be numbers, got {tail!r}") from None
-    return _check_sweep_values(values)
+    return {key: _check_value(key, INPUTS[key][1], value) for key, value in raw.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,28 +237,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hardyweak", add_help=True)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     run = sub.add_parser("run", help="run one scenario and print its report")
-    run.add_argument("--scenario", choices=SCENARIOS)
+    # The stock pattern misses values such as -6e-05 and -inf, so a flag
+    # followed by one would be rejected as missing its argument.
+    run._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
     run.add_argument("--config", help="JSON config file; flags override it")
-    run.add_argument("--gamma", type=float, help="arrival delay of an H photon")
-    run.add_argument("--epsilon", type=float, help="arrival delay of a V photon")
-    run.add_argument("--sigma", type=float, help="pointer width")
-    run.add_argument("--phi", type=float, help="analyzer angle, pointer scenarios")
-    run.add_argument(
-        "--bs2-plus", nargs="?", const="true", metavar="BOOL",
-        help="install the + exit beamsplitter (default true)",
-    )
-    run.add_argument(
-        "--bs2-minus", nargs="?", const="true", metavar="BOOL",
-        help="install the - exit beamsplitter (default true)",
-    )
-    run.add_argument("--swap-mode", choices=SWAP_MODES)
-    run.add_argument(
-        "--sweep", metavar="NAME=V1,V2,...",
-        help="pointer widths for pointer-sweep, e.g. sigma=1,2,4",
-    )
-    run.add_argument("--format", choices=FORMATS)
-    run.add_argument("--out", help="write the report to this file instead of stdout")
-    run.add_argument("--grid-points", type=int, help="grid resolution per axis")
+    for key, (_, spec) in INPUTS.items():
+        options: dict[str, Any] = {"help": spec.help}
+        if spec.scenarios != SCENARIOS:
+            options["help"] += f" ({', '.join(spec.scenarios)})"
+        if spec.kind is bool:
+            options.update(nargs="?", const="true", metavar="BOOL")
+        elif isinstance(spec.kind, tuple):
+            options["metavar"] = "{" + ",".join(spec.kind) + "}"
+        run.add_argument("--" + key.replace("_", "-"), **options)
     return parser
 
 
@@ -241,52 +264,23 @@ def assemble_config(argv: Sequence[str] | None = None) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         merged.update(parse_config(text))
-    flag_values: dict[str, Any] = {
-        "scenario": ns.scenario,
-        "gamma": ns.gamma,
-        "epsilon": ns.epsilon,
-        "sigma": ns.sigma,
-        "phi": ns.phi,
-        "swap_mode": ns.swap_mode,
-        "grid_points": ns.grid_points,
-        "format": ns.format,
-        "out": ns.out,
-    }
-    if ns.bs2_plus is not None:
-        flag_values["bs2_plus"] = _parse_bool("--bs2-plus", ns.bs2_plus)
-    if ns.bs2_minus is not None:
-        flag_values["bs2_minus"] = _parse_bool("--bs2-minus", ns.bs2_minus)
-    if ns.sweep is not None:
-        flag_values["sweep"] = _parse_sweep_flag(ns.sweep)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = _check_field(key, value)
+    for key, (_, spec) in INPUTS.items():
+        text = getattr(ns, key)
+        if text is not None:
+            merged[key] = _check_value(key, spec, _from_text(key, spec, text))
     scenario = merged.get("scenario")
     if scenario is None:
         raise ConfigError("no scenario selected; pass --scenario or a config file")
-    if "sweep" in merged and scenario != "pointer-sweep":
-        raise ConfigError("sweep only applies to the pointer-sweep scenario")
-    output_format = merged.get("format", "table")
-    if output_format == "csv" and scenario != "pointer-sweep":
+    for key in merged:
+        takers = INPUTS[key][1].scenarios
+        if scenario not in takers:
+            noun = "scenarios" if len(takers) > 1 else "scenario"
+            raise ConfigError(f"{key} only applies to the {', '.join(takers)} {noun}")
+    if merged.get("format") == "csv" and scenario != "pointer-sweep":
         raise ConfigError("csv output only applies to the pointer-sweep scenario")
-    defaults = Parameters()
-    parameters = Parameters(
-        gamma=merged.get("gamma", defaults.gamma),
-        epsilon=merged.get("epsilon", defaults.epsilon),
-        sigma=merged.get("sigma", defaults.sigma),
-        phi=merged.get("phi", defaults.phi),
-        bs2_plus=merged.get("bs2_plus", defaults.bs2_plus),
-        bs2_minus=merged.get("bs2_minus", defaults.bs2_minus),
-        swap_mode=merged.get("swap_mode", defaults.swap_mode),
-        grid_points=merged.get("grid_points", defaults.grid_points),
-    )
-    return RunConfig(
-        scenario=scenario,
-        parameters=parameters,
-        sweep=merged.get("sweep"),
-        output_format=output_format,
-        output_path=merged.get("out"),
-    )
+    named = {INPUTS[key][0]: value for key, value in merged.items()}
+    parameters = {name: named.pop(name) for name in PARAMETER_NAMES & named.keys()}
+    return RunConfig(parameters=Parameters(**parameters), **named)
 
 
 # -------------------------------------------------------------- payloads

@@ -24,6 +24,7 @@ from .weakvalues import arrival_time_operator, weak_value
 DEFAULT_N_POINTS = 4096
 DEFAULT_PADDING = 8.0
 MIN_N_POINTS = 64
+MAX_N_POINTS = 8192
 MIN_PADDING = 6.0
 
 
@@ -51,6 +52,8 @@ class PointerSpec:
             raise GridError("sigma must be positive")
         if self.n_points < MIN_N_POINTS:
             raise GridError(f"need at least {MIN_N_POINTS} grid points")
+        if self.n_points > MAX_N_POINTS:
+            raise GridError(f"need at most {MAX_N_POINTS} grid points")
         lo = min(self.gamma, self.epsilon) - MIN_PADDING * self.sigma
         hi = max(self.gamma, self.epsilon) + MIN_PADDING * self.sigma
         if self.t_min > lo or self.t_max < hi:

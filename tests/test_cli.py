@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from hardyweak.cli import (
     parse_config,
     run_cli,
 )
+from hardyweak.pointer import MAX_N_POINTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -103,6 +105,84 @@ def test_assemble_rejects_sweep_outside_pointer_sweep():
 def test_assemble_rejects_csv_outside_pointer_sweep():
     with pytest.raises(ConfigError, match="csv output only applies"):
         assemble_config(["run", "--scenario", "swap", "--format", "csv"])
+
+
+ACCEPTED_KEYS = {
+    "hardy": {"bs2_plus", "bs2_minus"},
+    "counterfactual": set(),
+    "swap": {"swap_mode"},
+    "photonic-weak": {"gamma", "epsilon"},
+    "pointer": {"gamma", "epsilon", "sigma", "phi", "grid_points"},
+    "pointer-sweep": {"gamma", "epsilon", "phi", "grid_points", "sweep"},
+}
+SAMPLE_FLAGS = {
+    "gamma": "0.5", "epsilon": "1.5", "sigma": "2", "phi": "-0.5",
+    "bs2_plus": "false", "bs2_minus": "false", "swap_mode": "decohered",
+    "grid_points": "128", "sweep": "sigma=1,2",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(ACCEPTED_KEYS))
+def test_each_scenario_takes_only_its_keys(scenario):
+    for key, text in SAMPLE_FLAGS.items():
+        argv = ["run", "--scenario", scenario, "--" + key.replace("_", "-"), text]
+        if key in ACCEPTED_KEYS[scenario]:
+            assemble_config(argv)
+        else:
+            with pytest.raises(ConfigError, match=f"^{key} only applies to the "):
+                assemble_config(argv)
+
+
+def test_inapplicable_key_exits_one_from_flag_and_file(tmp_path, capsys):
+    code, out, err = run(["run", "--scenario", "hardy", "--phi", "0.3"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: config: phi only applies to the pointer, pointer-sweep scenarios\n"
+    )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"scenario": "photonic-weak", "sigma": 2}))
+    code, out, err = run(["run", "--config", str(config)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: config: sigma only applies to the pointer scenario\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("scenario,key,value,name", [
+    ("photonic-weak", "gamma", math.nan, "gamma"),
+    ("photonic-weak", "epsilon", math.inf, "epsilon"),
+    ("pointer", "sigma", -math.inf, "sigma"),
+    ("pointer", "phi", math.nan, "phi"),
+    ("pointer-sweep", "sweep", [1.0, math.inf], "sweep value"),
+    ("pointer-sweep", "sweep", [-math.inf, 1.0], "sweep value"),
+])
+def test_non_finite_values_exit_one(
+    tmp_path, capsys, source, scenario, key, value, name
+):
+    if source == "flag":
+        text = "sigma=" + ",".join(map(str, value)) if key == "sweep" else str(value)
+        argv = ["run", "--scenario", scenario, f"--{key}", text]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"scenario": scenario, key: value}))
+        argv = ["run", "--config", str(config)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: config: {name} must be finite, got ")
+
+
+def test_grid_points_above_cap_is_a_config_error():
+    # Checked before any grid exists: a run at this size would need gigabytes.
+    too_many = str(MAX_N_POINTS + 1)
+    with pytest.raises(ConfigError, match="grid_points must be at most 8192"):
+        assemble_config(["run", "--scenario", "pointer", "--grid-points", too_many])
+
+
+def test_negative_exponent_value_as_separate_argument(capsys):
+    spaced = run(["run", "--scenario", "photonic-weak", "--gamma", "-6e-05"], capsys)
+    joined = run(["run", "--scenario", "photonic-weak", "--gamma=-6e-05"], capsys)
+    assert spaced == joined
+    assert spaced[0] == 0
+    assert "gamma=-6e-05\n" in spaced[1]
 
 
 @pytest.mark.parametrize("text", ["sigma", "epsilon=1,2", "sigma=a,b", "sigma=3,2"])
@@ -229,6 +309,28 @@ def test_photonic_weak_table_pins(capsys):
     assert "A4_w=1+0i" in out
     assert "A24_w=(1+0i, 1+0i)" in out
     assert "H2 H4 -> NO+ NO-  value=-1+0i" in out
+
+
+def test_photonic_weak_large_delay_exits_zero(capsys):
+    code, out, err = run(
+        ["run", "--scenario", "photonic-weak", "--epsilon", "10000"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert "A24_w=(10000+0i, 10000+0i)" in out
+
+
+@pytest.mark.parametrize("gamma,epsilon", [
+    ("0", "1e8"), ("0", "1e17"), ("-1e300", "1e300"),
+])
+def test_photonic_weak_self_checks_scale_with_delays(capsys, gamma, epsilon):
+    code, out, err = run(
+        ["run", "--scenario", "photonic-weak", "--gamma", gamma,
+         "--epsilon", epsilon, "--format", "json"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    real_parts = [z["re"] for z in json.loads(out)["A24_w"]]
+    assert real_parts == pytest.approx([float(epsilon)] * 2, rel=1e-12)
 
 
 def test_photonic_weak_json_schema(capsys):

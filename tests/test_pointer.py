@@ -7,6 +7,7 @@ from conftest import analyzer_literal, entangled_target_literal, state_of, photo
 from hardyweak.pointer import (
     EmptyPostSelectionError,
     GridError,
+    MAX_N_POINTS,
     PointerSpec,
     analytic_moments,
     build_pointer_profile,
@@ -109,6 +110,8 @@ class TestProfileConstruction:
             PointerSpec(0.0, 1.0, -1.0, -10.0, 10.0, 1024)
         with pytest.raises(GridError):
             PointerSpec(0.0, 1.0, 1.0, -10.0, 10.0, 32)
+        with pytest.raises(GridError, match="at most"):
+            PointerSpec(0.0, 1.0, 1.0, -10.0, 10.0, MAX_N_POINTS + 1)
         with pytest.raises(GridError):
             PointerSpec(0.0, 1.0, 1.0, -5.0, 7.0, 1024)
         spec = PointerSpec(0.0, 1.0, 1.0, -6.0, 7.0, 1024)

@@ -255,13 +255,82 @@ def test_hardy_json_probabilities(capsys):
     assert payload["probabilities"]["p_gamma"] == 0.25
 
 
-def test_hardy_golden_payload(capsys):
-    _, out, _ = run(["run", "--scenario", "hardy", "--format", "json"], capsys)
-    payload = json.loads(out)
-    del payload["meta"]
-    golden_text = (GOLDEN_DIR / "hardy_both_present.json").read_text()
-    assert payload == json.loads(golden_text)
-    assert json.dumps(payload, indent=2) + "\n" == golden_text
+# Every scenario x format, frozen from the closed-form and grid routes.
+# The file extension is the output format; ".txt" is the table.
+GOLDENS = {
+    "hardy_both_present.json": ["--scenario", "hardy", "--format", "json"],
+    "hardy_both_present.txt": ["--scenario", "hardy"],
+    "counterfactual.json": ["--scenario", "counterfactual", "--format", "json"],
+    "counterfactual.txt": ["--scenario", "counterfactual"],
+    "swap_coherent.json": ["--scenario", "swap", "--format", "json"],
+    "swap_coherent.txt": ["--scenario", "swap"],
+    "swap_decohered.json": [
+        "--scenario", "swap", "--swap-mode", "decohered", "--format", "json",
+    ],
+    "swap_decohered.txt": ["--scenario", "swap", "--swap-mode", "decohered"],
+    "photonic_weak.json": ["--scenario", "photonic-weak", "--format", "json"],
+    "photonic_weak.txt": ["--scenario", "photonic-weak"],
+    "photonic_weak_delays.json": [
+        "--scenario", "photonic-weak", "--gamma", "0.3", "--epsilon", "1.7",
+        "--format", "json",
+    ],
+    "photonic_weak_delays.txt": [
+        "--scenario", "photonic-weak", "--gamma", "0.3", "--epsilon", "1.7",
+    ],
+    "pointer_128.json": [
+        "--scenario", "pointer", "--grid-points", "128", "--format", "json",
+    ],
+    "pointer_128.txt": ["--scenario", "pointer", "--grid-points", "128"],
+    "pointer_sweep_128.json": [
+        "--scenario", "pointer-sweep", "--grid-points", "128", "--format", "json",
+    ],
+    "pointer_sweep_128.txt": ["--scenario", "pointer-sweep", "--grid-points", "128"],
+    "pointer_sweep_128.csv": [
+        "--scenario", "pointer-sweep", "--grid-points", "128", "--format", "csv",
+    ],
+}
+# Grid-route floats in json and csv reports may move by a few ulps when
+# the grid integration is reorganised; tables print six digits and stay exact.
+GRID_REL = 1e-12
+
+
+def _assert_close(got, want):
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=GRID_REL)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_close(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_close(g, w)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_golden(capsys, name):
+    code, out, err = run(["run", *GOLDENS[name]], capsys)
+    assert (code, err) == (0, "")
+    golden_text = (GOLDEN_DIR / name).read_text()
+    grid_route = name.startswith("pointer")
+    if name.endswith(".json"):
+        payload = json.loads(out)
+        assert payload.pop("meta") == {"tool": "hardyweak", "version": __version__}
+        if grid_route:
+            _assert_close(payload, json.loads(golden_text))
+        else:
+            assert json.dumps(payload, indent=2) + "\n" == golden_text
+    elif name.endswith(".csv"):
+        got_lines, want_lines = out.splitlines(), golden_text.splitlines()
+        assert got_lines[0] == want_lines[0]
+        _assert_close(
+            [[float(x) for x in line.split(",")] for line in got_lines[1:]],
+            [[float(x) for x in line.split(",")] for line in want_lines[1:]],
+        )
+    else:
+        assert out == golden_text
 
 
 def test_hardy_removed_splitter_probability(capsys):

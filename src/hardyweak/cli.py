@@ -22,8 +22,7 @@ from .pointer import (
     MAX_N_POINTS,
     MIN_N_POINTS,
     PointerSpec,
-    build_pointer_profile,
-    pointer_moments,
+    pointer_readout,
     weak_limit_sweep,
 )
 from .scenarios import (
@@ -218,6 +217,8 @@ def parse_config(text: str) -> dict[str, Any]:
         raise ConfigError(
             f"parse error at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise ConfigError(f"parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     unknown = sorted(set(raw) - set(INPUTS))
@@ -442,29 +443,21 @@ def _photonic_weak_payload(p: Parameters) -> dict[str, Any]:
     return out
 
 
-def _pointer_block(pre, post, measured, p: Parameters) -> dict[str, Any]:
-    spec = PointerSpec.default(p.gamma, p.epsilon, p.sigma, p.grid_points)
-    profile = build_pointer_profile(pre, post, measured, spec)
-    moments = pointer_moments(profile)
-    op = arrival_time_operator(pre.structure, measured, p.gamma, p.epsilon)
-    prediction = weak_value(op, pre, post).value
-    deviation = tuple(
-        abs(m - w.real) for m, w in zip(moments.mean, prediction)
-    )
-    if len(measured) == 1:
-        return {
-            "mean": _clean_float(moments.mean[0]),
-            "variance": _clean_float(moments.variance[0]),
-            "success_probability": _clean_float(moments.success_probability),
-            "weak_value": _clean_float(prediction[0].real),
-            "deviation": _clean_float(deviation[0]),
-        }
+def _pointer_block(pre, post, measured, spec: PointerSpec) -> dict[str, Any]:
+    op = arrival_time_operator(pre.structure, measured, spec.gamma, spec.epsilon)
+    prediction = [w.real for w in weak_value(op, pre, post).value]
+    moments, deviation = pointer_readout(pre, post, measured, spec, prediction)
+
+    def per_photon(values) -> float | list[float]:
+        cleaned = [_clean_float(v) for v in values]
+        return cleaned[0] if len(measured) == 1 else cleaned
+
     return {
-        "mean": [_clean_float(m) for m in moments.mean],
-        "variance": [_clean_float(v) for v in moments.variance],
+        "mean": per_photon(moments.mean),
+        "variance": per_photon(moments.variance),
         "success_probability": _clean_float(moments.success_probability),
-        "weak_value": [_clean_float(w.real) for w in prediction],
-        "deviation": [_clean_float(d) for d in deviation],
+        "weak_value": per_photon(prediction),
+        "deviation": per_photon(deviation),
     }
 
 
@@ -480,9 +473,9 @@ def _pointer_payload(p: Parameters) -> dict[str, Any]:
         "phi": _clean_float(p.phi),
         "grid_points": p.grid_points,
         "weakness_ratio": _clean_float(spec.weakness_ratio),
-        "photon2": _pointer_block(pre, post, ("2",), p),
-        "photon4": _pointer_block(pre, post, ("4",), p),
-        "joint": _pointer_block(pre, post, ("2", "4"), p),
+        "photon2": _pointer_block(pre, post, ("2",), spec),
+        "photon4": _pointer_block(pre, post, ("4",), spec),
+        "joint": _pointer_block(pre, post, ("2", "4"), spec),
     }
 
 

@@ -212,9 +212,6 @@ class FockModeState:
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amplitudes.values())
 
-    def total_photons(self, occ: tuple[int, ...]) -> int:
-        return sum(occ)
-
 
 def hom_combine(
     state: FockModeState,

@@ -13,6 +13,7 @@ pairwise-overlap algebra, and trapezoidal integration on a dense grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,6 +61,15 @@ class PointerSpec:
             raise GridError(
                 f"grid [{self.t_min}, {self.t_max}] narrower than required "
                 f"[{lo}, {hi}]"
+            )
+        # Sampling a Gaussian needs a step no wider than its width, and
+        # sigma**2 must not underflow (gamma == epsilon passes the step test).
+        step = (self.t_max - self.t_min) / (self.n_points - 1)
+        tiny = sys.float_info.min
+        if not (0.0 < step <= self.sigma and self.sigma * self.sigma >= tiny):
+            raise GridError(
+                f"grid step {step:g} does not resolve sigma {self.sigma:g}: "
+                f"need 0 < step <= sigma and sigma**2 >= {tiny:g}"
             )
 
     @classmethod
@@ -277,6 +287,22 @@ def pointer_moments(profile: PointerProfile) -> PointerMoments:
     return PointerMoments(tuple(means), tuple(variances), norm)
 
 
+def pointer_readout(
+    pre: StateVector,
+    post: StateVector,
+    measured: Sequence[str],
+    spec: PointerSpec,
+    prediction: Sequence[float],
+) -> tuple[PointerMoments, tuple[float, ...]]:
+    """Grid moments at one pointer width and their distance from ``prediction``.
+
+    ``prediction`` is the real part of the weak value, one per measured photon.
+    """
+    moments = pointer_moments(build_pointer_profile(pre, post, measured, spec))
+    deviation = tuple(abs(m - w) for m, w in zip(moments.mean, prediction))
+    return moments, deviation
+
+
 def weak_limit_sweep(
     pre: StateVector,
     post: StateVector,
@@ -298,14 +324,10 @@ def weak_limit_sweep(
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise GridError("sweep sigmas must be strictly ascending")
     op = arrival_time_operator(pre.structure, measured, gamma, epsilon)
-    prediction = weak_value(op, pre, post).value
+    prediction = [w.real for w in weak_value(op, pre, post).value]
     rows = []
     for sigma in sigmas:
         spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
-        profile = build_pointer_profile(pre, post, measured, spec)
-        moments = pointer_moments(profile)
-        deviation = tuple(
-            abs(m - p.real) for m, p in zip(moments.mean, prediction)
-        )
+        moments, deviation = pointer_readout(pre, post, measured, spec, prediction)
         rows.append(SweepRow(sigma, spec.weakness_ratio, moments.mean, deviation))
     return rows

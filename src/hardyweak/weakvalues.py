@@ -57,12 +57,6 @@ class WeightedProjectorSum:
     def dimension(self) -> int:
         return len(self.terms[0][1])
 
-    def weight(self, label: BasisLabel) -> tuple[float, ...] | None:
-        for lab, w in self.terms:
-            if lab == label:
-                return w
-        return None
-
     def scaled(self, factor: float) -> WeightedProjectorSum:
         return WeightedProjectorSum(
             self.structure,

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hardyweak
 from hardyweak import __version__
 from hardyweak.cli import (
     ConfigError,
@@ -82,6 +84,10 @@ def test_parse_config_rejects_non_object_root():
     ('{"sweep": []}', "at least one value"),
     ('{"sweep": [1, -2]}', "must be positive"),
     ('{"sweep": [2, 1]}', "strictly ascending"),
+    pytest.param(
+        '{"gamma": ' + "7" * 5000 + "}", "^parse error: ",
+        id="gamma-5000-digits",
+    ),
 ])
 def test_parse_config_field_validation(document, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -236,6 +242,20 @@ def test_orthogonal_analyzer_exits_two(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "pointer", "--sigma", "1e-300"],
+    ["--scenario", "pointer-sweep", "--sweep", "sigma=1e-300"],
+    ["--scenario", "pointer", "--gamma", "0", "--epsilon", "0", "--sigma", "1e-300",
+     "--grid-points", "64"],
+    ["--scenario", "pointer", "--sigma", "4e-4", "--grid-points", "1024"],
+])
+def test_unresolved_grid_exits_two(capsys, argv):
+    code, out, err = run(["run", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: domain: grid step ")
+    assert err.count("\n") == 1
+
+
 def test_missing_scenario_exits_one(capsys):
     code, _, err = run(["run"], capsys)
     assert code == 1
@@ -362,8 +382,12 @@ def test_cross_process_determinism():
         sys.executable, "-c", "from hardyweak.cli import main; main()",
         "run", "--scenario", "hardy", "--format", "json",
     ]
-    first = subprocess.run(command, capture_output=True, check=True)
-    second = subprocess.run(command, capture_output=True, check=True)
+    # The child imports the package from where this process found it.
+    source = str(Path(hardyweak.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(command, capture_output=True, check=True, env=env)
+    second = subprocess.run(command, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout
 
@@ -389,7 +413,7 @@ def test_photonic_weak_large_delay_exits_zero(capsys):
 
 
 @pytest.mark.parametrize("gamma,epsilon", [
-    ("0", "1e8"), ("0", "1e17"), ("-1e300", "1e300"),
+    ("0", "1e8"), ("0", "1e17"), ("-1e300", "1e300"), ("-1e308", "1e308"),
 ])
 def test_photonic_weak_self_checks_scale_with_delays(capsys, gamma, epsilon):
     code, out, err = run(

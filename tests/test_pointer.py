@@ -116,6 +116,18 @@ class TestProfileConstruction:
             PointerSpec(0.0, 1.0, 1.0, -5.0, 7.0, 1024)
         spec = PointerSpec(0.0, 1.0, 1.0, -6.0, 7.0, 1024)
         assert spec.weakness_ratio == 1.0
+        for gamma, epsilon, sigma, n_points in (
+            (0.0, 1.0, 1e-300, 4096),  # sigma**2 underflows and the step is huge
+            (0.0, 0.0, 1e-300, 64),  # equal delays: the step passes, sigma**2 does not
+            (0.0, 1.0, 4e-4, 1024),  # step about 2.5 sigma
+            (0.0, 1.0, 1e-6, 256),
+            (0.0, 1.0, 1e308, 64),  # the grid span overflows to inf
+        ):
+            with pytest.raises(GridError, match="grid step .* does not resolve sigma"):
+                PointerSpec.default(gamma, epsilon, sigma, n_points)
+        PointerSpec(0.0, 0.0, 1.0, -31.5, 31.5, 64)  # a step of exactly sigma
+        with pytest.raises(GridError, match="does not resolve sigma 1:"):
+            PointerSpec(0.0, 0.0, 1.0, -32.0, 32.0, 64)
 
     def test_measured_names_validated(self):
         pre, post = _pre_post()

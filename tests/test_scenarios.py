@@ -263,16 +263,22 @@ def test_photonic_weak_occupation_dictionary(gamma, epsilon):
         assert row.value == pytest.approx(value, abs=1e-12)
 
 
-def test_photonic_weak_decomposition_recombines():
-    report = run_photonic_weak(0.3, 1.7)
+@pytest.mark.parametrize(
+    "gamma,epsilon", DELAY_CASES + [(0.0, 1e8), (-1e300, 1e300)]
+)
+def test_photonic_weak_decomposition_recombines(gamma, epsilon):
+    # The operator identity survives post-selection term by term, to a
+    # few ulps of the delays.
+    report = run_photonic_weak(gamma, epsilon)
     assert len(report.decomposition) == 4
     totals = [0.0j, 0.0j]
     for row in report.decomposition:
         assert len(row.weight) == 2
         for i, w in enumerate(row.weight):
             totals[i] += w * row.value
+    tolerance = 1e-12 * max(1.0, abs(gamma), abs(epsilon))
     for total, direct in zip(totals, report.joint.value):
-        assert total == pytest.approx(direct, abs=1e-12)
+        assert total == pytest.approx(direct, abs=tolerance)
 
 
 def test_photonic_weak_decomposition_weights_are_delays():

@@ -275,11 +275,20 @@ def test_hardy_json_probabilities(capsys):
     assert payload["probabilities"]["p_gamma"] == 0.25
 
 
+# A negative delay, a narrow pointer and an analyzer away from -pi/4.
+POINTER_OFFSET = [
+    "--scenario", "pointer", "--gamma=-0.5", "--epsilon=1.5", "--sigma=2",
+    "--phi=-0.5", "--grid-points=128",
+]
 # Every scenario x format, frozen from the closed-form and grid routes.
 # The file extension is the output format; ".txt" is the table.
 GOLDENS = {
     "hardy_both_present.json": ["--scenario", "hardy", "--format", "json"],
     "hardy_both_present.txt": ["--scenario", "hardy"],
+    "hardy_plus_removed.json": [
+        "--scenario", "hardy", "--bs2-plus=false", "--format", "json",
+    ],
+    "hardy_plus_removed.txt": ["--scenario", "hardy", "--bs2-plus=false"],
     "counterfactual.json": ["--scenario", "counterfactual", "--format", "json"],
     "counterfactual.txt": ["--scenario", "counterfactual"],
     "swap_coherent.json": ["--scenario", "swap", "--format", "json"],
@@ -301,6 +310,8 @@ GOLDENS = {
         "--scenario", "pointer", "--grid-points", "128", "--format", "json",
     ],
     "pointer_128.txt": ["--scenario", "pointer", "--grid-points", "128"],
+    "pointer_128_offset.json": [*POINTER_OFFSET, "--format", "json"],
+    "pointer_128_offset.txt": POINTER_OFFSET,
     "pointer_sweep_128.json": [
         "--scenario", "pointer-sweep", "--grid-points", "128", "--format", "json",
     ],

@@ -11,10 +11,10 @@ import json
 import math
 import re
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import __version__
 from .pointer import (
@@ -37,7 +37,6 @@ from .scenarios import (
     run_hardy_gedanken,
     run_photonic_weak,
 )
-from .weakvalues import arrival_time_operator, weak_value
 
 SCENARIOS = (
     "hardy",
@@ -217,7 +216,7 @@ def parse_config(text: str) -> dict[str, Any]:
         raise ConfigError(
             f"parse error at line {exc.lineno} column {exc.colno}"
         ) from exc
-    except ValueError as exc:  # an integer literal beyond int's digit limit
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep
         raise ConfigError(f"parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -254,15 +253,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+PARSER = _build_parser()
+
+
 def assemble_config(argv: Sequence[str] | None = None) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
+    ns = PARSER.parse_args(argv)
     if ns.command != "run":
         raise ConfigError("expected the run command")
     merged: dict[str, Any] = {}
     if ns.config is not None:
         try:
-            text = Path(ns.config).read_text()
-        except OSError as exc:
+            text = Path(ns.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         merged.update(parse_config(text))
     for key, (_, spec) in INPUTS.items():
@@ -314,18 +316,11 @@ def _complex_json(z: complex) -> dict[str, float]:
     return {"re": _clean_float(z.real), "im": _clean_float(z.imag)}
 
 
-def _rational(value: float) -> str | None:
-    approx = Fraction(value).limit_denominator(RATIONAL_DENOMINATOR_LIMIT)
-    if abs(float(approx) - value) <= RATIONAL_TOLERANCE:
-        return str(approx)
-    return None
-
-
 def _put_with_rational(out: dict[str, Any], key: str, value: float) -> None:
     out[key] = _clean_float(value)
-    text = _rational(out[key])
-    if text is not None:
-        out[f"{key}_rational"] = text
+    approx = Fraction(out[key]).limit_denominator(RATIONAL_DENOMINATOR_LIMIT)
+    if abs(float(approx) - out[key]) <= RATIONAL_TOLERANCE:
+        out[f"{key}_rational"] = str(approx)
 
 
 HARDY_SHORT_KEYS = {
@@ -356,35 +351,21 @@ def _hardy_payload(p: Parameters) -> dict[str, Any]:
     }
 
 
-def _assignment_json(assignment) -> dict[str, bool]:
+def _counterfactual_block(include: Sequence[str] | None = None) -> dict[str, Any]:
+    report = counterfactual_check(include=include)
     return {
-        "c_plus": assignment.c_plus,
-        "c_minus": assignment.c_minus,
-        "d_plus": assignment.d_plus,
-        "d_minus": assignment.d_minus,
+        "constraints": list(report.constraints),
+        "satisfying_count": len(report.satisfying),
+        "satisfying_assignments": [asdict(a) for a in report.satisfying],
     }
 
 
 def _counterfactual_payload() -> dict[str, Any]:
-    full = counterfactual_check()
-    relaxed_names = tuple(
-        name for name in CONSTRAINT_NAMES if name != "joint-dark-click"
-    )
-    relaxed = counterfactual_check(include=relaxed_names)
+    relaxed = [name for name in CONSTRAINT_NAMES if name != "joint-dark-click"]
     return {
         "scenario": "counterfactual",
-        "constraints": list(full.constraints),
-        "satisfying_count": len(full.satisfying),
-        "satisfying_assignments": [
-            _assignment_json(a) for a in full.satisfying
-        ],
-        "without_joint_click": {
-            "constraints": list(relaxed.constraints),
-            "satisfying_count": len(relaxed.satisfying),
-            "satisfying_assignments": [
-                _assignment_json(a) for a in relaxed.satisfying
-            ],
-        },
+        **_counterfactual_block(),
+        "without_joint_click": _counterfactual_block(relaxed),
     }
 
 
@@ -393,7 +374,7 @@ def _swap_payload(p: Parameters) -> dict[str, Any]:
     out: dict[str, Any] = {
         "scenario": "swap",
         "mode": result.mode,
-        "phase_calibration": [float(x) for x in DEFAULT_SWAP_CALIBRATION],
+        "phase_calibration": [_clean_float(x) for x in DEFAULT_SWAP_CALIBRATION],
     }
     _put_with_rational(out, "success_probability", result.success_probability)
     if result.mode == "coherent":
@@ -444,9 +425,7 @@ def _photonic_weak_payload(p: Parameters) -> dict[str, Any]:
 
 
 def _pointer_block(pre, post, measured, spec: PointerSpec) -> dict[str, Any]:
-    op = arrival_time_operator(pre.structure, measured, spec.gamma, spec.epsilon)
-    prediction = [w.real for w in weak_value(op, pre, post).value]
-    moments, deviation = pointer_readout(pre, post, measured, spec, prediction)
+    moments, prediction, deviation = pointer_readout(pre, post, measured, spec)
 
     def per_photon(values) -> float | list[float]:
         cleaned = [_clean_float(v) for v in values]
@@ -533,160 +512,103 @@ def build_payload(config: RunConfig) -> dict[str, Any]:
 # ------------------------------------------------------------- rendering
 
 
-def _fmt_float(x: float) -> str:
-    return f"{_clean_float(x):g}"
+def _fmt(value: Any) -> str:
+    """One payload value as table text; payload floats are already clean."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:g}"
+    if isinstance(value, dict):  # a complex number as {re, im}
+        return f"{value['re']:g}{value['im']:+g}i"
+    if isinstance(value, list):
+        return "(" + ", ".join(_fmt(v) for v in value) + ")"
+    return str(value)
 
 
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
-def _fmt_complex(z: complex | dict[str, float]) -> str:
-    if isinstance(z, dict):
-        z = complex(z["re"], z["im"])
-    re = _clean_float(z.real)
-    im = _clean_float(z.imag)
-    return f"{re:g}{im:+g}i"
-
-
-def _fmt_complex_tuple(values) -> str:
-    return "(" + ", ".join(_fmt_complex(z) for z in values) + ")"
-
-
-def _fmt_prob(payload: dict[str, Any], key: str) -> str:
-    text = _fmt_float(payload[key])
-    rational = payload.get(f"{key}_rational")
-    return f"{text} ({rational})" if rational is not None else text
+def _fields(
+    payload: dict[str, Any], keys: Iterable[str], indent: str = ""
+) -> list[str]:
+    """``key=value`` lines, each followed by `` (p/q)`` where the payload
+    holds ``key_rational``."""
+    lines = []
+    for key in keys:
+        rational = payload.get(f"{key}_rational")
+        suffix = "" if rational is None else f" ({rational})"
+        lines.append(f"{indent}{key}={_fmt(payload[key])}{suffix}")
+    return lines
 
 
 def _hardy_table(payload: dict[str, Any]) -> list[str]:
-    lines = [
-        "scenario=hardy",
-        f"bs2_plus={_fmt_bool(payload['bs2_plus'])}",
-        f"bs2_minus={_fmt_bool(payload['bs2_minus'])}",
-    ]
-    probabilities = payload["probabilities"]
-    for key in ("p_gamma", "p_cc", "p_cd", "p_dc", "p_dd"):
-        lines.append(f"{key}={_fmt_prob(probabilities, key)}")
+    lines = _fields(payload, ("scenario", "bs2_plus", "bs2_minus"))
+    lines += _fields(payload["probabilities"], HARDY_SHORT_KEYS.values())
     lines.append("amplitudes:")
     for label, amp in payload["amplitudes"].items():
-        lines.append(f"  {label}  {_fmt_complex(amp)}")
+        lines.append(f"  {label}  {_fmt(amp)}")
     return lines
-
-
-def _assignment_line(entry: dict[str, bool]) -> str:
-    return " ".join(f"{key}={_fmt_bool(value)}" for key, value in entry.items())
 
 
 def _counterfactual_table(payload: dict[str, Any]) -> list[str]:
-    lines = [
+    def block(part: dict[str, Any], indent: str) -> list[str]:
+        return _fields(part, ("satisfying_count",), indent) + [
+            f"{indent}  " + " ".join(_fields(entry, entry))
+            for entry in part["satisfying_assignments"]
+        ]
+
+    return [
         "scenario=counterfactual",
         "constraints=" + ",".join(payload["constraints"]),
-        f"satisfying_count={payload['satisfying_count']}",
+        *block(payload, ""),
+        "without joint-dark-click:",
+        *block(payload["without_joint_click"], "  "),
     ]
-    for entry in payload["satisfying_assignments"]:
-        lines.append("  " + _assignment_line(entry))
-    relaxed = payload["without_joint_click"]
-    lines.append("without joint-dark-click:")
-    lines.append(f"  satisfying_count={relaxed['satisfying_count']}")
-    for entry in relaxed["satisfying_assignments"]:
-        lines.append("    " + _assignment_line(entry))
-    return lines
 
 
 def _swap_table(payload: dict[str, Any]) -> list[str]:
-    calibration = ", ".join(_fmt_float(x) for x in payload["phase_calibration"])
-    lines = [
-        "scenario=swap",
-        f"mode={payload['mode']}",
-        f"phase_calibration=({calibration})",
-        f"success_probability={_fmt_prob(payload, 'success_probability')}",
-    ]
+    keys = ["scenario", "mode", "phase_calibration", "success_probability"]
     if "fidelity_to_target" in payload:
-        lines.append(f"fidelity_to_target={_fmt_prob(payload, 'fidelity_to_target')}")
-    lines.append("branches:")
+        keys.append("fidelity_to_target")
+    lines = _fields(payload, keys) + ["branches:"]
     for branch in payload["branches"]:
-        lines.append(f"  {branch['label']}  weight={_fmt_prob(branch, 'weight')}")
+        lines += _fields(branch, ("weight",), f"  {branch['label']}  ")
         for label, amp in branch["amplitudes"].items():
-            lines.append(f"    {label}  {_fmt_complex(amp)}")
+            lines.append(f"    {label}  {_fmt(amp)}")
     return lines
 
 
 def _photonic_weak_table(payload: dict[str, Any]) -> list[str]:
-    lines = [
-        "scenario=photonic-weak",
-        f"gamma={_fmt_float(payload['gamma'])}",
-        f"epsilon={_fmt_float(payload['epsilon'])}",
-        f"overlap={_fmt_complex(payload['overlap'])}",
-        f"success_probability={_fmt_prob(payload, 'success_probability')}",
-        f"A2_w={_fmt_complex(payload['A2_w'])}",
-        f"A4_w={_fmt_complex(payload['A4_w'])}",
-        f"A24_w={_fmt_complex_tuple(payload['A24_w'])}",
-        "decomposition:",
-    ]
+    lines = _fields(payload, (
+        "scenario", "gamma", "epsilon", "overlap", "success_probability",
+        "A2_w", "A4_w", "A24_w",
+    ))
+    lines.append("decomposition:")
     for row in payload["decomposition"]:
-        weight = ", ".join(_fmt_float(w) for w in row["weight"])
         lines.append(
-            f"  {row['label']}  weight=({weight})  "
-            f"value={_fmt_complex(row['weak_value'])}"
+            f"  {row['label']}  weight={_fmt(row['weight'])}  "
+            f"value={_fmt(row['weak_value'])}"
         )
     lines.append("occupations:")
     for row in payload["occupations"]:
         lines.append(
-            f"  {row['photonic']} -> {row['path']}  "
-            f"value={_fmt_complex(row['weak_value'])}"
+            f"  {row['photonic']} -> {row['path']}  value={_fmt(row['weak_value'])}"
         )
     return lines
 
 
-def _pointer_block_table(name: str, block: dict[str, Any]) -> list[str]:
-    def fmt(field: str) -> str:
-        value = block[field]
-        if isinstance(value, list):
-            return "(" + ", ".join(_fmt_float(v) for v in value) + ")"
-        return _fmt_float(value)
-
-    return [
-        f"{name}:",
-        f"  mean={fmt('mean')}",
-        f"  variance={fmt('variance')}",
-        f"  success_probability={fmt('success_probability')}",
-        f"  weak_value={fmt('weak_value')}",
-        f"  deviation={fmt('deviation')}",
-    ]
-
-
 def _pointer_table(payload: dict[str, Any]) -> list[str]:
-    lines = [
-        "scenario=pointer",
-        f"gamma={_fmt_float(payload['gamma'])}",
-        f"epsilon={_fmt_float(payload['epsilon'])}",
-        f"sigma={_fmt_float(payload['sigma'])}",
-        f"phi={_fmt_float(payload['phi'])}",
-        f"grid_points={payload['grid_points']}",
-        f"weakness_ratio={_fmt_float(payload['weakness_ratio'])}",
-    ]
+    lines = _fields(payload, (
+        "scenario", "gamma", "epsilon", "sigma", "phi", "grid_points",
+        "weakness_ratio",
+    ))
     for name in ("photon2", "photon4", "joint"):
-        lines.extend(_pointer_block_table(name, payload[name]))
+        lines += [f"{name}:", *_fields(payload[name], payload[name], "  ")]
     return lines
 
 
 def _pointer_sweep_table(payload: dict[str, Any]) -> list[str]:
-    lines = [
-        "scenario=pointer-sweep",
-        f"gamma={_fmt_float(payload['gamma'])}",
-        f"epsilon={_fmt_float(payload['epsilon'])}",
-        f"phi={_fmt_float(payload['phi'])}",
-        f"grid_points={payload['grid_points']}",
-        "rows:",
-    ]
+    lines = _fields(payload, ("scenario", "gamma", "epsilon", "phi", "grid_points"))
+    lines.append("rows:")
     for row in payload["rows"]:
-        mean = ", ".join(_fmt_float(m) for m in row["mean"])
-        deviation = ", ".join(_fmt_float(d) for d in row["deviation"])
-        lines.append(
-            f"  sigma={_fmt_float(row['sigma'])}  r={_fmt_float(row['r'])}  "
-            f"mean=({mean})  deviation=({deviation})"
-        )
+        lines.append("  " + "  ".join(_fields(row, row)))
     return lines
 
 
@@ -737,12 +659,20 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 2
     text = render(payload, config.output_format)
-    if config.output_path is not None:
-        Path(config.output_path).write_text(text + "\n")
-    else:
+    if config.output_path is None:
         print(text)
+        return 0
+    try:
+        Path(config.output_path).write_text(text + "\n")
+    except OSError as exc:
+        print(f"error: config: cannot write report: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -29,13 +29,14 @@ class UnsupportedOccupancyError(ValueError):
     """More photons per mode than the two-photon model supports."""
 
 
-def interferometer_structure(names: tuple[str, str] = ("+", "-")) -> Structure:
-    """Two particles, each about to enter its interferometer."""
-    return Structure.of(*((n, (ENTRY_LEVEL,)) for n in names))
+def interferometer_structure() -> Structure:
+    """Particles + and -, each about to enter its interferometer."""
+    return Structure.of(("+", (ENTRY_LEVEL,)), ("-", (ENTRY_LEVEL,)))
 
 
-def photon_pair_structure(names: tuple[str, str] = ("2", "4")) -> Structure:
-    return Structure.of(*((n, POLARIZATION_LEVELS) for n in names))
+def photon_pair_structure() -> Structure:
+    """Photons 2 and 4, each polarized H or V."""
+    return Structure.of(("2", POLARIZATION_LEVELS), ("4", POLARIZATION_LEVELS))
 
 
 LevelMap = Mapping[str, Mapping[str, complex]]
@@ -105,18 +106,14 @@ def apply_level_map(
     return result.prune()
 
 
-def apply_first_beamsplitter(
-    state: StateVector,
-    particle: str,
-    convention: BeamsplitterConvention = DEFAULT_CONVENTION,
-) -> StateVector:
+def apply_first_beamsplitter(state: StateVector, particle: str) -> StateVector:
     """Split a particle waiting at its entry into the O / NO arm pair."""
     sub = state.structure.subsystem(particle)
     if len(sub.levels) != 1:
         raise StructureError(
             f"particle {particle!r} must sit in a single entry level, has {sub.levels}"
         )
-    mapping = {sub.levels[0]: convention.entry_map()[ENTRY_LEVEL]}
+    mapping = {sub.levels[0]: DEFAULT_CONVENTION.entry_map()[ENTRY_LEVEL]}
     return apply_level_map(state, particle, mapping, ARM_LEVELS)
 
 
@@ -141,10 +138,7 @@ def apply_annihilation(state: StateVector) -> StateVector:
 
 
 def apply_second_beamsplitter(
-    state: StateVector,
-    particle: str,
-    present: bool,
-    convention: BeamsplitterConvention = DEFAULT_CONVENTION,
+    state: StateVector, particle: str, present: bool
 ) -> StateVector:
     """Recombine (or, absent, merely relabel) one particle's arms into ports."""
     sub = state.structure.subsystem(particle)
@@ -152,11 +146,12 @@ def apply_second_beamsplitter(
         raise StructureError(
             f"exit splitter expects arms {ARM_LEVELS}, {particle!r} has {sub.levels}"
         )
-    return apply_level_map(state, particle, convention.exit_map(present), PORT_LEVELS)
+    exit_map = DEFAULT_CONVENTION.exit_map(present)
+    return apply_level_map(state, particle, exit_map, PORT_LEVELS)
 
 
-def pbs_levels(transmit: str = "transmit", reflect: str = "reflect") -> tuple[str, str]:
-    return (f"H@{transmit}", f"V@{reflect}")
+# H leaves a polarizing splitter in its transmitted mode, V in its reflected one.
+PBS_LEVELS = ("H@transmit", "V@reflect")
 
 
 def split_pbs_level(level: str) -> tuple[str, str]:
@@ -164,19 +159,14 @@ def split_pbs_level(level: str) -> tuple[str, str]:
     return pol, port
 
 
-def apply_pbs(
-    state: StateVector,
-    photon: str,
-    transmit: str = "transmit",
-    reflect: str = "reflect",
-) -> StateVector:
+def apply_pbs(state: StateVector, photon: str) -> StateVector:
     """Tag H with the transmitted spatial mode and V with the reflected one."""
     sub = state.structure.subsystem(photon)
     if set(sub.levels) != set(POLARIZATION_LEVELS):
         raise StructureError(f"polarizing splitter expects H/V on {photon!r}")
-    new_h, new_v = pbs_levels(transmit, reflect)
+    new_h, new_v = PBS_LEVELS
     mapping = {"H": {new_h: 1.0}, "V": {new_v: 1.0}}
-    return apply_level_map(state, photon, mapping, (new_h, new_v))
+    return apply_level_map(state, photon, mapping, PBS_LEVELS)
 
 
 def apply_polarization_rotation(state: StateVector, photon: str, phi: float) -> StateVector:
@@ -214,9 +204,7 @@ class FockModeState:
 
 
 def hom_combine(
-    state: FockModeState,
-    out_modes: tuple[str, str] = ("c", "d"),
-    convention: BeamsplitterConvention = DEFAULT_CONVENTION,
+    state: FockModeState, out_modes: tuple[str, str] = ("c", "d")
 ) -> FockModeState:
     """Interfere two bosonic input modes on a balanced splitter.
 
@@ -226,7 +214,7 @@ def hom_combine(
     """
     if len(state.modes) != 2:
         raise StructureError("combiner expects exactly two input modes")
-    sub = convention.fock_pair_map()
+    sub = DEFAULT_CONVENTION.fock_pair_map()
     a_row = [sub["a"]["c"], sub["a"]["d"]]
     b_row = [sub["b"]["c"], sub["b"]["d"]]
     out: dict[tuple[int, ...], complex] = {}

@@ -179,35 +179,16 @@ def pointer_terms(
     )
 
 
-def _closed_form_norm(terms, spec: PointerSpec) -> float:
-    acc = 0.0
-    for delays_i, ci in terms:
-        for delays_j, cj in terms:
-            cross = (ci.conjugate() * cj).real
-            if cross == 0.0:
-                continue
-            factor = 1.0
-            for di, dj in zip(delays_i, delays_j):
-                factor *= gaussian_overlap(di - dj, spec.sigma)
-            acc += cross * factor
-    return acc
+def _pair_sums(terms, sigma: float) -> tuple[float, list[float], list[float]]:
+    """Closed-form integrals of the mixture, summed over pairs of terms.
 
-
-def analytic_moments(
-    terms: Sequence[tuple[tuple[float, ...], complex]], spec: PointerSpec
-) -> PointerMoments:
-    """Closed-form moments of the Gaussian mixture, no grid involved.
-
-    Uses int f_a f_b = u, int t f_a f_b = u m, int t^2 f_a f_b =
-    u (sigma^2 + m^2) with m the midpoint of the two centers and u their
-    overlap.
+    A pair of centers a, b with overlap u and midpoint m per axis gives
+    int f_a f_b = u, int t f_a f_b = u m and int t^2 f_a f_b =
+    u (sigma^2 + m^2); returns the norm and, per axis, the first and
+    second sums.
     """
-    if not terms:
-        raise EmptyPostSelectionError("no surviving pointer amplitude")
-    n_axes = len(terms[0][0])
-    norm = _closed_form_norm(terms, spec)
-    if norm <= 1e-12:
-        raise EmptyPostSelectionError("post-selected pointer norm vanishes")
+    n_axes = len(terms[0][0]) if terms else 0
+    norm = 0.0
     first = [0.0] * n_axes
     second = [0.0] * n_axes
     for delays_i, ci in terms:
@@ -215,17 +196,26 @@ def analytic_moments(
             cross = (ci.conjugate() * cj).real
             if cross == 0.0:
                 continue
-            overlaps = [
-                gaussian_overlap(di - dj, spec.sigma)
-                for di, dj in zip(delays_i, delays_j)
-            ]
-            mids = [(di + dj) / 2.0 for di, dj in zip(delays_i, delays_j)]
-            base = math.prod(overlaps)
-            for ax in range(n_axes):
-                first[ax] += cross * base * mids[ax]
-                second[ax] += cross * base * (
-                    spec.sigma**2 + mids[ax] ** 2
-                )
+            weight = cross * math.prod(
+                gaussian_overlap(di - dj, sigma) for di, dj in zip(delays_i, delays_j)
+            )
+            norm += weight
+            for ax, (di, dj) in enumerate(zip(delays_i, delays_j)):
+                mid = (di + dj) / 2.0
+                first[ax] += weight * mid
+                second[ax] += weight * (sigma**2 + mid**2)
+    return norm, first, second
+
+
+def analytic_moments(
+    terms: Sequence[tuple[tuple[float, ...], complex]], spec: PointerSpec
+) -> PointerMoments:
+    """Closed-form moments of the Gaussian mixture, no grid involved."""
+    if not terms:
+        raise EmptyPostSelectionError("no surviving pointer amplitude")
+    norm, first, second = _pair_sums(terms, spec.sigma)
+    if norm <= 1e-12:
+        raise EmptyPostSelectionError("post-selected pointer norm vanishes")
     mean = tuple(f / norm for f in first)
     variance = tuple(s / norm - m * m for s, m in zip(second, mean))
     return PointerMoments(mean, variance, norm)
@@ -258,7 +248,7 @@ def build_pointer_profile(
         measured=tuple(measured),
         terms=terms,
         amplitude=amplitude,
-        success_probability=_closed_form_norm(terms, spec),
+        success_probability=_pair_sums(terms, spec.sigma)[0],
     )
 
 
@@ -292,15 +282,18 @@ def pointer_readout(
     post: StateVector,
     measured: Sequence[str],
     spec: PointerSpec,
-    prediction: Sequence[float],
-) -> tuple[PointerMoments, tuple[float, ...]]:
-    """Grid moments at one pointer width and their distance from ``prediction``.
+) -> tuple[PointerMoments, tuple[float, ...], tuple[float, ...]]:
+    """Grid moments at one pointer width, the weak-value prediction and
+    their distance, one per measured photon.
 
-    ``prediction`` is the real part of the weak value, one per measured photon.
+    The prediction is the real part of the arrival-time weak value; it is
+    taken before any grid is built.
     """
+    op = arrival_time_operator(pre.structure, measured, spec.gamma, spec.epsilon)
+    prediction = tuple(w.real for w in weak_value(op, pre, post).value)
     moments = pointer_moments(build_pointer_profile(pre, post, measured, spec))
     deviation = tuple(abs(m - w) for m, w in zip(moments.mean, prediction))
-    return moments, deviation
+    return moments, prediction, deviation
 
 
 def weak_limit_sweep(
@@ -323,11 +316,9 @@ def weak_limit_sweep(
         raise GridError("sweep sigmas must be positive")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise GridError("sweep sigmas must be strictly ascending")
-    op = arrival_time_operator(pre.structure, measured, gamma, epsilon)
-    prediction = [w.real for w in weak_value(op, pre, post).value]
     rows = []
     for sigma in sigmas:
         spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
-        moments, deviation = pointer_readout(pre, post, measured, spec, prediction)
+        moments, _, deviation = pointer_readout(pre, post, measured, spec)
         rows.append(SweepRow(sigma, spec.weakness_ratio, moments.mean, deviation))
     return rows

@@ -88,6 +88,7 @@ def test_parse_config_rejects_non_object_root():
         '{"gamma": ' + "7" * 5000 + "}", "^parse error: ",
         id="gamma-5000-digits",
     ),
+    pytest.param("[" * 100000 + "]" * 100000, "^parse error: ", id="nested-100000"),
 ])
 def test_parse_config_field_validation(document, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -101,6 +102,11 @@ def test_assemble_defaults():
     assert config.sweep is None
     assert config.output_format == "table"
     assert config.output_path is None
+
+
+def test_parser_keeps_no_values_between_calls():
+    assemble_config(["run", "--scenario", "hardy", "--bs2-plus=false"])
+    assert assemble_config(["run", "--scenario", "hardy"]).parameters == Parameters()
 
 
 def test_assemble_rejects_sweep_outside_pointer_sweep():
@@ -228,6 +234,15 @@ def test_missing_config_file_exits_one(capsys):
     code, _, err = run(["run", "--config", "/no/such/file.json"], capsys)
     assert code == 1
     assert "cannot read config file" in err
+
+
+def test_non_utf8_config_file_exits_one(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(b'{"scenario": "hardy", "out": "\xff"}')
+    code, out, err = run(["run", "--config", str(config)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: config: cannot read config file: ")
+    assert err.count("\n") == 1
 
 
 def test_orthogonal_analyzer_exits_two(capsys):
@@ -388,19 +403,29 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
-def test_cross_process_determinism():
-    command = [
-        sys.executable, "-c", "from hardyweak.cli import main; main()",
-        "run", "--scenario", "hardy", "--format", "json",
-    ]
+def _child_run(*args):
     # The child imports the package from where this process found it.
     source = str(Path(hardyweak.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    first = subprocess.run(command, capture_output=True, check=True, env=env)
-    second = subprocess.run(command, capture_output=True, check=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, check=True, env=env
+    )
+
+
+def test_cross_process_determinism():
+    args = ["-c", "from hardyweak.cli import main; main()",
+            "run", "--scenario", "hardy", "--format", "json"]
+    first = _child_run(*args)
+    second = _child_run(*args)
     assert first.stdout == second.stdout
     assert first.stdout
+
+
+def test_module_entry_point_runs_a_scenario():
+    done = _child_run("-m", "hardyweak.cli", "run", "--scenario", "hardy")
+    assert done.stdout.decode() == (GOLDEN_DIR / "hardy_both_present.txt").read_text()
+    assert done.stderr == b""
 
 
 # ----------------------------------------------------------- other tables
@@ -561,6 +586,17 @@ def test_out_writes_exact_stdout_bytes(tmp_path, capsys):
     assert out == ""
     _, printed, _ = run(["run", "--scenario", "hardy", "--format", "json"], capsys)
     assert target.read_text() == printed
+
+
+@pytest.mark.parametrize("target", ["missing/report.txt", "."])
+def test_unwritable_out_path_exits_one(tmp_path, capsys, target):
+    path = tmp_path / target  # a missing directory, then a directory itself
+    code, out, err = run(
+        ["run", "--scenario", "hardy", "--out", str(path)], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: config: cannot write report: ")
+    assert err.count("\n") == 1
 
 
 def test_flags_override_config_file(tmp_path, capsys):

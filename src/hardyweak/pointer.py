@@ -8,7 +8,9 @@ V; post-selection leaves a small coherent mixture of shifted Gaussians
 whose moments interpolate between the strong regime and the weak values.
 
 Two independent routes to every moment are kept side by side: closed-form
-pairwise-overlap algebra, and trapezoidal integration on a dense grid.
+pairwise-overlap algebra, and trapezoidal integration on a grid.  The
+trapezoid rule on a product grid factorises, so the grid route samples one
+marginal density per measured photon and its cost is linear in the points.
 """
 from __future__ import annotations
 
@@ -16,8 +18,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .states import StateVector, StructureError
 from .weakvalues import arrival_time_operator, weak_value
@@ -71,6 +71,10 @@ class PointerSpec:
                 f"grid step {step:g} does not resolve sigma {self.sigma:g}: "
                 f"need 0 < step <= sigma and sigma**2 >= {tiny:g}"
             )
+        # Second moments add squared grid times, which must stay finite.
+        if not math.isfinite(2.0 * max(t * t for t in (self.t_min, self.t_max))):
+            raise GridError(f"grid [{self.t_min:g}, {self.t_max:g}] is too wide: "
+                            "its squared extent overflows")
 
     @classmethod
     def default(
@@ -88,8 +92,10 @@ class PointerSpec:
     def weakness_ratio(self) -> float:
         return abs(self.epsilon - self.gamma) / self.sigma
 
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.n_points)
+    def grid(self) -> list[float]:
+        """``numpy.linspace(t_min, t_max, n_points)`` bit for bit."""
+        step = (self.t_max - self.t_min) / (self.n_points - 1)
+        return [i * step + self.t_min for i in range(self.n_points - 1)] + [self.t_max]
 
     def delay(self, level: str) -> float:
         if level == "H":
@@ -105,9 +111,16 @@ class PointerSpec:
         )
 
 
-def gaussian_amplitude(t: np.ndarray, center: float, sigma: float) -> np.ndarray:
+def gaussian_amplitude(t: Sequence[float], center: float, sigma: float) -> list[float]:
     norm = (2.0 * math.pi * sigma * sigma) ** (-0.25)
-    return norm * np.exp(-((t - center) ** 2) / (4.0 * sigma * sigma))
+    width = 4.0 * sigma * sigma
+    return [norm * math.exp(-((x - center) * (x - center)) / width) for x in t]
+
+
+def _trapezoid(y: list[float], t: list[float]) -> float:
+    return math.fsum(
+        (t1 - t0) * (y0 + y1) for t0, t1, y0, y1 in zip(t, t[1:], y, y[1:])
+    ) / 2.0
 
 
 def gaussian_overlap(delta: float, sigma: float) -> float:
@@ -119,18 +132,20 @@ def gaussian_overlap(delta: float, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class PointerProfile:
-    """Sampled post-selected pointer amplitude on one or two time axes.
+    """Sampled post-selected pointer density, one marginal per measured axis.
 
+    ``marginals[a]`` is |amplitude|^2 on the spec's grid for axis ``a``
+    with every other axis integrated out by the trapezoid rule.
     ``terms`` keeps the underlying mixture (per-axis delays with a complex
     coefficient each): it is what the closed-form route consumes.
     ``success_probability`` is the closed-form squared norm; the grid
-    integral of |amplitude|^2 must reproduce it to 1e-9 on a sane grid.
+    integral of a marginal must reproduce it to 1e-9 on a sane grid.
     """
 
     spec: PointerSpec
     measured: tuple[str, ...]
     terms: tuple[tuple[tuple[float, ...], complex], ...]
-    amplitude: np.ndarray
+    marginals: tuple[list[float], ...]
     success_probability: float
 
 
@@ -227,51 +242,48 @@ def build_pointer_profile(
     measured: Sequence[str],
     spec: PointerSpec,
 ) -> PointerProfile:
-    """Sample the post-selected pointer amplitude on the spec's grid."""
+    """Sample the post-selected pointer's marginals on the spec's grid.
+
+    On each axis, the terms that share their other-axis delays form a
+    group whose amplitude is sampled on that axis; the marginal is the sum
+    over pairs of groups of Re(conj(a_g) a_h), weighted by the trapezoid
+    overlaps of the two groups' Gaussians on every other axis.
+    """
     terms = pointer_terms(pre, post, measured, spec)
     t = spec.grid()
-    if len(measured) == 1:
-        amplitude = np.zeros(spec.n_points, dtype=complex)
-        for (delay,), coeff in terms:
-            amplitude += coeff * gaussian_amplitude(t, delay, spec.sigma)
-    elif len(measured) == 2:
-        amplitude = np.zeros((spec.n_points, spec.n_points), dtype=complex)
-        for (d_first, d_second), coeff in terms:
-            amplitude += coeff * np.outer(
-                gaussian_amplitude(t, d_first, spec.sigma),
-                gaussian_amplitude(t, d_second, spec.sigma),
-            )
-    else:
-        raise StructureError("profiles support one or two measured photons")
-    return PointerProfile(
-        spec=spec,
-        measured=tuple(measured),
-        terms=terms,
-        amplitude=amplitude,
-        success_probability=_pair_sums(terms, spec.sigma)[0],
-    )
+    samples = {d: gaussian_amplitude(t, d, spec.sigma)
+               for d in (spec.gamma, spec.epsilon)}
+    overlap = {(a, b): _trapezoid([x * y for x, y in zip(fa, fb)], t)
+               for a, fa in samples.items() for b, fb in samples.items()}
+    marginals = []
+    for ax in range(len(measured)):
+        groups: dict[tuple[float, ...], list[complex]] = {}
+        for delays, coeff in terms:
+            rest = delays[:ax] + delays[ax + 1:]
+            amp = groups.get(rest, [0j] * spec.n_points)
+            groups[rest] = [a + coeff * f for a, f in zip(amp, samples[delays[ax]])]
+        marginal = [0.0] * spec.n_points
+        for g, amp_g in groups.items():
+            for h, amp_h in groups.items():
+                weight = math.prod(overlap[p, q] for p, q in zip(g, h))
+                marginal = [m + weight * (x.conjugate() * y).real
+                            for m, x, y in zip(marginal, amp_g, amp_h)]
+        marginals.append(marginal)
+    success = _pair_sums(terms, spec.sigma)[0]
+    return PointerProfile(spec, tuple(measured), terms, tuple(marginals), success)
 
 
 def pointer_moments(profile: PointerProfile) -> PointerMoments:
     """Trapezoidal mean and variance per axis, normalized on the grid."""
     t = profile.spec.grid()
-    density = np.abs(profile.amplitude) ** 2
-    if density.ndim == 1:
-        marginals = [density]
-        norm = float(np.trapezoid(density, t))
-    else:
-        marginals = [
-            np.trapezoid(density, t, axis=1),
-            np.trapezoid(density, t, axis=0),
-        ]
-        norm = float(np.trapezoid(marginals[0], t))
+    norm = _trapezoid(profile.marginals[0], t)
     if norm <= 1e-12:
         raise EmptyPostSelectionError("post-selected pointer norm vanishes on grid")
     means = []
     variances = []
-    for marginal in marginals:
-        m1 = float(np.trapezoid(t * marginal, t)) / norm
-        m2 = float(np.trapezoid(t * t * marginal, t)) / norm
+    for marginal in profile.marginals:
+        m1 = _trapezoid([x * m for x, m in zip(t, marginal)], t) / norm
+        m2 = _trapezoid([x * x * m for x, m in zip(t, marginal)], t) / norm
         means.append(m1)
         variances.append(m2 - m1 * m1)
     return PointerMoments(tuple(means), tuple(variances), norm)

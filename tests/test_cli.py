@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -271,6 +272,31 @@ def test_unresolved_grid_exits_two(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scenario=pointer", "--gamma=0", "--epsilon=1e154", "--sigma=1e153",
+     "--grid-points=64"],
+    ["--scenario=pointer", "--gamma=-1e300", "--epsilon=1e300", "--sigma=1e299",
+     "--grid-points=64"],
+    ["--scenario=pointer-sweep", "--epsilon=1e154", "--grid-points=64", "--format=csv"],
+])
+def test_overflowing_grid_exits_two(capsys, argv):
+    code, out, err = run(["run", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: domain: grid [")
+    assert "squared extent overflows" in err
+    assert err.count("\n") == 1
+
+
+def test_wide_grid_below_overflow_exits_zero(capsys):
+    code, out, err = run(
+        ["run", "--scenario=pointer", "--epsilon=1e150", "--sigma=1e149",
+         "--grid-points=64"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert "weak_value=(1e+150, 1e+150)" in out
+
+
 def test_missing_scenario_exits_one(capsys):
     code, _, err = run(["run"], capsys)
     assert code == 1
@@ -428,6 +454,18 @@ def test_module_entry_point_runs_a_scenario():
     assert done.stderr == b""
 
 
+def test_label_and_pointer_runs_never_import_numpy():
+    code = (
+        "import sys\n"
+        "from hardyweak.cli import run_cli\n"
+        "assert run_cli(['run', '--scenario', 'hardy']) == 0\n"
+        "assert run_cli(['run', '--scenario', 'pointer', '--grid-points', '64']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = _child_run("-c", code)
+    assert done.stdout.decode().splitlines()[-1] == "False"
+
+
 # ----------------------------------------------------------- other tables
 
 
@@ -528,6 +566,19 @@ def test_pointer_json_schema(capsys):
     assert len(joint["mean"]) == 2
     assert len(joint["deviation"]) == 2
     assert payload["weakness_ratio"] == 0.125
+
+
+def test_default_pointer_run_stays_small(capsys):
+    # A dense joint grid at 4096 points per axis would hold 16 * 4096**2 B = 268 MB.
+    tracemalloc.start()
+    try:
+        code = run_cli(["run", "--scenario=pointer"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.startswith("scenario=pointer\n")
+    assert peak < 10_000_000
 
 
 def test_pointer_single_photon_mean_is_exact(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ class TestGaussianOverlap:
         lo = -10 * sigma + min(0.0, delta)
         hi = 10 * sigma + max(0.0, delta)
         t = np.linspace(lo, hi, 4096)
-        integrand = gaussian_amplitude(t, 0.0, sigma) * gaussian_amplitude(t, delta, sigma)
+        integrand = np.array(gaussian_amplitude(t, 0.0, sigma)) * gaussian_amplitude(t, delta, sigma)
         grid = float(np.trapezoid(integrand, t))
         assert abs(grid - gaussian_overlap(delta, sigma)) < 1e-9
 
@@ -126,8 +127,32 @@ class TestProfileConstruction:
             with pytest.raises(GridError, match="grid step .* does not resolve sigma"):
                 PointerSpec.default(gamma, epsilon, sigma, n_points)
         PointerSpec(0.0, 0.0, 1.0, -31.5, 31.5, 64)  # a step of exactly sigma
+        with pytest.raises(GridError, match="squared extent overflows"):
+            PointerSpec.default(0.0, 1e154, 1e153, 64)  # (1.8e154)**2 is not finite
+        PointerSpec.default(0.0, 1e150, 1e149, 64)
         with pytest.raises(GridError, match="does not resolve sigma 1:"):
             PointerSpec(0.0, 0.0, 1.0, -32.0, 32.0, 64)
+
+    def test_grid_is_numpy_linspace(self):
+        rng = random.Random("grid")
+        for _ in range(300):
+            t_min = rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-3, 3)
+            t_max = t_min + rng.uniform(0.1, 1e3) * 10.0 ** rng.randint(-3, 3)
+            n_points = rng.randint(64, 4096)
+            mid, sigma = (t_min + t_max) / 2.0, (t_max - t_min) / 13.0
+            spec = PointerSpec(mid, mid, sigma, t_min, t_max, n_points)
+            grid = spec.grid()
+            assert grid == np.linspace(spec.t_min, spec.t_max, n_points).tolist()
+            assert grid[-1] == spec.t_max
+
+    def test_joint_profile_keeps_one_marginal_per_axis(self):
+        pre, post = _pre_post()
+        spec = PointerSpec.default(0.0, 1.0, 1.0, 256)
+        profile = build_pointer_profile(pre, post, ("2", "4"), spec)
+        assert len(profile.marginals) == 2
+        for marginal in profile.marginals:
+            assert len(marginal) == spec.n_points
+            assert all(type(x) is float for x in marginal)
 
     def test_measured_names_validated(self):
         pre, post = _pre_post()

@@ -321,6 +321,10 @@ POINTER_OFFSET = [
     "--scenario", "pointer", "--gamma=-0.5", "--epsilon=1.5", "--sigma=2",
     "--phi=-0.5", "--grid-points=128",
 ]
+# Equal delays: both pointer shifts sample one and the same Gaussian.
+POINTER_DEGENERATE = [
+    "--scenario=pointer", "--gamma=1", "--epsilon=1", "--grid-points=128",
+]
 # Every scenario x format, frozen from the closed-form and grid routes.
 # The file extension is the output format; ".txt" is the table.
 GOLDENS = {
@@ -353,6 +357,8 @@ GOLDENS = {
     "pointer_128.txt": ["--scenario", "pointer", "--grid-points", "128"],
     "pointer_128_offset.json": [*POINTER_OFFSET, "--format", "json"],
     "pointer_128_offset.txt": POINTER_OFFSET,
+    "pointer_degenerate.json": [*POINTER_DEGENERATE, "--format", "json"],
+    "pointer_degenerate.txt": POINTER_DEGENERATE,
     "pointer_sweep_128.json": [
         "--scenario", "pointer-sweep", "--grid-points", "128", "--format", "json",
     ],

@@ -11,12 +11,18 @@ Two independent routes to every moment are kept side by side: closed-form
 pairwise-overlap algebra, and trapezoidal integration on a grid.  The
 trapezoid rule on a product grid factorises, so the grid route samples one
 marginal density per measured photon and its cost is linear in the points.
+A spec samples its grid, its trapezoid weights and the Gaussian at each
+distinct delay once, for every profile built on it; each moment is then
+one exact weighted sum over the grid.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations_with_replacement
+from operator import mul
 from typing import Sequence
 
 from .states import StateVector, StructureError
@@ -49,6 +55,8 @@ class PointerSpec:
     n_points: int
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "epsilon", "sigma"):
+            _require_finite(self, name)
         if self.sigma <= 0.0:
             raise GridError("sigma must be positive")
         if self.n_points < MIN_N_POINTS:
@@ -64,13 +72,17 @@ class PointerSpec:
             )
         # Sampling a Gaussian needs a step no wider than its width, and
         # sigma**2 must not underflow (gamma == epsilon passes the step test).
+        # An infinite grid end fails here; a nan one passes every comparison
+        # and is named below.
         step = (self.t_max - self.t_min) / (self.n_points - 1)
         tiny = sys.float_info.min
-        if not (0.0 < step <= self.sigma and self.sigma * self.sigma >= tiny):
+        if step <= 0.0 or step > self.sigma or self.sigma * self.sigma < tiny:
             raise GridError(
                 f"grid step {step:g} does not resolve sigma {self.sigma:g}: "
                 f"need 0 < step <= sigma and sigma**2 >= {tiny:g}"
             )
+        for name in ("t_min", "t_max"):
+            _require_finite(self, name)
         # Second moments add squared grid times, which must stay finite.
         if not math.isfinite(2.0 * max(t * t for t in (self.t_min, self.t_max))):
             raise GridError(f"grid [{self.t_min:g}, {self.t_max:g}] is too wide: "
@@ -97,6 +109,21 @@ class PointerSpec:
         step = (self.t_max - self.t_min) / (self.n_points - 1)
         return [i * step + self.t_min for i in range(self.n_points - 1)] + [self.t_max]
 
+    @cached_property
+    def quadrature(self) -> tuple[list[float], list[float]]:
+        """The grid t and its trapezoid weights w: fsum(w * y) integrates y."""
+        t = self.grid()
+        w = ([(t[1] - t[0]) / 2.0] + [(b - a) / 2.0 for a, b in zip(t, t[2:])]
+             + [(t[-1] - t[-2]) / 2.0])
+        return t, w
+
+    @cached_property
+    def samples(self) -> dict[float, list[float]]:
+        """The pointer amplitude on the grid, once per distinct delay."""
+        t = self.quadrature[0]
+        return {d: gaussian_amplitude(t, d, self.sigma)
+                for d in dict.fromkeys((self.gamma, self.epsilon))}
+
     def delay(self, level: str) -> float:
         if level == "H":
             return self.gamma
@@ -111,16 +138,28 @@ class PointerSpec:
         )
 
 
+def _require_finite(spec: PointerSpec, name: str) -> None:
+    value = getattr(spec, name)
+    if not math.isfinite(value):
+        raise GridError(f"{name} must be finite, got {value}")
+
+
 def gaussian_amplitude(t: Sequence[float], center: float, sigma: float) -> list[float]:
     norm = (2.0 * math.pi * sigma * sigma) ** (-0.25)
     width = 4.0 * sigma * sigma
     return [norm * math.exp(-((x - center) * (x - center)) / width) for x in t]
 
 
-def _trapezoid(y: list[float], t: list[float]) -> float:
-    return math.fsum(
-        (t1 - t0) * (y0 + y1) for t0, t1, y0, y1 in zip(t, t[1:], y, y[1:])
-    ) / 2.0
+def _grid_integrals(spec: PointerSpec, y: list[float]) -> tuple[float, float, float]:
+    """Trapezoidal int y, int t y and int t^2 y on the spec's grid.
+
+    The weights multiply last: w * t^2 would overflow on grids whose
+    squared extent is finite but close to the largest float.
+    """
+    t, w = spec.quadrature
+    ty = list(map(mul, t, y))
+    return (math.fsum(map(mul, w, y)), math.fsum(map(mul, w, ty)),
+            math.fsum(map(mul, w, map(mul, t, ty))))
 
 
 def gaussian_overlap(delta: float, sigma: float) -> float:
@@ -247,45 +286,61 @@ def build_pointer_profile(
     On each axis, the terms that share their other-axis delays form a
     group whose amplitude is sampled on that axis; the marginal is the sum
     over pairs of groups of Re(conj(a_g) a_h), weighted by the trapezoid
-    overlaps of the two groups' Gaussians on every other axis.
+    overlaps of the two groups' Gaussians on every other axis.  A group's
+    amplitude is squared point by point, never expanded in the samples.
     """
     terms = pointer_terms(pre, post, measured, spec)
-    t = spec.grid()
-    samples = {d: gaussian_amplitude(t, d, spec.sigma)
-               for d in (spec.gamma, spec.epsilon)}
-    overlap = {(a, b): _trapezoid([x * y for x, y in zip(fa, fb)], t)
-               for a, fa in samples.items() for b, fb in samples.items()}
+    samples = spec.samples
+    overlap: dict[tuple[float, float], float] = {}
+    if len(measured) > 1:
+        w = spec.quadrature[1]
+        for a, b in combinations_with_replacement(samples, 2):
+            overlap[a, b] = overlap[b, a] = math.fsum(
+                map(mul, w, map(mul, samples[a], samples[b])))
     marginals = []
     for ax in range(len(measured)):
-        groups: dict[tuple[float, ...], list[complex]] = {}
+        groups: dict[tuple[float, ...], dict[float, complex]] = {}
         for delays, coeff in terms:
-            rest = delays[:ax] + delays[ax + 1:]
-            amp = groups.get(rest, [0j] * spec.n_points)
-            groups[rest] = [a + coeff * f for a, f in zip(amp, samples[delays[ax]])]
+            group = groups.setdefault(delays[:ax] + delays[ax + 1:], {})
+            group[delays[ax]] = group.get(delays[ax], 0j) + coeff
+        sampled = []
+        for rest, group in groups.items():
+            vectors = [samples[d] for d in group]
+            sampled.append((rest, _combine([c.real for c in group.values()], vectors),
+                            _combine([c.imag for c in group.values()], vectors)))
         marginal = [0.0] * spec.n_points
-        for g, amp_g in groups.items():
-            for h, amp_h in groups.items():
+        for i, (g, re_g, im_g) in enumerate(sampled):
+            for h, re_h, im_h in sampled[i:]:
                 weight = math.prod(overlap[p, q] for p, q in zip(g, h))
-                marginal = [m + weight * (x.conjugate() * y).real
-                            for m, x, y in zip(marginal, amp_g, amp_h)]
+                if h != g:
+                    weight *= 2.0
+                marginal = [m + weight * (a * c + b * d) for m, a, b, c, d
+                            in zip(marginal, re_g, im_g, re_h, im_h)]
         marginals.append(marginal)
     success = _pair_sums(terms, spec.sigma)[0]
     return PointerProfile(spec, tuple(measured), terms, tuple(marginals), success)
 
 
+def _combine(coeffs: list[float], vectors: list[list[float]]) -> list[float]:
+    """sum_d c_d f_d point by point over a group's one or two delays."""
+    if len(vectors) == 1:
+        return [coeffs[0] * x for x in vectors[0]]
+    (c0, c1), (f0, f1) = coeffs, vectors
+    return [c0 * x + c1 * y for x, y in zip(f0, f1)]
+
+
 def pointer_moments(profile: PointerProfile) -> PointerMoments:
     """Trapezoidal mean and variance per axis, normalized on the grid."""
-    t = profile.spec.grid()
-    norm = _trapezoid(profile.marginals[0], t)
+    sums = [_grid_integrals(profile.spec, y) for y in profile.marginals]
+    norm = sums[0][0]
     if norm <= 1e-12:
         raise EmptyPostSelectionError("post-selected pointer norm vanishes on grid")
     means = []
     variances = []
-    for marginal in profile.marginals:
-        m1 = _trapezoid([x * m for x, m in zip(t, marginal)], t) / norm
-        m2 = _trapezoid([x * x * m for x, m in zip(t, marginal)], t) / norm
+    for _, first, second in sums:
+        m1 = first / norm
         means.append(m1)
-        variances.append(m2 - m1 * m1)
+        variances.append(second / norm - m1 * m1)
     return PointerMoments(tuple(means), tuple(variances), norm)
 
 

@@ -1,7 +1,9 @@
-"""The package's public names."""
+"""The package: its public names, and sources that parse on the oldest supported Python."""
 from __future__ import annotations
 
+import ast
 import types
+from pathlib import Path
 
 import hardyweak
 
@@ -33,3 +35,9 @@ def test_all_lists_exactly_the_public_names():
     for name in hardyweak.__all__:
         value = getattr(hardyweak, name)
         assert not isinstance(value, types.ModuleType), name
+
+
+def test_sources_parse_on_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10.
+    for path in sorted(Path(hardyweak.__file__).parent.rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

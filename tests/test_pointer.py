@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import analyzer_literal, entangled_target_literal, state_of, photon_structure
+from hardyweak import pointer
+from hardyweak.cli import run_cli
 from hardyweak.pointer import (
     EmptyPostSelectionError,
     GridError,
     MAX_N_POINTS,
     PointerSpec,
+    _grid_integrals,
     analytic_moments,
     build_pointer_profile,
     gaussian_amplitude,
@@ -19,6 +22,13 @@ from hardyweak.pointer import (
     weak_limit_sweep,
 )
 from hardyweak.states import StructureError
+
+
+def _trapezoid(y: list[float], t: list[float]) -> float:
+    """Reference trapezoid rule, one exactly summed term per interval."""
+    return math.fsum(
+        (t1 - t0) * (y0 + y1) for t0, t1, y0, y1 in zip(t, t[1:], y, y[1:])
+    ) / 2.0
 
 
 def joint_mean_formula(gamma: float, epsilon: float, sigma: float) -> float:
@@ -133,6 +143,20 @@ class TestProfileConstruction:
         with pytest.raises(GridError, match="does not resolve sigma 1:"):
             PointerSpec(0.0, 0.0, 1.0, -32.0, 32.0, 64)
 
+    @pytest.mark.parametrize("field,args", [
+        ("gamma", (math.nan, 1.0, 8.0, -100.0, 100.0, 128)),
+        ("gamma", (-math.inf, 1.0, 8.0, -100.0, 100.0, 128)),
+        ("epsilon", (0.0, math.nan, 8.0, -100.0, 100.0, 128)),
+        ("epsilon", (0.0, math.inf, 8.0, -100.0, 100.0, 128)),
+        ("sigma", (0.0, 1.0, math.nan, -100.0, 100.0, 128)),
+        ("sigma", (0.0, 1.0, math.inf, -100.0, 100.0, 128)),
+        ("t_min", (0.0, 1.0, 8.0, math.nan, 100.0, 128)),
+        ("t_max", (0.0, 1.0, 8.0, -100.0, math.nan, 128)),
+    ])
+    def test_non_finite_field_is_named(self, field, args):
+        with pytest.raises(GridError, match=f"^{field} must be finite"):
+            PointerSpec(*args)
+
     def test_grid_is_numpy_linspace(self):
         rng = random.Random("grid")
         for _ in range(300):
@@ -161,6 +185,76 @@ class TestProfileConstruction:
             build_pointer_profile(pre, post, ("7",), spec)
         with pytest.raises(StructureError):
             build_pointer_profile(pre, post, (), spec)
+
+
+class TestGridIntegrals:
+    def test_weights_match_the_pairwise_trapezoid(self):
+        rng = random.Random("trapezoid")
+        specs = [PointerSpec.default(0.0, 1e150, 1e149, 64),
+                 PointerSpec.default(0.0, 1.0, 8.0, MAX_N_POINTS)]
+        while len(specs) < 300:
+            gamma = rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-3, 6)
+            epsilon = gamma + rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-3, 3)
+            sigma = abs(epsilon - gamma) * 2.0 ** rng.uniform(-2.0, 4.0) or 1.0
+            n_points = round(2.0 ** rng.uniform(6.0, 13.0))
+            try:
+                specs.append(PointerSpec.default(gamma, epsilon, sigma, n_points))
+            except GridError:
+                continue
+        for spec in specs:
+            t = spec.grid()
+            c = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            early, late = spec.samples[spec.gamma], spec.samples[spec.epsilon]
+            y = [abs(a + c * b) ** 2 for a, b in zip(early, late)]
+            norm, first, second = _grid_integrals(spec, y)
+            assert norm == pytest.approx(_trapezoid(y, t), rel=1e-14, abs=0.0)
+            scale = _trapezoid([abs(x) * m for x, m in zip(t, y)], t)
+            assert abs(first - _trapezoid([x * m for x, m in zip(t, y)], t)) <= 1e-14 * scale
+            want = _trapezoid([x * x * m for x, m in zip(t, y)], t)
+            assert second == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+class TestWorkCount:
+    @pytest.mark.parametrize("argv,want", [
+        (["--scenario=pointer"], 2),
+        (["--scenario=pointer", "--gamma=1", "--epsilon=1"], 1),
+        (["--scenario=pointer-sweep"], 2 * 6),
+        (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 2 * 3),
+    ])
+    def test_one_sampling_per_distinct_delay_and_width(self, monkeypatch, capsys, argv, want):
+        centers = []
+        original = pointer.gaussian_amplitude
+
+        def counting(t, center, sigma):
+            centers.append(center)
+            return original(t, center, sigma)
+
+        monkeypatch.setattr(pointer, "gaussian_amplitude", counting)
+        assert run_cli(["run", *argv, "--grid-points=128"]) == 0
+        assert len(centers) == want
+        capsys.readouterr()
+
+    def test_overlaps_only_for_joint_profiles(self, monkeypatch):
+        # Every exactly summed pass over the grid goes through math.fsum:
+        # the overlap table takes one per unordered pair of distinct delays.
+        pre, post = _pre_post()
+        fsums = []
+        original = math.fsum
+
+        def counting(values):
+            fsums.append(1)
+            return original(values)
+
+        monkeypatch.setattr(math, "fsum", counting)
+        for gamma, measured, want in ((0.0, ("2",), 0), (0.0, ("4",), 0),
+                                      (0.0, ("2", "4"), 3), (1.0, ("2", "4"), 1)):
+            spec = PointerSpec.default(gamma, 1.0, 8.0, 128)
+            fsums.clear()
+            profile = build_pointer_profile(pre, post, measured, spec)
+            assert len(fsums) == want
+            fsums.clear()
+            pointer_moments(profile)
+            assert len(fsums) == 3 * len(measured)
 
 
 class TestSinglePhotonExactness:

@@ -28,7 +28,6 @@ from .pointer import (
 from .scenarios import (
     CONSTRAINT_NAMES,
     DEFAULT_SWAP_CALIBRATION,
-    HARDY_OUTCOMES,
     HardyConfig,
     analyzer_post_selection,
     counterfactual_check,
@@ -294,33 +293,51 @@ def assemble_config(argv: Sequence[str] | None = None) -> RunConfig:
 DUST_THRESHOLD = 1e-12
 
 
-def _clean_float(x: float) -> float:
-    """Report a float with cascade dust removed.
+def _small_fraction(value: float) -> Fraction | None:
+    """The p/q with q <= 64 within 1e-9 of ``value``, if there is one."""
+    approx = Fraction(value).limit_denominator(RATIONAL_DENOMINATOR_LIMIT)
+    return approx if abs(float(approx) - value) <= RATIONAL_TOLERANCE else None
 
-    Splitter cascades build provably rational probabilities out of
-    repeated 1/sqrt(2) factors, so they arrive a few ulps off; values
-    within 1e-9 of a small fraction are pinned to it.  Grid-route
-    numbers sit far from any small fraction and pass through raw.
+
+def _clean_float(x: float) -> float:
+    """Report a float with dust removed and small fractions pinned.
+
+    ``|x| < 1e-12`` reports as 0 at once, and any value within 1e-9 of
+    p/q with q <= 64 is pinned to p/q (0 included, so every ``|x| <= 1e-9``
+    reports as 0): splitter cascades build provably rational probabilities
+    out of repeated 1/sqrt(2) factors, so they arrive a few ulps off.
+    Every payload float comes through here, grid-route pointer means and
+    deviations included, so a grid deviation of 2.75e-14 reports as 0;
+    ROADMAP item 1 is to exempt such measured fields.
     """
     value = float(x)
     if abs(value) < DUST_THRESHOLD:
         return 0.0
-    approx = Fraction(value).limit_denominator(RATIONAL_DENOMINATOR_LIMIT)
-    snapped = float(approx)
-    if abs(snapped - value) <= RATIONAL_TOLERANCE:
-        return snapped
+    approx = _small_fraction(value)
+    return value if approx is None else float(approx)
+
+
+def _with_rational(key: str, value: float) -> dict[str, Any]:
+    """``key``, followed by ``key_rational`` (p/q) when ``value`` cleans to
+    a small fraction; ``_clean`` cleans the value itself."""
+    approx = _small_fraction(value)
+    if approx is None:
+        return {key: value}
+    return {key: value, f"{key}_rational": str(approx)}
+
+
+def _clean(value: Any) -> Any:
+    """A builder's raw result as report values: floats cleaned, complex
+    numbers as ``{re, im}``, tuples as lists, dicts walked."""
+    if isinstance(value, float):
+        return _clean_float(value)
+    if isinstance(value, complex):
+        return {"re": _clean_float(value.real), "im": _clean_float(value.imag)}
+    if isinstance(value, (tuple, list)):
+        return [_clean(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _clean(v) for key, v in value.items()}
     return value
-
-
-def _complex_json(z: complex) -> dict[str, float]:
-    return {"re": _clean_float(z.real), "im": _clean_float(z.imag)}
-
-
-def _put_with_rational(out: dict[str, Any], key: str, value: float) -> None:
-    out[key] = _clean_float(value)
-    approx = Fraction(out[key]).limit_denominator(RATIONAL_DENOMINATOR_LIMIT)
-    if abs(float(approx) - out[key]) <= RATIONAL_TOLERANCE:
-        out[f"{key}_rational"] = str(approx)
 
 
 HARDY_SHORT_KEYS = {
@@ -332,181 +349,140 @@ HARDY_SHORT_KEYS = {
 }
 
 
-def _hardy_payload(p: Parameters) -> dict[str, Any]:
+def _hardy_payload(config: RunConfig) -> dict[str, Any]:
+    p = config.parameters
     result = run_hardy_gedanken(HardyConfig(p.bs2_plus, p.bs2_minus))
     probabilities: dict[str, Any] = {}
-    for name in HARDY_OUTCOMES:
-        _put_with_rational(
-            probabilities, HARDY_SHORT_KEYS[name], result.probabilities[name]
-        )
-    amplitudes = {
-        str(label): _complex_json(amp) for label, amp in result.state.items()
-    }
+    for name, key in HARDY_SHORT_KEYS.items():
+        probabilities.update(_with_rational(key, result.probabilities[name]))
     return {
-        "scenario": "hardy",
         "bs2_plus": p.bs2_plus,
         "bs2_minus": p.bs2_minus,
         "probabilities": probabilities,
-        "amplitudes": amplitudes,
+        "amplitudes": {str(label): amp for label, amp in result.state.items()},
     }
 
 
 def _counterfactual_block(include: Sequence[str] | None = None) -> dict[str, Any]:
     report = counterfactual_check(include=include)
     return {
-        "constraints": list(report.constraints),
+        "constraints": report.constraints,
         "satisfying_count": len(report.satisfying),
         "satisfying_assignments": [asdict(a) for a in report.satisfying],
     }
 
 
-def _counterfactual_payload() -> dict[str, Any]:
+def _counterfactual_payload(config: RunConfig) -> dict[str, Any]:
     relaxed = [name for name in CONSTRAINT_NAMES if name != "joint-dark-click"]
     return {
-        "scenario": "counterfactual",
         **_counterfactual_block(),
         "without_joint_click": _counterfactual_block(relaxed),
     }
 
 
-def _swap_payload(p: Parameters) -> dict[str, Any]:
-    result = run_entanglement_swap(p.swap_mode)
-    out: dict[str, Any] = {
-        "scenario": "swap",
-        "mode": result.mode,
-        "phase_calibration": [_clean_float(x) for x in DEFAULT_SWAP_CALIBRATION],
-    }
-    _put_with_rational(out, "success_probability", result.success_probability)
+def _swap_payload(config: RunConfig) -> dict[str, Any]:
+    result = run_entanglement_swap(config.parameters.swap_mode)
+    fidelity = {}
     if result.mode == "coherent":
-        _put_with_rational(
-            out, "fidelity_to_target", result.fidelity_to(entangled_target_state())
-        )
-    branches = []
-    for label, sub in result.branches:
-        branch: dict[str, Any] = {"label": label}
-        _put_with_rational(branch, "weight", sub.weight)
-        branch["amplitudes"] = {
-            str(lab): _complex_json(amp) for lab, amp in sub.state.items()
-        }
-        branches.append(branch)
-    out["branches"] = branches
-    return out
-
-
-def _photonic_weak_payload(p: Parameters) -> dict[str, Any]:
-    report = run_photonic_weak(p.gamma, p.epsilon)
-    out: dict[str, Any] = {
-        "scenario": "photonic-weak",
-        "gamma": _clean_float(report.gamma),
-        "epsilon": _clean_float(report.epsilon),
-        "overlap": _complex_json(report.overlap),
+        target = entangled_target_state()
+        fidelity = _with_rational("fidelity_to_target", result.fidelity_to(target))
+    return {
+        "mode": result.mode,
+        "phase_calibration": DEFAULT_SWAP_CALIBRATION,
+        **_with_rational("success_probability", result.success_probability),
+        **fidelity,
+        "branches": [
+            {
+                "label": label,
+                **_with_rational("weight", sub.weight),
+                "amplitudes": {str(lab): amp for lab, amp in sub.state.items()},
+            }
+            for label, sub in result.branches
+        ],
     }
-    _put_with_rational(out, "success_probability", report.success_probability)
-    out["A2_w"] = _complex_json(report.photon2.scalar)
-    out["A4_w"] = _complex_json(report.photon4.scalar)
-    out["A24_w"] = [_complex_json(z) for z in report.joint.value]
-    out["decomposition"] = [
-        {
-            "label": str(row.label),
-            "weight": [_clean_float(w) for w in row.weight],
-            "weak_value": _complex_json(row.value),
-        }
-        for row in report.decomposition
-    ]
-    out["occupations"] = [
-        {
-            "photonic": row.photonic,
-            "path": row.path,
-            "weak_value": _complex_json(row.value),
-        }
-        for row in report.occupations
-    ]
-    return out
+
+
+def _photonic_weak_payload(config: RunConfig) -> dict[str, Any]:
+    p = config.parameters
+    report = run_photonic_weak(p.gamma, p.epsilon)
+    return {
+        "gamma": report.gamma,
+        "epsilon": report.epsilon,
+        "overlap": report.overlap,
+        **_with_rational("success_probability", report.success_probability),
+        "A2_w": report.photon2.scalar,
+        "A4_w": report.photon4.scalar,
+        "A24_w": report.joint.value,
+        "decomposition": [
+            {"label": str(row.label), "weight": row.weight, "weak_value": row.value}
+            for row in report.decomposition
+        ],
+        "occupations": [
+            {"photonic": row.photonic, "path": row.path, "weak_value": row.value}
+            for row in report.occupations
+        ],
+    }
 
 
 def _pointer_block(pre, post, measured, spec: PointerSpec) -> dict[str, Any]:
     moments, prediction, deviation = pointer_readout(pre, post, measured, spec)
 
-    def per_photon(values) -> float | list[float]:
-        cleaned = [_clean_float(v) for v in values]
-        return cleaned[0] if len(measured) == 1 else cleaned
+    def per_photon(values: tuple[float, ...]) -> float | tuple[float, ...]:
+        return values[0] if len(measured) == 1 else values
 
     return {
         "mean": per_photon(moments.mean),
         "variance": per_photon(moments.variance),
-        "success_probability": _clean_float(moments.success_probability),
+        "success_probability": moments.success_probability,
         "weak_value": per_photon(prediction),
         "deviation": per_photon(deviation),
     }
 
 
-def _pointer_payload(p: Parameters) -> dict[str, Any]:
+def _pointer_payload(config: RunConfig) -> dict[str, Any]:
+    p = config.parameters
     pre = run_entanglement_swap().conditional_state()
     post = analyzer_post_selection(p.phi)
     spec = PointerSpec.default(p.gamma, p.epsilon, p.sigma, p.grid_points)
     return {
-        "scenario": "pointer",
-        "gamma": _clean_float(p.gamma),
-        "epsilon": _clean_float(p.epsilon),
-        "sigma": _clean_float(p.sigma),
-        "phi": _clean_float(p.phi),
+        "gamma": p.gamma,
+        "epsilon": p.epsilon,
+        "sigma": p.sigma,
+        "phi": p.phi,
         "grid_points": p.grid_points,
-        "weakness_ratio": _clean_float(spec.weakness_ratio),
+        "weakness_ratio": spec.weakness_ratio,
         "photon2": _pointer_block(pre, post, ("2",), spec),
         "photon4": _pointer_block(pre, post, ("4",), spec),
         "joint": _pointer_block(pre, post, ("2", "4"), spec),
     }
 
 
-def _sweep_sigmas(config: RunConfig) -> tuple[float, ...]:
-    if config.sweep is not None:
-        return config.sweep
-    epsilon = config.parameters.epsilon
-    return tuple(k * epsilon for k in DEFAULT_SWEEP_MULTIPLES)
-
-
 def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
     p = config.parameters
     pre = run_entanglement_swap().conditional_state()
     post = analyzer_post_selection(p.phi)
+    sigmas = config.sweep
+    if sigmas is None:
+        sigmas = tuple(k * p.epsilon for k in DEFAULT_SWEEP_MULTIPLES)
     rows = weak_limit_sweep(
-        pre, post, ("2", "4"), p.gamma, p.epsilon,
-        _sweep_sigmas(config), n_points=p.grid_points,
+        pre, post, ("2", "4"), p.gamma, p.epsilon, sigmas, n_points=p.grid_points
     )
     return {
-        "scenario": "pointer-sweep",
-        "gamma": _clean_float(p.gamma),
-        "epsilon": _clean_float(p.epsilon),
-        "phi": _clean_float(p.phi),
+        "gamma": p.gamma,
+        "epsilon": p.epsilon,
+        "phi": p.phi,
         "grid_points": p.grid_points,
         "measured": ["2", "4"],
         "rows": [
             {
-                "sigma": _clean_float(row.sigma),
-                "r": _clean_float(row.weakness_ratio),
-                "mean": [_clean_float(m) for m in row.mean],
-                "deviation": [_clean_float(d) for d in row.deviation],
+                "sigma": row.sigma,
+                "r": row.weakness_ratio,
+                "mean": row.mean,
+                "deviation": row.deviation,
             }
             for row in rows
         ],
     }
-
-
-def build_payload(config: RunConfig) -> dict[str, Any]:
-    p = config.parameters
-    if config.scenario == "hardy":
-        body = _hardy_payload(p)
-    elif config.scenario == "counterfactual":
-        body = _counterfactual_payload()
-    elif config.scenario == "swap":
-        body = _swap_payload(p)
-    elif config.scenario == "photonic-weak":
-        body = _photonic_weak_payload(p)
-    elif config.scenario == "pointer":
-        body = _pointer_payload(p)
-    else:
-        body = _pointer_sweep_payload(config)
-    return {"meta": {"tool": "hardyweak", "version": __version__}, **body}
 
 
 # ------------------------------------------------------------- rendering
@@ -612,15 +588,6 @@ def _pointer_sweep_table(payload: dict[str, Any]) -> list[str]:
     return lines
 
 
-TABLE_RENDERERS = {
-    "hardy": _hardy_table,
-    "counterfactual": _counterfactual_table,
-    "swap": _swap_table,
-    "photonic-weak": _photonic_weak_table,
-    "pointer": _pointer_table,
-    "pointer-sweep": _pointer_sweep_table,
-}
-
 CSV_HEADER = "sigma,r,mean_t2,mean_t4,deviation_t2,deviation_t4"
 
 
@@ -636,12 +603,33 @@ def _render_csv(payload: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+# Scenario -> (payload builder, table renderer), in SCENARIOS order.
+REPORTS = {
+    "hardy": (_hardy_payload, _hardy_table),
+    "counterfactual": (_counterfactual_payload, _counterfactual_table),
+    "swap": (_swap_payload, _swap_table),
+    "photonic-weak": (_photonic_weak_payload, _photonic_weak_table),
+    "pointer": (_pointer_payload, _pointer_table),
+    "pointer-sweep": (_pointer_sweep_payload, _pointer_sweep_table),
+}
+
+
+def build_payload(config: RunConfig) -> dict[str, Any]:
+    build, _ = REPORTS[config.scenario]
+    return _clean({
+        "meta": {"tool": "hardyweak", "version": __version__},
+        "scenario": config.scenario,
+        **build(config),
+    })
+
+
 def render(payload: dict[str, Any], output_format: str) -> str:
     if output_format == "json":
         return json.dumps(payload, indent=2)
     if output_format == "csv":
         return _render_csv(payload)
-    return "\n".join(TABLE_RENDERERS[payload["scenario"]](payload))
+    _, table = REPORTS[payload["scenario"]]
+    return "\n".join(table(payload))
 
 
 # --------------------------------------------------------------- driving

@@ -143,13 +143,14 @@ def counterfactual_check(
 
     ``include`` restricts the active constraint set by name, e.g. to ask
     how much room is left once the observed joint dark click is dropped.
+    A name given twice counts once.
     """
+    unknown = sorted(set(include or ()) - set(CONSTRAINT_NAMES))
+    if unknown:
+        raise ValueError(f"unknown constraint names: {unknown}")
     active = CONSTRAINTS if include is None else tuple(
         (name, pred) for name, pred in CONSTRAINTS if name in include
     )
-    if include is not None and len(active) != len(include):
-        unknown = set(include) - set(CONSTRAINT_NAMES)
-        raise ValueError(f"unknown constraint names: {sorted(unknown)}")
     rows = []
     satisfying = []
     for bits in itertools.product((False, True), repeat=4):

@@ -14,10 +14,13 @@ import pytest
 import hardyweak
 from hardyweak import __version__
 from hardyweak.cli import (
+    REPORTS,
+    SCENARIOS,
     ConfigError,
     Parameters,
     assemble_config,
     parse_config,
+    render,
     run_cli,
 )
 from hardyweak.pointer import MAX_N_POINTS
@@ -409,6 +412,19 @@ def test_golden(capsys, name):
         )
     else:
         assert out == golden_text
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDENS if not n.endswith(".json")))
+def test_table_and_csv_render_from_the_json_report_alone(capsys, name):
+    output_format = "csv" if name.endswith(".csv") else "table"
+    code, report, _ = run(["run", *GOLDENS[name]], capsys)
+    assert code == 0
+    _, out, _ = run(["run", *GOLDENS[name], "--format", "json"], capsys)
+    assert render(json.loads(out), output_format) + "\n" == report
+
+
+def test_every_scenario_has_one_builder_and_renderer():
+    assert tuple(REPORTS) == SCENARIOS
 
 
 def test_hardy_removed_splitter_probability(capsys):

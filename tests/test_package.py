@@ -1,7 +1,9 @@
-"""The package: its public names, and sources that parse on the oldest supported Python."""
+"""The package: its public names, and sources that parse on the oldest
+supported Python and import only the standard library."""
 from __future__ import annotations
 
 import ast
+import sys
 import types
 from pathlib import Path
 
@@ -41,3 +43,18 @@ def test_sources_parse_on_oldest_supported_python():
     # pyproject.toml declares requires-python >= 3.10.
     for path in sorted(Path(hardyweak.__file__).parent.rglob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_sources_import_only_the_standard_library():
+    # pyproject.toml declares dependencies = [], for every module.
+    for path in sorted(Path(hardyweak.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {module}"

@@ -141,6 +141,14 @@ def test_counterfactual_every_failure_names_a_constraint():
 def test_counterfactual_rejects_unknown_constraint():
     with pytest.raises(ValueError, match="unknown constraint"):
         counterfactual_check(include=("joint-dark-click", "no-such-rule"))
+    with pytest.raises(ValueError, match=r"names: \['no-such-rule'\]$"):
+        counterfactual_check(include=("no-such-rule", "joint-dark-click", "no-such-rule"))
+
+
+def test_counterfactual_repeated_constraint_counts_once():
+    repeated = counterfactual_check(include=["joint-dark-click", "joint-dark-click"])
+    assert repeated == counterfactual_check(include=["joint-dark-click"])
+    assert repeated.constraints == ("joint-dark-click",)
 
 
 # ------------------------------------------------------------------- swap

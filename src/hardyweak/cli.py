@@ -21,6 +21,7 @@ from .pointer import (
     DEFAULT_N_POINTS,
     MAX_N_POINTS,
     MIN_N_POINTS,
+    GridError,
     PointerSpec,
     pointer_readout,
     weak_limit_sweep,
@@ -463,6 +464,10 @@ def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
     post = analyzer_post_selection(p.phi)
     sigmas = config.sweep
     if sigmas is None:
+        if p.epsilon <= 0.0:
+            raise GridError("the default sweep widths are multiples of epsilon "
+                            f"({p.epsilon:g}), so none is positive; pass "
+                            "--sweep sigma=v1,v2,...")
         sigmas = tuple(k * p.epsilon for k in DEFAULT_SWEEP_MULTIPLES)
     rows = weak_limit_sweep(
         pre, post, ("2", "4"), p.gamma, p.epsilon, sigmas, n_points=p.grid_points

@@ -7,22 +7,23 @@ photon shifts its pointer by gamma when it is H and by epsilon when it is
 V; post-selection leaves a small coherent mixture of shifted Gaussians
 whose moments interpolate between the strong regime and the weak values.
 
-Two independent routes to every moment are kept side by side: closed-form
-pairwise-overlap algebra, and trapezoidal integration on a grid.  The
-trapezoid rule on a product grid factorises, so the grid route samples one
-marginal density per measured photon and its cost is linear in the points.
-A spec samples its grid, its trapezoid weights and the Gaussian at each
-distinct delay once, for every profile built on it; each moment is then
-one exact weighted sum over the grid.
+Two independent routes to every moment share one loop over pairs of
+terms: closed-form Gaussian overlaps, and the trapezoid rule on a grid,
+which factorises over the axes of a product grid.  The grid route writes
+the terms in the difference basis b0 = f_gamma, b1 = f_epsilon - f_gamma
+and reads every integral from one table per spec, at most nine exact sums
+shared by all its profiles.  Near an orthogonal post-selection the delay
+coefficients nearly cancel: the basis adds them before any grid value
+enters, where f_gamma f_epsilon products would cancel large integrals.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations_with_replacement
-from operator import mul
+from functools import cached_property, partial
+from itertools import combinations_with_replacement, product
+from operator import mul, sub
 from typing import Sequence
 
 from .states import StateVector, StructureError
@@ -124,6 +125,22 @@ class PointerSpec:
         return {d: gaussian_amplitude(t, d, self.sigma)
                 for d in dict.fromkeys((self.gamma, self.epsilon))}
 
+    @cached_property
+    def basis_integrals(self) -> dict[tuple[int, int], tuple[float, float, float]]:
+        """``_grid_integrals`` of b_p b_q for each pair of basis indices.
+
+        b0 = f_gamma and, unless the delays are equal, b1 = f_epsilon - f_gamma.
+        """
+        f = self.samples
+        basis = [f[self.gamma]]
+        if self.epsilon != self.gamma:
+            basis.append(list(map(sub, f[self.epsilon], f[self.gamma])))
+        table = {}
+        for p, q in combinations_with_replacement(range(len(basis)), 2):
+            table[p, q] = table[q, p] = _grid_integrals(
+                self, list(map(mul, basis[p], basis[q])))
+        return table
+
     def delay(self, level: str) -> float:
         if level == "H":
             return self.gamma
@@ -171,20 +188,19 @@ def gaussian_overlap(delta: float, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class PointerProfile:
-    """Sampled post-selected pointer density, one marginal per measured axis.
+    """Post-selected pointer on a spec: its mixture and closed-form norm.
 
-    ``marginals[a]`` is |amplitude|^2 on the spec's grid for axis ``a``
-    with every other axis integrated out by the trapezoid rule.
-    ``terms`` keeps the underlying mixture (per-axis delays with a complex
-    coefficient each): it is what the closed-form route consumes.
-    ``success_probability`` is the closed-form squared norm; the grid
-    integral of a marginal must reproduce it to 1e-9 on a sane grid.
+    ``terms`` holds per measured axis a delay, with a complex coefficient
+    each.  ``analytic_moments`` integrates them in closed form;
+    ``pointer_moments`` rewrites them in the difference basis b0 = f_gamma,
+    b1 = f_epsilon - f_gamma and reads the spec's ``basis_integrals``, at
+    most nine exact sums.  ``success_probability`` is the closed-form
+    squared norm; the grid norm must reproduce it to 1e-9 on a sane grid.
     """
 
     spec: PointerSpec
     measured: tuple[str, ...]
     terms: tuple[tuple[tuple[float, ...], complex], ...]
-    marginals: tuple[list[float], ...]
     success_probability: float
 
 
@@ -233,46 +249,63 @@ def pointer_terms(
     )
 
 
-def _pair_sums(terms, sigma: float) -> tuple[float, list[float], list[float]]:
-    """Closed-form integrals of the mixture, summed over pairs of terms.
+def _pair_sums(terms, kernel) -> tuple[float, list[float], list[float]]:
+    """Norm and, per axis, first and second sums of the mixture.
 
-    A pair of centers a, b with overlap u and midpoint m per axis gives
-    int f_a f_b = u, int t f_a f_b = u m and int t^2 f_a f_b =
-    u (sigma^2 + m^2); returns the norm and, per axis, the first and
-    second sums.
+    ``kernel(a, b)`` gives int g_a g_b, int t g_a g_b and int t^2 g_a g_b
+    for the one-axis functions keyed a and b.  A pair of terms contributes
+    the product over axes of the first, with the second or third on the
+    axis whose sums are taken.
     """
     n_axes = len(terms[0][0]) if terms else 0
     norm = 0.0
     first = [0.0] * n_axes
     second = [0.0] * n_axes
-    for delays_i, ci in terms:
-        for delays_j, cj in terms:
+    for keys_i, ci in terms:
+        for keys_j, cj in terms:
             cross = (ci.conjugate() * cj).real
             if cross == 0.0:
                 continue
-            weight = cross * math.prod(
-                gaussian_overlap(di - dj, sigma) for di, dj in zip(delays_i, delays_j)
-            )
-            norm += weight
-            for ax, (di, dj) in enumerate(zip(delays_i, delays_j)):
-                mid = (di + dj) / 2.0
-                first[ax] += weight * mid
-                second[ax] += weight * (sigma**2 + mid**2)
+            sums = [kernel(a, b) for a, b in zip(keys_i, keys_j)]
+            norm += cross * math.prod(s[0] for s in sums)
+            for ax, (_, s1, s2) in enumerate(sums):
+                rest = cross * math.prod(s[0] for s in sums[:ax] + sums[ax + 1:])
+                first[ax] += rest * s1
+                second[ax] += rest * s2
     return norm, first, second
+
+
+def _overlap_integrals(sigma: float, a: float, b: float) -> tuple[float, float, float]:
+    """Closed-form kernel: overlap u, u m and u (sigma^2 + m^2), midpoint m."""
+    u = gaussian_overlap(a - b, sigma)
+    m = (a + b) / 2.0
+    return u, u * m, u * (sigma**2 + m**2)
+
+
+def _basis_terms(terms, spec: PointerSpec) -> tuple[tuple[tuple[int, ...], complex], ...]:
+    """The terms over basis indices: f_gamma = b0, f_epsilon = b0 + b1."""
+    feeds = {spec.epsilon: (0, 1), spec.gamma: (0,)}  # equal delays: b0 only
+    coeffs: dict[tuple[int, ...], complex] = {}
+    for delays, coeff in terms:
+        for key in product(*(feeds[d] for d in delays)):
+            coeffs[key] = coeffs.get(key, 0j) + coeff
+    return tuple(coeffs.items())
+
+
+def _moments(sums: tuple[float, list[float], list[float]], empty: str) -> PointerMoments:
+    norm, first, second = sums
+    if norm <= 1e-12:
+        raise EmptyPostSelectionError(empty)
+    mean = tuple(f / norm for f in first)
+    return PointerMoments(mean, tuple(s / norm - m * m for s, m in zip(second, mean)), norm)
 
 
 def analytic_moments(
     terms: Sequence[tuple[tuple[float, ...], complex]], spec: PointerSpec
 ) -> PointerMoments:
     """Closed-form moments of the Gaussian mixture, no grid involved."""
-    if not terms:
-        raise EmptyPostSelectionError("no surviving pointer amplitude")
-    norm, first, second = _pair_sums(terms, spec.sigma)
-    if norm <= 1e-12:
-        raise EmptyPostSelectionError("post-selected pointer norm vanishes")
-    mean = tuple(f / norm for f in first)
-    variance = tuple(s / norm - m * m for s, m in zip(second, mean))
-    return PointerMoments(mean, variance, norm)
+    sums = _pair_sums(terms, partial(_overlap_integrals, spec.sigma))
+    return _moments(sums, "post-selected pointer norm vanishes")
 
 
 def build_pointer_profile(
@@ -281,67 +314,18 @@ def build_pointer_profile(
     measured: Sequence[str],
     spec: PointerSpec,
 ) -> PointerProfile:
-    """Sample the post-selected pointer's marginals on the spec's grid.
-
-    On each axis, the terms that share their other-axis delays form a
-    group whose amplitude is sampled on that axis; the marginal is the sum
-    over pairs of groups of Re(conj(a_g) a_h), weighted by the trapezoid
-    overlaps of the two groups' Gaussians on every other axis.  A group's
-    amplitude is squared point by point, never expanded in the samples.
-    """
+    """The post-selected pointer's terms and closed-form success probability."""
     terms = pointer_terms(pre, post, measured, spec)
-    samples = spec.samples
-    overlap: dict[tuple[float, float], float] = {}
-    if len(measured) > 1:
-        w = spec.quadrature[1]
-        for a, b in combinations_with_replacement(samples, 2):
-            overlap[a, b] = overlap[b, a] = math.fsum(
-                map(mul, w, map(mul, samples[a], samples[b])))
-    marginals = []
-    for ax in range(len(measured)):
-        groups: dict[tuple[float, ...], dict[float, complex]] = {}
-        for delays, coeff in terms:
-            group = groups.setdefault(delays[:ax] + delays[ax + 1:], {})
-            group[delays[ax]] = group.get(delays[ax], 0j) + coeff
-        sampled = []
-        for rest, group in groups.items():
-            vectors = [samples[d] for d in group]
-            sampled.append((rest, _combine([c.real for c in group.values()], vectors),
-                            _combine([c.imag for c in group.values()], vectors)))
-        marginal = [0.0] * spec.n_points
-        for i, (g, re_g, im_g) in enumerate(sampled):
-            for h, re_h, im_h in sampled[i:]:
-                weight = math.prod(overlap[p, q] for p, q in zip(g, h))
-                if h != g:
-                    weight *= 2.0
-                marginal = [m + weight * (a * c + b * d) for m, a, b, c, d
-                            in zip(marginal, re_g, im_g, re_h, im_h)]
-        marginals.append(marginal)
-    success = _pair_sums(terms, spec.sigma)[0]
-    return PointerProfile(spec, tuple(measured), terms, tuple(marginals), success)
-
-
-def _combine(coeffs: list[float], vectors: list[list[float]]) -> list[float]:
-    """sum_d c_d f_d point by point over a group's one or two delays."""
-    if len(vectors) == 1:
-        return [coeffs[0] * x for x in vectors[0]]
-    (c0, c1), (f0, f1) = coeffs, vectors
-    return [c0 * x + c1 * y for x, y in zip(f0, f1)]
+    success = _pair_sums(terms, partial(_overlap_integrals, spec.sigma))[0]
+    return PointerProfile(spec, tuple(measured), terms, success)
 
 
 def pointer_moments(profile: PointerProfile) -> PointerMoments:
     """Trapezoidal mean and variance per axis, normalized on the grid."""
-    sums = [_grid_integrals(profile.spec, y) for y in profile.marginals]
-    norm = sums[0][0]
-    if norm <= 1e-12:
-        raise EmptyPostSelectionError("post-selected pointer norm vanishes on grid")
-    means = []
-    variances = []
-    for _, first, second in sums:
-        m1 = first / norm
-        means.append(m1)
-        variances.append(second / norm - m1 * m1)
-    return PointerMoments(tuple(means), tuple(variances), norm)
+    table = profile.spec.basis_integrals
+    sums = _pair_sums(_basis_terms(profile.terms, profile.spec),
+                      lambda p, q: table[p, q])
+    return _moments(sums, "post-selected pointer norm vanishes on grid")
 
 
 def pointer_readout(

@@ -249,6 +249,17 @@ def test_non_utf8_config_file_exits_one(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_default_sweep_at_zero_epsilon_names_the_cause(capsys):
+    # The default widths are multiples of epsilon; no sweep was passed.
+    code, out, err = run(["run", "--scenario=pointer-sweep", "--epsilon=0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: domain: the default sweep widths are multiples of "
+                   "epsilon (0), so none is positive; pass --sweep sigma=v1,v2,...\n")
+    code, _, _ = run(["run", "--scenario=pointer-sweep", "--epsilon=0",
+                      "--sweep", "sigma=1,2", "--grid-points=128"], capsys)
+    assert code == 0
+
+
 def test_orthogonal_analyzer_exits_two(capsys):
     # phi of a quarter turn post-selects on V V, orthogonal to the pair.
     code, _, err = run(

@@ -1,12 +1,14 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import analyzer_literal, entangled_target_literal, state_of, photon_structure
 from hardyweak import pointer
 from hardyweak.cli import run_cli
+from hardyweak.scenarios import analyzer_post_selection, run_entanglement_swap
 from hardyweak.pointer import (
     EmptyPostSelectionError,
     GridError,
@@ -29,6 +31,31 @@ def _trapezoid(y: list[float], t: list[float]) -> float:
     return math.fsum(
         (t1 - t0) * (y0 + y1) for t0, t1, y0, y1 in zip(t, t[1:], y, y[1:])
     ) / 2.0
+
+
+def _dense_trapezoid_moments(terms, spec: PointerSpec):
+    """Norm, means and variances of |sum c f(t_2) f(t_4)|^2 (or of the
+    one-axis |sum c f|^2) by numpy's trapezoid rule on the full product grid."""
+    t = np.linspace(spec.t_min, spec.t_max, spec.n_points)
+    axes = len(terms[0][0])
+    mesh = np.meshgrid(*([t] * axes), indexing="ij")
+    amplitude = sum(
+        c * np.prod([(2.0 * np.pi * spec.sigma**2) ** -0.25
+                     * np.exp(-((x - d) ** 2) / (4.0 * spec.sigma**2))
+                     for x, d in zip(mesh, delays)], axis=0)
+        for delays, c in terms
+    )
+    density = np.abs(amplitude) ** 2
+
+    def integral(y):
+        for _ in range(axes):
+            y = np.trapezoid(y, t, axis=-1)
+        return float(y)
+
+    norm = integral(density)
+    means = [integral(x * density) / norm for x in mesh]
+    variances = [integral((x - m) ** 2 * density) / norm for x, m in zip(mesh, means)]
+    return norm, means, variances
 
 
 def joint_mean_formula(gamma: float, epsilon: float, sigma: float) -> float:
@@ -169,14 +196,30 @@ class TestProfileConstruction:
             assert grid == np.linspace(spec.t_min, spec.t_max, n_points).tolist()
             assert grid[-1] == spec.t_max
 
-    def test_joint_profile_keeps_one_marginal_per_axis(self):
-        pre, post = _pre_post()
-        spec = PointerSpec.default(0.0, 1.0, 1.0, 256)
-        profile = build_pointer_profile(pre, post, ("2", "4"), spec)
-        assert len(profile.marginals) == 2
-        for marginal in profile.marginals:
-            assert len(marginal) == spec.n_points
-            assert all(type(x) is float for x in marginal)
+    def test_grid_moments_match_a_dense_trapezoid_oracle(self):
+        # Seeded specs where the benchmark draws them: the analyzer keeps
+        # |cos phi (cos phi + 2 sin phi)| >= 0.25, sigma >= |epsilon - gamma| / 4.
+        rng = random.Random("dense oracle")
+        pre = run_entanglement_swap().conditional_state()
+        for _ in range(12):
+            gamma, epsilon = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 3.0)
+            while abs(epsilon - gamma) < 0.25:
+                epsilon = rng.uniform(0.0, 3.0)
+            sigma = abs(epsilon - gamma) * 2.0 ** rng.uniform(-2.0, 4.0)
+            phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
+            while abs(math.cos(phi) * (math.cos(phi) + 2.0 * math.sin(phi))) < 0.25:
+                phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
+            post = analyzer_post_selection(phi)
+            spec = PointerSpec.default(gamma, epsilon, sigma, rng.choice([64, 128, 256]))
+            for measured in (("2",), ("4",), ("2", "4")):
+                profile = build_pointer_profile(pre, post, measured, spec)
+                got = pointer_moments(profile)
+                want = _dense_trapezoid_moments(profile.terms, spec)
+                assert got.success_probability == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+                for axis in range(len(measured)):
+                    assert got.mean[axis] == pytest.approx(want[1][axis], rel=1e-12, abs=1e-12)
+                    assert got.variance[axis] == pytest.approx(
+                        want[2][axis], rel=1e-12, abs=1e-12)
 
     def test_measured_names_validated(self):
         pre, post = _pre_post()
@@ -234,27 +277,41 @@ class TestWorkCount:
         assert len(centers) == want
         capsys.readouterr()
 
-    def test_overlaps_only_for_joint_profiles(self, monkeypatch):
-        # Every exactly summed pass over the grid goes through math.fsum:
-        # the overlap table takes one per unordered pair of distinct delays.
-        pre, post = _pre_post()
-        fsums = []
+    @pytest.fixture
+    def fsums(self, monkeypatch):
+        # Every exactly summed pass over the grid goes through math.fsum.
+        calls = []
         original = math.fsum
 
         def counting(values):
-            fsums.append(1)
+            calls.append(1)
             return original(values)
 
         monkeypatch.setattr(math, "fsum", counting)
-        for gamma, measured, want in ((0.0, ("2",), 0), (0.0, ("4",), 0),
-                                      (0.0, ("2", "4"), 3), (1.0, ("2", "4"), 1)):
+        return calls
+
+    def test_one_integral_table_per_spec(self, fsums):
+        # Three sums per pair of basis functions, on the spec's first moments.
+        pre, post = _pre_post()
+        for gamma, want in ((0.0, 9), (1.0, 3)):
             spec = PointerSpec.default(gamma, 1.0, 8.0, 128)
-            fsums.clear()
-            profile = build_pointer_profile(pre, post, measured, spec)
-            assert len(fsums) == want
-            fsums.clear()
-            pointer_moments(profile)
-            assert len(fsums) == 3 * len(measured)
+            for first, measured in zip((True, False, False), (("2",), ("4",), ("2", "4"))):
+                fsums.clear()
+                profile = build_pointer_profile(pre, post, measured, spec)
+                assert len(fsums) == 0
+                pointer_moments(profile)
+                assert len(fsums) == (want if first else 0)
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--scenario=pointer"], 9),
+        (["--scenario=pointer", "--gamma=1", "--epsilon=1"], 3),
+        (["--scenario=pointer-sweep"], 9 * 6),
+        (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 9 * 3),
+    ])
+    def test_exact_sums_per_run(self, fsums, capsys, argv, want):
+        assert run_cli(["run", *argv, "--grid-points=128"]) == 0
+        assert len(fsums) == want
+        capsys.readouterr()
 
 
 class TestSinglePhotonExactness:
@@ -369,3 +426,39 @@ class TestWeakLimitSweep:
             weak_limit_sweep(pre, post, ("2",), 0.0, 1.0, [2.0, 1.0])
         with pytest.raises(GridError):
             weak_limit_sweep(pre, post, ("2",), 0.0, 1.0, [-1.0, 2.0])
+
+
+def _mp_moments(terms, sigma: float) -> tuple[mpmath.mpf, list[mpmath.mpf]]:
+    """Norm and means of the terms' Gaussian mixture in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(sigma)
+        norm = mpmath.mpf(0)
+        first = [mpmath.mpf(0)] * len(terms[0][0])
+        for di, ci in terms:
+            for dj, cj in terms:
+                cross = mpmath.re(mpmath.conj(mpmath.mpc(ci)) * mpmath.mpc(cj))
+                a, b = [mpmath.mpf(x) for x in di], [mpmath.mpf(x) for x in dj]
+                weight = cross * mpmath.fprod(
+                    mpmath.exp(-((x - y) ** 2) / (8 * s * s)) for x, y in zip(a, b))
+                norm += weight
+                first = [f + weight * (x + y) / 2 for f, x, y in zip(first, a, b)]
+        return norm, [f / norm for f in first]
+
+
+class TestNearOrthogonalAnalyzer:
+    # Just off the analyzer orthogonal to the pair (tan phi = -1/2) the
+    # post-selected norm is about (delta phi)^2 and the mean is large: the
+    # grid route has to add delay coefficients that nearly cancel.
+    @pytest.mark.parametrize("sigma", [1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("offset", [1e-5, 1e-6])
+    def test_grid_matches_a_50_digit_closed_form(self, offset, sigma):
+        pre = run_entanglement_swap().conditional_state()
+        post = analyzer_post_selection(-math.atan(0.5) + offset)
+        spec = PointerSpec.default(0.0, 1.0, sigma, 1024)
+        for measured in (("2",), ("4",), ("2", "4")):
+            profile = build_pointer_profile(pre, post, measured, spec)
+            moments = pointer_moments(profile)
+            norm, mean = _mp_moments(profile.terms, sigma)
+            assert abs(moments.success_probability - norm) <= 1e-10 * norm, measured
+            for got, want in zip(moments.mean, mean):
+                assert abs(got - want) <= 1e-11 * sigma, measured

@@ -18,7 +18,6 @@ from typing import Any, Iterable, Sequence
 
 from . import __version__
 from .pointer import (
-    DEFAULT_N_POINTS,
     MAX_N_POINTS,
     MIN_N_POINTS,
     GridError,
@@ -100,9 +99,10 @@ class Parameters:
     bs2_plus: bool = _input(True, bool, "install the + exit beamsplitter", ("hardy",))
     bs2_minus: bool = _input(True, bool, "install the - exit beamsplitter", ("hardy",))
     swap_mode: str = _input("coherent", SWAP_MODES, "swap preparation", ("swap",))
-    grid_points: int = _input(
-        DEFAULT_N_POINTS, int, "grid resolution per axis", POINTER_SCENARIOS,
-        minimum=MIN_N_POINTS, maximum=MAX_N_POINTS,
+    grid_points: int | None = _input(
+        None, int,
+        "grid points per axis (default: the smallest grid within the error budget)",
+        POINTER_SCENARIOS, minimum=MIN_N_POINTS, maximum=MAX_N_POINTS,
     )
 
 
@@ -450,7 +450,7 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
         "epsilon": p.epsilon,
         "sigma": p.sigma,
         "phi": p.phi,
-        "grid_points": p.grid_points,
+        "grid_points": spec.n_points,
         "weakness_ratio": spec.weakness_ratio,
         "photon2": _pointer_block(pre, post, ("2",), spec),
         "photon4": _pointer_block(pre, post, ("4",), spec),
@@ -476,7 +476,7 @@ def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
         "gamma": p.gamma,
         "epsilon": p.epsilon,
         "phi": p.phi,
-        "grid_points": p.grid_points,
+        "grid_points": rows[0].n_points,
         "measured": ["2", "4"],
         "rows": [
             {

@@ -15,12 +15,19 @@ and reads every integral from one table per spec, at most nine exact sums
 shared by all its profiles.  Near an orthogonal post-selection the delay
 coefficients nearly cancel: the basis adds them before any grid value
 enters, where f_gamma f_epsilon products would cancel large integrals.
+
+The trapezoid rule converges exponentially on a Gaussian, and
+``grid_error_budget`` bounds its error by aliasing from the step plus
+truncation at the padding.  A spec that aliases more than
+``ALIASING_TOLERANCE`` is refused, and a default grid is the smallest
+that aliases no more than it truncates.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import combinations_with_replacement, product
 from operator import mul, sub
@@ -29,11 +36,12 @@ from typing import Sequence
 from .states import StateVector, StructureError
 from .weakvalues import arrival_time_operator, weak_value
 
-DEFAULT_N_POINTS = 4096
 DEFAULT_PADDING = 8.0
 MIN_N_POINTS = 64
 MAX_N_POINTS = 8192
 MIN_PADDING = 6.0
+# The most aliasing any grid may carry: the accuracy PointerProfile promises.
+ALIASING_TOLERANCE = 1e-9
 
 
 class GridError(ValueError):
@@ -71,16 +79,19 @@ class PointerSpec:
                 f"grid [{self.t_min}, {self.t_max}] narrower than required "
                 f"[{lo}, {hi}]"
             )
-        # Sampling a Gaussian needs a step no wider than its width, and
-        # sigma**2 must not underflow (gamma == epsilon passes the step test).
-        # An infinite grid end fails here; a nan one passes every comparison
-        # and is named below.
-        step = (self.t_max - self.t_min) / (self.n_points - 1)
+        # The step must keep the aliasing within its tolerance (about
+        # step <= 0.88 sigma), and sigma**2 must not underflow (gamma ==
+        # epsilon passes the step test).  An infinite grid end fails here; a
+        # nan one passes every comparison and is named below.
+        step = self.step
         tiny = sys.float_info.min
-        if step <= 0.0 or step > self.sigma or self.sigma * self.sigma < tiny:
+        aliasing = math.inf if step <= 0.0 else _aliasing(step / self.sigma)
+        if aliasing > ALIASING_TOLERANCE or self.sigma * self.sigma < tiny:
             raise GridError(
                 f"grid step {step:g} does not resolve sigma {self.sigma:g}: "
-                f"need 0 < step <= sigma and sigma**2 >= {tiny:g}"
+                f"need step > 0 with an aliasing error of at most "
+                f"{ALIASING_TOLERANCE:g} (here {aliasing:.3g}) and "
+                f"sigma**2 >= {tiny:g}"
             )
         for name in ("t_min", "t_max"):
             _require_finite(self, name)
@@ -95,19 +106,52 @@ class PointerSpec:
         gamma: float = 0.0,
         epsilon: float = 1.0,
         sigma: float = 8.0,
-        n_points: int = DEFAULT_N_POINTS,
+        n_points: int | None = None,
     ) -> PointerSpec:
+        """The grid padded by ``DEFAULT_PADDING`` sigma beyond both delays.
+
+        Without ``n_points`` it has the fewest points, at least
+        ``MIN_N_POINTS``, whose aliasing is no larger than its truncation.
+        """
         lo = min(gamma, epsilon) - DEFAULT_PADDING * sigma
         hi = max(gamma, epsilon) + DEFAULT_PADDING * sigma
-        return cls(gamma, epsilon, sigma, lo, hi, n_points)
+        if n_points is not None:
+            return cls(gamma, epsilon, sigma, lo, hi, n_points)
+        finest = cls(gamma, epsilon, sigma, lo, hi, MAX_N_POINTS)  # names a bad input
+        padding = finest.padding / sigma
+
+        def within(n: int) -> bool:
+            aliasing, truncation = _budget((hi - lo) / (n - 1) / sigma, padding)
+            return aliasing <= truncation
+
+        sizes = range(MIN_N_POINTS, MAX_N_POINTS + 1)
+        index = bisect_left(sizes, True, key=within)
+        if index == len(sizes):
+            aliasing, truncation = grid_error_budget(finest)
+            raise GridError(
+                f"grid error budget needs more than {MAX_N_POINTS} points for "
+                f"sigma {sigma:g}: at {MAX_N_POINTS} the aliasing {aliasing:.3g} "
+                f"exceeds the truncation {truncation:.3g} of the padding"
+            )
+        return replace(finest, n_points=sizes[index])
 
     @property
     def weakness_ratio(self) -> float:
         return abs(self.epsilon - self.gamma) / self.sigma
 
+    @property
+    def step(self) -> float:
+        return (self.t_max - self.t_min) / (self.n_points - 1)
+
+    @property
+    def padding(self) -> float:
+        """The grid's extent beyond the nearer delay, on its narrower side."""
+        return min(min(self.gamma, self.epsilon) - self.t_min,
+                   self.t_max - max(self.gamma, self.epsilon))
+
     def grid(self) -> list[float]:
         """``numpy.linspace(t_min, t_max, n_points)`` bit for bit."""
-        step = (self.t_max - self.t_min) / (self.n_points - 1)
+        step = self.step
         return [i * step + self.t_min for i in range(self.n_points - 1)] + [self.t_max]
 
     @cached_property
@@ -161,6 +205,39 @@ def _require_finite(spec: PointerSpec, name: str) -> None:
         raise GridError(f"{name} must be finite, got {value}")
 
 
+def _budget(step_ratio: float, padding: float) -> tuple[float, float]:
+    """``grid_error_budget`` at a step of ``step_ratio`` sigma and a padding
+    of ``padding`` sigma."""
+    tail = math.exp(-padding * padding / 2.0) / math.sqrt(2.0 * math.pi)
+    truncation = (math.erfc(padding / math.sqrt(2.0))
+                  + (2.0 + step_ratio * padding) * padding * tail)
+    return _aliasing(step_ratio), truncation
+
+
+def _aliasing(step_ratio: float) -> float:
+    a2 = (2.0 * math.pi / step_ratio) ** 2
+    return 2.0 * math.exp(-a2 / 2.0) * (1.0 + a2)
+
+
+def grid_error_budget(spec: PointerSpec) -> tuple[float, float]:
+    """The trapezoid error of the spec's grid: (aliasing, truncation).
+
+    Each ``basis_integrals`` entry J_k(p, q), k = 0, 1, 2, integrates t^k
+    against w unit normal densities of width sigma centred between the
+    delays: w = 1 for b0 b0, 1 + u for b0 b1 and 2 + 2u for b1 b1, with u
+    the overlap.  Its grid value lies within w (c + sigma)^k (aliasing +
+    truncation) of the exact one, c = max(|gamma|, |epsilon|), rounding
+    aside.  At step h and a = 2 pi sigma / h, aliasing is the leading
+    Poisson-summation term 2 exp(-a^2/2) times the 1 + a^2 that t^2 brings
+    to it.  Truncation is what the grid leaves out beyond its padding
+    p sigma: the two tails of t^2 under the density, erfc(p/sqrt 2) +
+    2 p phi(p), and the half-weighted end points, (h/sigma) p^2 phi(p),
+    with phi the standard normal density.  See Trefethen & Weideman, SIAM
+    Review 56, 385 (2014).
+    """
+    return _budget(spec.step / spec.sigma, spec.padding / spec.sigma)
+
+
 def gaussian_amplitude(t: Sequence[float], center: float, sigma: float) -> list[float]:
     norm = (2.0 * math.pi * sigma * sigma) ** (-0.25)
     width = 4.0 * sigma * sigma
@@ -195,7 +272,11 @@ class PointerProfile:
     ``pointer_moments`` rewrites them in the difference basis b0 = f_gamma,
     b1 = f_epsilon - f_gamma and reads the spec's ``basis_integrals``, at
     most nine exact sums.  ``success_probability`` is the closed-form
-    squared norm; the grid norm must reproduce it to 1e-9 on a sane grid.
+    squared norm.  Every grid integral lies within the spec's
+    ``grid_error_budget`` of its closed form: aliasing of at most
+    ``ALIASING_TOLERANCE`` (1e-9) on any accepted spec, and truncation
+    that falls as exp(-p^2/2) with the padding p sigma (3.3e-13 at the
+    default 8 sigma).
     """
 
     spec: PointerSpec
@@ -217,6 +298,7 @@ class SweepRow:
     weakness_ratio: float
     mean: tuple[float, ...]
     deviation: tuple[float, ...]
+    n_points: int
 
 
 def pointer_terms(
@@ -354,12 +436,13 @@ def weak_limit_sweep(
     gamma: float,
     epsilon: float,
     sigmas: Sequence[float],
-    n_points: int = DEFAULT_N_POINTS,
+    n_points: int | None = None,
 ) -> list[SweepRow]:
     """Pointer means against the weak-value prediction across widths.
 
     ``sigmas`` must be positive and ascending so the rows read as an
-    approach to the weak limit.
+    approach to the weak limit.  Without ``n_points`` every width gets the
+    largest default grid that any of them needs.
     """
     if not sigmas:
         raise GridError("sweep needs at least one sigma")
@@ -367,9 +450,11 @@ def weak_limit_sweep(
         raise GridError("sweep sigmas must be positive")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise GridError("sweep sigmas must be strictly ascending")
+    if n_points is None:
+        n_points = max(PointerSpec.default(gamma, epsilon, s).n_points for s in sigmas)
     rows = []
     for sigma in sigmas:
         spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
         moments, _, deviation = pointer_readout(pre, post, measured, spec)
-        rows.append(SweepRow(sigma, spec.weakness_ratio, moments.mean, deviation))
+        rows.append(SweepRow(sigma, spec.weakness_ratio, moments.mean, deviation, n_points))
     return rows

@@ -278,6 +278,8 @@ def test_orthogonal_analyzer_exits_two(capsys):
     ["--scenario", "pointer", "--gamma", "0", "--epsilon", "0", "--sigma", "1e-300",
      "--grid-points", "64"],
     ["--scenario", "pointer", "--sigma", "4e-4", "--grid-points", "1024"],
+    # A step of exactly sigma aliases 2e-7 of each density, over the 1e-9 budget.
+    ["--scenario=pointer", "--sigma=0.02127659574468085", "--grid-points=64", "--phi=0.3"],
 ])
 def test_unresolved_grid_exits_two(capsys, argv):
     code, out, err = run(["run", *argv], capsys)
@@ -612,6 +614,40 @@ def test_default_pointer_run_stays_small(capsys):
     assert code == 0
     assert capsys.readouterr().out.startswith("scenario=pointer\n")
     assert peak < 10_000_000
+
+
+def test_explicit_large_grid_run_stays_small(capsys):
+    # The same guard at an explicit 4096 points per axis.
+    tracemalloc.start()
+    try:
+        code = run_cli(["run", "--scenario=pointer", "--grid-points=4096"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "\ngrid_points=4096\n" in capsys.readouterr().out
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("argv,grid_points", [
+    (["--scenario=pointer"], 64),
+    (["--scenario=pointer", "--sigma=0.00025"], 5246),
+    (["--scenario=pointer", "--grid-points=100"], 100),
+    (["--scenario=pointer-sweep"], 64),
+    (["--scenario=pointer-sweep", "--sweep=sigma=0.00025,1"], 5246),
+])
+def test_reports_print_the_resolved_grid(capsys, argv, grid_points):
+    code, out, _ = run(["run", *argv], capsys)
+    assert code == 0
+    assert [line for line in out.split("\n") if line.startswith("grid_points=")] == [
+        f"grid_points={grid_points}"]
+
+
+def test_grid_over_the_error_budget_exits_two(capsys):
+    code, out, err = run(["run", "--scenario=pointer", "--sigma=0.00014"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: domain: grid error budget needs more than 8192 points")
+    assert err.count("\n") == 1
 
 
 def test_pointer_single_photon_mean_is_exact(capsys):

@@ -1,24 +1,30 @@
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import analyzer_literal, entangled_target_literal, state_of, photon_structure
 from hardyweak import pointer
-from hardyweak.cli import run_cli
+from hardyweak.cli import DEFAULT_SWEEP_MULTIPLES, run_cli
 from hardyweak.scenarios import analyzer_post_selection, run_entanglement_swap
 from hardyweak.pointer import (
     EmptyPostSelectionError,
     GridError,
     MAX_N_POINTS,
+    MIN_N_POINTS,
+    MIN_PADDING,
     PointerSpec,
     _grid_integrals,
     analytic_moments,
     build_pointer_profile,
     gaussian_amplitude,
     gaussian_overlap,
+    grid_error_budget,
     pointer_moments,
     pointer_terms,
     weak_limit_sweep,
@@ -71,6 +77,20 @@ def joint_mean_formula(gamma: float, epsilon: float, sigma: float) -> float:
 
 def _pre_post():
     return entangled_target_literal(), analyzer_literal()
+
+
+def _draw_pointer(rng: random.Random) -> tuple[float, float, float, float]:
+    """gamma, epsilon, sigma and phi where the benchmark draws them: the
+    analyzer keeps |cos phi (cos phi + 2 sin phi)| >= 0.25, and
+    sigma >= |epsilon - gamma| / 4."""
+    gamma, epsilon = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 3.0)
+    while abs(epsilon - gamma) < 0.25:
+        epsilon = rng.uniform(0.0, 3.0)
+    sigma = abs(epsilon - gamma) * 2.0 ** rng.uniform(-2.0, 4.0)
+    phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
+    while abs(math.cos(phi) * (math.cos(phi) + 2.0 * math.sin(phi))) < 0.25:
+        phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
+    return gamma, epsilon, sigma, phi
 
 
 class TestGaussianOverlap:
@@ -163,7 +183,8 @@ class TestProfileConstruction:
         ):
             with pytest.raises(GridError, match="grid step .* does not resolve sigma"):
                 PointerSpec.default(gamma, epsilon, sigma, n_points)
-        PointerSpec(0.0, 0.0, 1.0, -31.5, 31.5, 64)  # a step of exactly sigma
+        with pytest.raises(GridError, match="grid step 1 does not resolve sigma 1: .*aliasing"):
+            PointerSpec(0.0, 0.0, 1.0, -31.5, 31.5, 64)  # a step of exactly sigma
         with pytest.raises(GridError, match="squared extent overflows"):
             PointerSpec.default(0.0, 1e154, 1e153, 64)  # (1.8e154)**2 is not finite
         PointerSpec.default(0.0, 1e150, 1e149, 64)
@@ -197,18 +218,10 @@ class TestProfileConstruction:
             assert grid[-1] == spec.t_max
 
     def test_grid_moments_match_a_dense_trapezoid_oracle(self):
-        # Seeded specs where the benchmark draws them: the analyzer keeps
-        # |cos phi (cos phi + 2 sin phi)| >= 0.25, sigma >= |epsilon - gamma| / 4.
         rng = random.Random("dense oracle")
         pre = run_entanglement_swap().conditional_state()
         for _ in range(12):
-            gamma, epsilon = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 3.0)
-            while abs(epsilon - gamma) < 0.25:
-                epsilon = rng.uniform(0.0, 3.0)
-            sigma = abs(epsilon - gamma) * 2.0 ** rng.uniform(-2.0, 4.0)
-            phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
-            while abs(math.cos(phi) * (math.cos(phi) + 2.0 * math.sin(phi))) < 0.25:
-                phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
+            gamma, epsilon, sigma, phi = _draw_pointer(rng)
             post = analyzer_post_selection(phi)
             spec = PointerSpec.default(gamma, epsilon, sigma, rng.choice([64, 128, 256]))
             for measured in (("2",), ("4",), ("2", "4")):
@@ -462,3 +475,168 @@ class TestNearOrthogonalAnalyzer:
             assert abs(moments.success_probability - norm) <= 1e-10 * norm, measured
             for got, want in zip(moments.mean, mean):
                 assert abs(got - want) <= 1e-11 * sigma, measured
+
+
+def _mp_table(gamma: float, epsilon: float, sigma: float):
+    """J_k(p, q) = int t^k b_p b_q dt over the line, k = 0, 1, 2, in 50-digit
+    arithmetic, and the overlap u.  With D = epsilon - gamma, m the
+    midpoint and e = u - 1:
+    J(0,0) = (1, gamma, sigma^2 + gamma^2),
+    J(0,1) = (e, e m + D/2, e (sigma^2 + m^2) + (m - gamma)(m + gamma)),
+    J(1,1) = (-2e, -2e m, -2e (sigma^2 + m^2) + D^2/2)."""
+    with mpmath.workdps(50):
+        g, s = mpmath.mpf(gamma), mpmath.mpf(sigma)
+        d = mpmath.mpf(epsilon) - g
+        m = g + d / 2
+        e = mpmath.expm1(-d * d / (8 * s * s))
+        mixed = (e, e * m + d / 2, e * (s * s + m * m) + (m - g) * (m + g))
+        table = {
+            (0, 0): (mpmath.mpf(1), g, s * s + g * g),
+            (0, 1): mixed,
+            (1, 0): mixed,
+            (1, 1): (-2 * e, -2 * e * m, -2 * e * (s * s + m * m) + d * d / 2),
+        }
+        return table, float(e + 1)
+
+
+def _table_errors(spec: PointerSpec):
+    """Each ``basis_integrals`` entry's distance from its line integral, with
+    the scale w (c + sigma)^k that ``grid_error_budget`` is relative to."""
+    exact, u = _mp_table(spec.gamma, spec.epsilon, spec.sigma)
+    weight = (1.0, 1.0 + u, 2.0 + 2.0 * u)  # unit densities in b0 b0, b0 b1, b1 b1
+    c = max(abs(spec.gamma), abs(spec.epsilon))
+    for (p, q), sums in spec.basis_integrals.items():
+        for k, value in enumerate(sums):
+            yield abs(value - float(exact[p, q][k])), weight[p + q] * (c + spec.sigma) ** k
+
+
+# 2 exp(-a^2/2) (1 + a^2) = 1e-9 at a = 2 pi sigma / h for h = 0.88221 sigma.
+STEP_LIMIT = 0.88
+
+
+@st.composite
+def accepted_specs(draw, ratios=(0.0, STEP_LIMIT), spread=True):
+    """Specs of at most 512 points, padded by MIN_PADDING sigma or more, at a
+    step between ``ratios`` sigma.  Their delays are equal, or ``spread``
+    over the grid, or else both within sigma of 0."""
+    n = draw(st.integers(MIN_N_POINTS, 512))
+    ratio = draw(st.floats(max(ratios[0], 13.0 / (n - 1)), ratios[1]))
+    sigma = 2.0 ** draw(st.floats(-8.0, 8.0))
+    span = (n - 1) * ratio * sigma
+    room = span - 12.5 * sigma  # beyond the minimum padding, with a margin
+    if spread:
+        gamma = draw(st.floats(-4.0, 4.0))
+        delta = draw(st.floats(0.0, 1.0)) * room
+    else:
+        gamma = draw(st.floats(-1.0, 1.0)) * sigma
+        delta = draw(st.floats(0.0, 1.0)) * min(room, sigma - abs(gamma))
+    if draw(st.booleans()):
+        delta = 0.0
+    t_min = gamma - MIN_PADDING * sigma - draw(st.floats(0.0, 1.0)) * (room - delta)
+    return PointerSpec(gamma, gamma + delta, sigma, t_min, t_min + span, n)
+
+
+class TestGridErrorBudget:
+    @given(accepted_specs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_budget_bounds_every_table_entry(self, spec):
+        aliasing, truncation = grid_error_budget(spec)
+        for error, scale in _table_errors(spec):
+            assert error <= scale * (aliasing + truncation + 32 * sys.float_info.epsilon)
+
+    @given(accepted_specs(ratios=(0.8, STEP_LIMIT), spread=False))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_budget_is_tight_where_aliasing_dominates(self, spec):
+        # So the default grid cannot creep up: where aliasing is far above
+        # rounding, the budget overstates the worst entry at most 100-fold.
+        budget = sum(grid_error_budget(spec))
+        assert budget > 1e-12
+        assert max(error / scale for error, scale in _table_errors(spec)) >= budget / 100
+
+    def test_step_limit_is_the_aliasing_tolerance(self):
+        PointerSpec(0.0, 0.0, 1.0, -6.0, -6.0 + 0.8821 * 99, 100)
+        with pytest.raises(GridError, match="grid step 0.8823 does not resolve sigma 1: "
+                                            "need step > 0 with an aliasing error of at most 1e-09"):
+            PointerSpec(0.0, 0.0, 1.0, -6.0, -6.0 + 0.8823 * 99, 100)
+
+    def test_minimum_padding_is_the_truncation_side(self):
+        # A pad of 6 sigma leaves erfc(6 / sqrt 2) = 2e-9 of the norm out,
+        # and 36 times that of the second moment.
+        spec = PointerSpec(0.0, 0.0, 1.0, -6.0, 6.0, 256)
+        aliasing, truncation = grid_error_budget(spec)
+        assert aliasing < 1e-300 and 2e-9 < truncation < 1e-7
+        error = max(error for error, _ in _table_errors(spec))
+        assert truncation / 100 < error <= truncation
+
+
+class TestGridSizing:
+    @staticmethod
+    def smallest(gamma: float, epsilon: float, sigma: float) -> int:
+        """The default grid's size, checked to be the smallest within budget."""
+        spec = PointerSpec.default(gamma, epsilon, sigma)
+        aliasing, truncation = grid_error_budget(spec)
+        assert aliasing <= truncation
+        if spec.n_points > MIN_N_POINTS:
+            coarser = PointerSpec.default(gamma, epsilon, sigma, spec.n_points - 1)
+            aliasing, truncation = grid_error_budget(coarser)
+            assert aliasing > truncation
+        return spec.n_points
+
+    def test_default_pointer_and_sweep_widths_need_64_points(self):
+        assert self.smallest(0.0, 1.0, 8.0) == 64
+        for multiple in DEFAULT_SWEEP_MULTIPLES:
+            assert self.smallest(0.0, 1.0, multiple) == 64
+
+    def test_benchmark_pointers_need_64_points(self):
+        rng = random.Random("sizing")
+        for _ in range(200):
+            gamma, epsilon, sigma, _ = _draw_pointer(rng)
+            assert self.smallest(gamma, epsilon, sigma) == 64
+
+    @pytest.mark.parametrize("sigma,n_points", [(0.00025, 5246), (0.0002, 6551), (0.00016, 8184)])
+    def test_strong_regime_grows_the_grid(self, sigma, n_points):
+        assert self.smallest(0.0, 1.0, sigma) == n_points
+
+    def test_no_grid_within_budget_is_an_error(self):
+        # At 8192 points the step is 0.87 sigma: accepted, yet over budget.
+        PointerSpec.default(0.0, 1.0, 0.00014, MAX_N_POINTS)
+        with pytest.raises(GridError, match="grid error budget needs more than 8192 points"):
+            PointerSpec.default(0.0, 1.0, 0.00014)
+
+    @pytest.mark.parametrize("sigma", [0.00025, 0.0002])
+    def test_strong_regime_moments_match_50_digits(self, sigma):
+        pre = run_entanglement_swap().conditional_state()
+        post = analyzer_post_selection(-math.pi / 4.0)
+        spec = PointerSpec.default(0.0, 1.0, sigma)
+        for measured in (("2",), ("4",), ("2", "4")):
+            profile = build_pointer_profile(pre, post, measured, spec)
+            moments = pointer_moments(profile)
+            norm, mean = _mp_moments(profile.terms, sigma)
+            assert abs(moments.success_probability - norm) <= 1e-13 * norm, measured
+            for got, want in zip(moments.mean, mean):
+                assert abs(got - want) <= 1e-13 * (2.0 + sigma), measured
+            if sigma == 0.00025 and len(measured) == 1:
+                # One displaced Gaussian: its variance is sigma^2.
+                assert abs(moments.variance[0] - sigma**2) <= 2e-9 * sigma**2
+
+    def test_benchmark_pointers_match_50_digits(self):
+        rng = random.Random(11)
+        pre = run_entanglement_swap().conditional_state()
+        for _ in range(40):
+            gamma, epsilon, sigma, phi = _draw_pointer(rng)
+            spec = PointerSpec.default(gamma, epsilon, sigma)
+            post = analyzer_post_selection(phi)
+            for measured in (("2",), ("4",), ("2", "4")):
+                profile = build_pointer_profile(pre, post, measured, spec)
+                moments = pointer_moments(profile)
+                norm, mean = _mp_moments(profile.terms, sigma)
+                assert abs(moments.success_probability - norm) <= 1e-13 * norm
+                for got, want in zip(moments.mean, mean):
+                    assert abs(got - want) <= 1e-13 * (1.0 + abs(gamma) + abs(epsilon) + sigma)
+
+    def test_sweep_shares_the_largest_grid(self):
+        pre, post = _pre_post()
+        rows = weak_limit_sweep(pre, post, ("2",), 0.0, 1.0, [0.00025, 1.0])
+        assert [row.n_points for row in rows] == [5246, 5246]
+        rows = weak_limit_sweep(pre, post, ("2",), 0.0, 1.0, [1.0, 2.0], n_points=128)
+        assert [row.n_points for row in rows] == [128, 128]

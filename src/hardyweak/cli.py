@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -295,9 +296,36 @@ DUST_THRESHOLD = 1e-12
 
 
 def _small_fraction(value: float) -> Fraction | None:
-    """The p/q with q <= 64 within 1e-9 of ``value``, if there is one."""
-    approx = Fraction(value).limit_denominator(RATIONAL_DENOMINATOR_LIMIT)
-    return approx if abs(float(approx) - value) <= RATIONAL_TOLERANCE else None
+    """The p/q with q <= 64 within 1e-9 of ``value``, if there is one.
+
+    This is ``Fraction(value).limit_denominator(64)``, run on the plain
+    integers of ``value``'s exact ratio: the same continued fraction, the
+    same tie rule (the last convergent p1/q1 wins over the semiconvergent
+    when they are equally close), so the same p/q.
+    """
+    n, d = value.as_integer_ratio()
+    if d <= RATIONAL_DENOMINATOR_LIMIT:
+        p, q = n, d
+    else:
+        den = d
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > RATIONAL_DENOMINATOR_LIMIT:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (RATIONAL_DENOMINATOR_LIMIT - q0) // q1
+        # value lies between p1/q1 and the semiconvergent, which are
+        # 1/(q1 (q0 + k q1)) apart, and d/(q1 den) away from p1/q1.
+        if 2 * d * (q0 + k * q1) <= den:
+            p, q = p1, q1
+        else:
+            p, q = p0 + k * p1, q0 + k * q1
+    if abs(p / q - value) > RATIONAL_TOLERANCE:
+        return None
+    return Fraction(p, q)
 
 
 def _clean_float(x: float) -> float:
@@ -309,7 +337,7 @@ def _clean_float(x: float) -> float:
     out of repeated 1/sqrt(2) factors, so they arrive a few ulps off.
     Every payload float comes through here, grid-route pointer means and
     deviations included, so a grid deviation of 2.75e-14 reports as 0;
-    ROADMAP item 1 is to exempt such measured fields.
+    ROADMAP item 3 is to exempt such measured fields.
     """
     value = float(x)
     if abs(value) < DUST_THRESHOLD:
@@ -653,7 +681,17 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return 2
     text = render(payload, config.output_format)
     if config.output_path is None:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+        except BrokenPipeError as exc:
+            # Python flushes stdout again at exit; send that flush to
+            # devnull so the closed pipe does not raise a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: config: cannot write report: {exc}", file=sys.stderr)
+            return 1
         return 0
     try:
         Path(config.output_path).write_text(text + "\n")

@@ -7,6 +7,7 @@ photonic analogue, and the weak-value readout of the prepared pair.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -205,11 +206,20 @@ def run_entanglement_swap(
     The V modes leave undetected, which is exactly why the three
     surviving branches live in distinguishable environments: ``mode``
     chooses whether to idealize them as coherent anyway.
+
+    The result depends on nothing else, so it is computed once per mode
+    and calibration and shared: callers get the same memoized, read-only
+    ``SwapResult`` (its states' amplitudes cannot be written to).
     """
     if mode not in ("coherent", "decohered"):
         raise ValueError(f"unknown swap mode {mode!r}")
     if len(phase_calibration) != 2:
         raise ValueError("phase calibration needs one entry per combiner input")
+    return _swap(mode, tuple(phase_calibration))
+
+
+@functools.lru_cache(maxsize=8)
+def _swap(mode: str, phase_calibration: tuple[float, ...]) -> SwapResult:
     phase_a, phase_b = (cmath.exp(1j * p) for p in phase_calibration)
     four = tensor(bell_pair("1", "2"), bell_pair("3", "4"))
     four = apply_pbs(four, "1")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 # Amplitudes below this modulus carry no physical information at double
@@ -109,9 +111,15 @@ class Structure:
             raise StructureError("subsystem names collide in tensor product")
         return Structure(self.subsystems + other.subsystems)
 
+    @cached_property
+    def _label_index(self) -> dict[BasisLabel, int]:
+        # Each product label's position in canonical order, built once.
+        return {label: i for i, label in enumerate(self.product_labels())}
+
     def validate_label(self, label: BasisLabel) -> None:
-        if label.is_gamma:
+        if label.is_gamma or label in self._label_index:
             return
+        # A foreign label: find the part that does not line up.
         if tuple(name for name, _ in label.pairs) != self.names:
             raise StructureError(f"label {label} does not address {self.names}")
         for (name, level), sub in zip(label.pairs, self.subsystems):
@@ -121,9 +129,10 @@ class Structure:
         # GAMMA sorts first; product labels follow alphabet declaration order.
         if label.is_gamma:
             return (0,)
-        return (1,) + tuple(
-            sub.index(level) for (_, level), sub in zip(label.pairs, self.subsystems)
-        )
+        index = self._label_index.get(label)
+        if index is None:
+            self.validate_label(label)
+        return (1, index)
 
 
 @dataclass(frozen=True)
@@ -163,11 +172,13 @@ class StateVector:
 
     The ``normalized`` flag is derived at construction: true iff the
     squared norm is within 1e-12 of one.  Amplitudes are stored in
-    canonical label order so iteration is deterministic.
+    canonical label order so iteration is deterministic, behind a
+    read-only view: states are shared (the swap's are memoized), so
+    none may change after construction.
     """
 
     structure: Structure
-    amplitudes: dict[BasisLabel, complex]
+    amplitudes: Mapping[BasisLabel, complex]
     normalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -179,7 +190,7 @@ class StateVector:
                 key=lambda kv: self.structure.sort_key(kv[0]),
             )
         )
-        object.__setattr__(self, "amplitudes", ordered)
+        object.__setattr__(self, "amplitudes", MappingProxyType(ordered))
         object.__setattr__(
             self, "normalized", abs(self.norm_sq() - 1.0) <= NORM_TOLERANCE
         )

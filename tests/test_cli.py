@@ -4,9 +4,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ from hardyweak.cli import (
     SCENARIOS,
     ConfigError,
     Parameters,
+    _clean_float,
+    _small_fraction,
     assemble_config,
     parse_config,
     render,
@@ -464,13 +468,16 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
-def _child_run(*args):
+def _child_env():
     # The child imports the package from where this process found it.
     source = str(Path(hardyweak.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _child_run(*args):
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, check=True, env=env
+        [sys.executable, *args], capture_output=True, check=True, env=_child_env()
     )
 
 
@@ -487,6 +494,24 @@ def test_module_entry_point_runs_a_scenario():
     done = _child_run("-m", "hardyweak.cli", "run", "--scenario", "hardy")
     assert done.stdout.decode() == (GOLDEN_DIR / "hardy_both_present.txt").read_text()
     assert done.stderr == b""
+
+
+def test_closed_stdout_pipe_exits_one_without_traceback():
+    # About 240 kB of json, more than a pipe holds: the child is still
+    # writing when the reader closes the pipe after one line.
+    widths = ",".join(str(w) for w in range(1, 1001))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "hardyweak.cli", "run", "--scenario=pointer-sweep",
+         "--format=json", f"--sweep=sigma={widths}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err == "error: config: cannot write report: [Errno 32] Broken pipe\n"
 
 
 def test_label_and_pointer_runs_never_import_numpy():
@@ -731,3 +756,49 @@ def test_flags_override_config_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["bs2_minus"] is False
     assert payload["probabilities"]["p_cd"] == 0.5
+
+
+# ------------------------------------------------------- rational pinning
+
+
+def _reference_fraction(value):
+    approx = Fraction(value).limit_denominator(64)
+    return approx if abs(float(approx) - value) <= 1e-9 else None
+
+
+def _pinning_probes():
+    rng = random.Random(20041)
+    exact = sorted({Fraction(p, q) for q in range(1, 65) for p in range(-q, q + 1)})
+    for r in exact:
+        x = float(r)
+        yield x
+        for k in (1, 2, 3, 1000):
+            yield x + k * math.ulp(x)
+            yield x - k * math.ulp(x)
+        # Both sides of the 1e-9 tolerance.
+        for offset in (1e-9, 1e-9 * (1 - 1e-7), 1e-9 * (1 + 1e-7)):
+            yield x + offset
+            yield x - offset
+        yield math.nextafter(x + 1e-9, math.inf)
+        yield math.nextafter(x - 1e-9, -math.inf)
+    for x in (1e300, -1e300, 5e-324, -5e-324, 0.0, -0.0, 1e-12, -1e-12,
+              2.0**53, 2.0**53 + 2, -(2.0**60), 3.0 * 2**70, 1e20, -7e22):
+        yield x
+    for _ in range(8000):
+        yield rng.uniform(-3.0, 3.0)
+    for _ in range(8000):
+        r = rng.choice(exact)
+        yield float(r) + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-17, -6)
+    for _ in range(4000):
+        yield rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-1074, 1023)
+
+
+def test_rational_pinning_matches_limit_denominator():
+    probes = list(_pinning_probes())
+    assert len(probes) > 50000
+    for x in probes:
+        want = _reference_fraction(x)
+        got = _small_fraction(x)
+        assert (got, type(got)) == (want, type(want)), x
+        clean = 0.0 if abs(x) < 1e-12 else x if want is None else float(want)
+        assert _clean_float(x).hex() == clean.hex(), x

@@ -6,6 +6,8 @@ import math
 
 import pytest
 
+from hardyweak import scenarios
+from hardyweak.cli import run_cli
 from hardyweak.scenarios import (
     CONSTRAINT_NAMES,
     DEFAULT_SWAP_CALIBRATION,
@@ -205,6 +207,57 @@ def test_swap_phase_calibration_is_per_input():
 def test_swap_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown swap mode"):
         run_entanglement_swap(mode="classical")
+
+
+class TestSwapMemo:
+    @pytest.fixture
+    def splitters(self, monkeypatch):
+        # Every swap sends photons 1 and 3 through a polarizing splitter.
+        calls = []
+        original = scenarios.apply_pbs
+
+        def counting(state, photon):
+            calls.append(photon)
+            return original(state, photon)
+
+        monkeypatch.setattr(scenarios, "apply_pbs", counting)
+        scenarios._swap.cache_clear()
+        yield calls
+        scenarios._swap.cache_clear()
+
+    def test_one_swap_serves_every_request(self, splitters, capsys):
+        assert run_cli(["run", "--scenario=pointer"]) == 0
+        assert run_cli(["run", "--scenario=pointer", "--phi=0.3"]) == 0
+        assert run_cli(["run", "--scenario=photonic-weak"]) == 0
+        capsys.readouterr()
+        assert splitters == ["1", "3"]
+
+    def test_each_mode_and_calibration_is_its_own_entry(self, splitters):
+        coherent = run_entanglement_swap()
+        assert run_entanglement_swap("coherent", list(DEFAULT_SWAP_CALIBRATION)) is coherent
+        decohered = run_entanglement_swap("decohered")
+        assert decohered is not coherent and decohered.mode == "decohered"
+        assert run_entanglement_swap("decohered") is decohered
+        uncalibrated = run_entanglement_swap(phase_calibration=(0.0, 0.0))
+        assert uncalibrated is not coherent
+        assert len(splitters) == 2 * 3
+
+    def test_bad_arguments_raise_on_every_call(self, splitters):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown swap mode"):
+                run_entanglement_swap(mode="classical")
+            with pytest.raises(ValueError, match="per combiner input"):
+                run_entanglement_swap(phase_calibration=[0.0])
+        assert splitters == []
+
+    def test_shared_states_are_read_only(self):
+        result = run_entanglement_swap()
+        with pytest.raises(TypeError):
+            result.conditional_state().amplitudes[GAMMA] = 1.0
+        for _, sub in run_entanglement_swap("decohered").branches:
+            with pytest.raises(TypeError):
+                del sub.state.amplitudes[next(iter(sub.state.amplitudes))]
+        assert run_entanglement_swap().success_probability == pytest.approx(3.0 / 8.0)
 
 
 def test_default_calibration_value():

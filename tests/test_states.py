@@ -15,6 +15,7 @@ from conftest import (
 )
 from hardyweak.states import (
     GAMMA,
+    BasisLabel,
     StateVector,
     StructureError,
     Structure,
@@ -245,3 +246,76 @@ class TestGlobalPhaseAndPruning:
         final = expected_final_state(True, True)
         names = [str(lab) for lab in final.amplitudes]
         assert names == ["gamma", "c+ c-", "c+ d-", "d+ c-", "d+ d-"]
+
+
+@st.composite
+def structures(draw):
+    names = draw(st.lists(st.text("ab+-24", min_size=1, max_size=2),
+                          min_size=1, max_size=3, unique=True))
+    return Structure.of(*(
+        (name, draw(st.lists(st.text("HVOcd", min_size=1, max_size=2),
+                             min_size=1, max_size=3, unique=True)))
+        for name in names
+    ))
+
+
+def _level_index_key(structure, label):
+    # The per-level key the label index replaced.
+    if label.is_gamma:
+        return (0,)
+    return (1,) + tuple(
+        sub.levels.index(level)
+        for (_, level), sub in zip(label.pairs, structure.subsystems)
+    )
+
+
+def _error(call, label):
+    with pytest.raises(StructureError) as info:
+        call(label)
+    return str(info.value)
+
+
+class TestLabelIndex:
+    @given(structures(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_sort_matches_the_per_level_order(self, structure, rng):
+        labels = [*structure.product_labels(), GAMMA]
+        rng.shuffle(labels)
+        by_index = sorted(labels, key=structure.sort_key)
+        assert by_index == sorted(labels, key=lambda lab: _level_index_key(structure, lab))
+        assert by_index == [GAMMA, *structure.product_labels()]
+        for label in labels:
+            structure.validate_label(label)
+
+    @given(structures(), st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_foreign_labels_keep_their_messages(self, structure, data):
+        label = data.draw(st.sampled_from(list(structure.product_labels())))
+        names = structure.names
+        pairs = label.pairs
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        name, level = pairs[i]
+        renamed = BasisLabel(pairs[:i] + ((name + "?", level),) + pairs[i + 1:])
+        relevelled = BasisLabel(pairs[:i] + ((name, level + "?"),) + pairs[i + 1:])
+        shortened = BasisLabel(pairs[:-1])
+        lengthened = BasisLabel(pairs + (("extra", "H"),))
+        for foreign in (renamed, shortened, lengthened):
+            want = f"label {foreign} does not address {names}"
+            assert _error(structure.validate_label, foreign) == want
+            assert _error(structure.sort_key, foreign) == want
+        want = f"level {level + '?'!r} not in alphabet of subsystem {name!r}"
+        assert _error(structure.validate_label, relevelled) == want
+        assert _error(structure.sort_key, relevelled) == want
+        with pytest.raises(StructureError, match="not in alphabet"):
+            StateVector(structure, {relevelled: 1.0})
+
+    def test_amplitudes_are_read_only(self):
+        s = Structure.of(("x", ("0", "1")))
+        source = {s.label("1"): 0.6, s.label("0"): 0.8}
+        sv = StateVector(s, source)
+        with pytest.raises(TypeError):
+            sv.amplitudes[s.label("0")] = 1.0
+        source[s.label("0")] = 0.0  # the caller's dict is not the state's
+        assert sv.amplitude(s.label("0")) == 0.8
+        assert sv.amplitudes == {s.label("0"): 0.8, s.label("1"): 0.6}
+        assert sv == StateVector(s, dict(sv.amplitudes))

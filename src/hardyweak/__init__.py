@@ -56,7 +56,6 @@ from .pointer import (
     SweepRow,
     analytic_moments,
     build_pointer_profile,
-    gaussian_overlap,
     pointer_moments,
     pointer_terms,
     weak_limit_sweep,

@@ -25,6 +25,7 @@ from .pointer import (
     PointerSpec,
     pointer_readout,
     weak_limit_sweep,
+    weak_prediction,
 )
 from .scenarios import (
     CONSTRAINT_NAMES,
@@ -453,8 +454,8 @@ def _photonic_weak_payload(config: RunConfig) -> dict[str, Any]:
     }
 
 
-def _pointer_block(pre, post, measured, spec: PointerSpec) -> dict[str, Any]:
-    moments, prediction, deviation = pointer_readout(pre, post, measured, spec)
+def _pointer_block(pre, post, measured, spec: PointerSpec, prediction) -> dict[str, Any]:
+    moments, deviation = pointer_readout(pre, post, measured, spec, prediction)
 
     def per_photon(values: tuple[float, ...]) -> float | tuple[float, ...]:
         return values[0] if len(measured) == 1 else values
@@ -473,6 +474,8 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
     pre = run_entanglement_swap().conditional_state()
     post = analyzer_post_selection(p.phi)
     spec = PointerSpec.default(p.gamma, p.epsilon, p.sigma, p.grid_points)
+    # The joint weak value holds each photon's, bit for bit.
+    a2, a4 = weak_prediction(pre, post, ("2", "4"), p.gamma, p.epsilon)
     return {
         "gamma": p.gamma,
         "epsilon": p.epsilon,
@@ -480,9 +483,9 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
         "phi": p.phi,
         "grid_points": spec.n_points,
         "weakness_ratio": spec.weakness_ratio,
-        "photon2": _pointer_block(pre, post, ("2",), spec),
-        "photon4": _pointer_block(pre, post, ("4",), spec),
-        "joint": _pointer_block(pre, post, ("2", "4"), spec),
+        "photon2": _pointer_block(pre, post, ("2",), spec, (a2,)),
+        "photon4": _pointer_block(pre, post, ("4",), spec, (a4,)),
+        "joint": _pointer_block(pre, post, ("2", "4"), spec, (a2, a4)),
     }
 
 

@@ -7,14 +7,14 @@ photon shifts its pointer by gamma when it is H and by epsilon when it is
 V; post-selection leaves a small coherent mixture of shifted Gaussians
 whose moments interpolate between the strong regime and the weak values.
 
-Two independent routes to every moment share one loop over pairs of
-terms: closed-form Gaussian overlaps, and the trapezoid rule on a grid,
-which factorises over the axes of a product grid.  The grid route writes
-the terms in the difference basis b0 = f_gamma, b1 = f_epsilon - f_gamma
-and reads every integral from one table per spec, at most nine exact sums
-shared by all its profiles.  Near an orthogonal post-selection the delay
-coefficients nearly cancel: the basis adds them before any grid value
-enters, where f_gamma f_epsilon products would cancel large integrals.
+Both routes to every moment write the terms in the difference basis
+b0 = f_gamma, b1 = f_epsilon - f_gamma and run one loop over pairs of
+terms, which factorises over the axes.  They differ only in the spec's
+table of one-axis integrals of b_p b_q: in closed form, or by the
+trapezoid rule in at most nine exact sums on the grid.  Near an
+orthogonal post-selection the delay coefficients nearly cancel: the basis
+adds them before any integral enters, where f_gamma f_epsilon products
+would cancel large integrals.
 
 The trapezoid rule converges exponentially on a Gaussian, and
 ``grid_error_budget`` bounds its error by aliasing from the step plus
@@ -28,7 +28,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from operator import mul, sub
 from typing import Sequence
@@ -185,12 +185,22 @@ class PointerSpec:
                 self, list(map(mul, basis[p], basis[q])))
         return table
 
-    def delay(self, level: str) -> float:
-        if level == "H":
-            return self.gamma
-        if level == "V":
-            return self.epsilon
-        raise StructureError(f"no pointer delay for level {level!r}")
+    @cached_property
+    def closed_integrals(self) -> dict[tuple[int, int], tuple[float, float, float]]:
+        """``basis_integrals`` over the whole line, in closed form free of
+        cancellation.  With D = epsilon - gamma, midpoint m and
+        e = expm1(-D^2/(8 sigma^2)), J(0,1) = (e, e m + D/2, e (sigma^2 + m^2)
+        + (m - gamma)(m + gamma)) and J(1,1) = (-2e, -2e m, -2e (sigma^2 + m^2)
+        + D^2/2)."""
+        g, s2 = self.gamma, self.sigma * self.sigma
+        table = {(0, 0): (1.0, g, s2 + g * g)}
+        if self.epsilon != g:
+            d, m = self.epsilon - g, (g + self.epsilon) / 2.0
+            e = math.expm1(-(d * d) / (8.0 * s2))
+            table[0, 1] = table[1, 0] = (e, e * m + d / 2.0,
+                                         e * (s2 + m * m) + (m - g) * (m + g))
+            table[1, 1] = (-2.0 * e, -2.0 * e * m, -2.0 * e * (s2 + m * m) + d * d / 2.0)
+        return table
 
     def refined(self, factor: int = 2) -> PointerSpec:
         return PointerSpec(
@@ -256,21 +266,14 @@ def _grid_integrals(spec: PointerSpec, y: list[float]) -> tuple[float, float, fl
             math.fsum(map(mul, w, map(mul, t, ty))))
 
 
-def gaussian_overlap(delta: float, sigma: float) -> float:
-    """<f | f shifted by delta> = exp(-delta^2 / (8 sigma^2))."""
-    if sigma <= 0.0:
-        raise GridError("sigma must be positive")
-    return math.exp(-(delta * delta) / (8.0 * sigma * sigma))
-
-
 @dataclass(frozen=True)
 class PointerProfile:
     """Post-selected pointer on a spec: its mixture and closed-form norm.
 
     ``terms`` holds per measured axis a delay, with a complex coefficient
-    each.  ``analytic_moments`` integrates them in closed form;
-    ``pointer_moments`` rewrites them in the difference basis b0 = f_gamma,
-    b1 = f_epsilon - f_gamma and reads the spec's ``basis_integrals``, at
+    each.  Both routes rewrite them in the difference basis b0 = f_gamma,
+    b1 = f_epsilon - f_gamma: ``analytic_moments`` reads the spec's
+    ``closed_integrals``, ``pointer_moments`` its ``basis_integrals``, at
     most nine exact sums.  ``success_probability`` is the closed-form
     squared norm.  Every grid integral lies within the spec's
     ``grid_error_budget`` of its closed form: aliasing of at most
@@ -325,19 +328,19 @@ def pointer_terms(
             continue
         key = tuple(label.level(m) for m in measured)
         collected[key] = collected.get(key, 0j) + cross
+    delay = {"H": spec.gamma, "V": spec.epsilon}
     return tuple(
-        (tuple(spec.delay(level) for level in key), coeff)
+        (tuple(delay[level] for level in key), coeff)
         for key, coeff in sorted(collected.items())
     )
 
 
-def _pair_sums(terms, kernel) -> tuple[float, list[float], list[float]]:
-    """Norm and, per axis, first and second sums of the mixture.
+def _pair_sums(terms, table) -> tuple[float, list[float], list[float]]:
+    """Norm and, per axis, first and second sums of the basis terms' mixture.
 
-    ``kernel(a, b)`` gives int g_a g_b, int t g_a g_b and int t^2 g_a g_b
-    for the one-axis functions keyed a and b.  A pair of terms contributes
-    the product over axes of the first, with the second or third on the
-    axis whose sums are taken.
+    ``table[p, q]`` gives int b_p b_q, int t b_p b_q and int t^2 b_p b_q.
+    A pair of terms contributes the product over axes of the first, with
+    the second or third on the axis whose sums are taken.
     """
     n_axes = len(terms[0][0]) if terms else 0
     norm = 0.0
@@ -348,20 +351,13 @@ def _pair_sums(terms, kernel) -> tuple[float, list[float], list[float]]:
             cross = (ci.conjugate() * cj).real
             if cross == 0.0:
                 continue
-            sums = [kernel(a, b) for a, b in zip(keys_i, keys_j)]
+            sums = [table[a, b] for a, b in zip(keys_i, keys_j)]
             norm += cross * math.prod(s[0] for s in sums)
             for ax, (_, s1, s2) in enumerate(sums):
                 rest = cross * math.prod(s[0] for s in sums[:ax] + sums[ax + 1:])
                 first[ax] += rest * s1
                 second[ax] += rest * s2
     return norm, first, second
-
-
-def _overlap_integrals(sigma: float, a: float, b: float) -> tuple[float, float, float]:
-    """Closed-form kernel: overlap u, u m and u (sigma^2 + m^2), midpoint m."""
-    u = gaussian_overlap(a - b, sigma)
-    m = (a + b) / 2.0
-    return u, u * m, u * (sigma**2 + m**2)
 
 
 def _basis_terms(terms, spec: PointerSpec) -> tuple[tuple[tuple[int, ...], complex], ...]:
@@ -386,7 +382,7 @@ def analytic_moments(
     terms: Sequence[tuple[tuple[float, ...], complex]], spec: PointerSpec
 ) -> PointerMoments:
     """Closed-form moments of the Gaussian mixture, no grid involved."""
-    sums = _pair_sums(terms, partial(_overlap_integrals, spec.sigma))
+    sums = _pair_sums(_basis_terms(terms, spec), spec.closed_integrals)
     return _moments(sums, "post-selected pointer norm vanishes")
 
 
@@ -398,35 +394,32 @@ def build_pointer_profile(
 ) -> PointerProfile:
     """The post-selected pointer's terms and closed-form success probability."""
     terms = pointer_terms(pre, post, measured, spec)
-    success = _pair_sums(terms, partial(_overlap_integrals, spec.sigma))[0]
+    success = _pair_sums(_basis_terms(terms, spec), spec.closed_integrals)[0]
     return PointerProfile(spec, tuple(measured), terms, success)
 
 
 def pointer_moments(profile: PointerProfile) -> PointerMoments:
     """Trapezoidal mean and variance per axis, normalized on the grid."""
-    table = profile.spec.basis_integrals
     sums = _pair_sums(_basis_terms(profile.terms, profile.spec),
-                      lambda p, q: table[p, q])
+                      profile.spec.basis_integrals)
     return _moments(sums, "post-selected pointer norm vanishes on grid")
 
 
-def pointer_readout(
-    pre: StateVector,
-    post: StateVector,
-    measured: Sequence[str],
-    spec: PointerSpec,
-) -> tuple[PointerMoments, tuple[float, ...], tuple[float, ...]]:
-    """Grid moments at one pointer width, the weak-value prediction and
-    their distance, one per measured photon.
+def weak_prediction(pre: StateVector, post: StateVector, measured: Sequence[str],
+                    gamma: float, epsilon: float) -> tuple[float, ...]:
+    """Where the pointer means go in the weak limit, one per measured
+    photon: the real part of the arrival-time weak value, at any sigma."""
+    op = arrival_time_operator(pre.structure, measured, gamma, epsilon)
+    return tuple(w.real for w in weak_value(op, pre, post).value)
 
-    The prediction is the real part of the arrival-time weak value; it is
-    taken before any grid is built.
-    """
-    op = arrival_time_operator(pre.structure, measured, spec.gamma, spec.epsilon)
-    prediction = tuple(w.real for w in weak_value(op, pre, post).value)
+
+def pointer_readout(pre: StateVector, post: StateVector, measured: Sequence[str],
+                    spec: PointerSpec, prediction: tuple[float, ...]
+                    ) -> tuple[PointerMoments, tuple[float, ...]]:
+    """Grid moments at one pointer width and their distance from the
+    ``weak_prediction``, one per measured photon."""
     moments = pointer_moments(build_pointer_profile(pre, post, measured, spec))
-    deviation = tuple(abs(m - w) for m, w in zip(moments.mean, prediction))
-    return moments, prediction, deviation
+    return moments, tuple(abs(m - w) for m, w in zip(moments.mean, prediction))
 
 
 def weak_limit_sweep(
@@ -452,9 +445,11 @@ def weak_limit_sweep(
         raise GridError("sweep sigmas must be strictly ascending")
     if n_points is None:
         n_points = max(PointerSpec.default(gamma, epsilon, s).n_points for s in sigmas)
-    rows = []
+    rows, prediction = [], None
     for sigma in sigmas:
         spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
-        moments, _, deviation = pointer_readout(pre, post, measured, spec)
+        if prediction is None:  # sigma-free; after the first spec, before any grid
+            prediction = weak_prediction(pre, post, measured, gamma, epsilon)
+        moments, deviation = pointer_readout(pre, post, measured, spec, prediction)
         rows.append(SweepRow(sigma, spec.weakness_ratio, moments.mean, deviation, n_points))
     return rows

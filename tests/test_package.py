@@ -20,7 +20,7 @@ OrthogonalPostSelectionError ProjectorWeakValue WeakValueReport WeightedProjecto
 arrival_time_operator identity_operator occupation_operator
 projector_weak_decomposition weak_value
 EmptyPostSelectionError GridError PointerMoments PointerProfile PointerSpec SweepRow
-analytic_moments build_pointer_profile gaussian_overlap pointer_moments pointer_terms
+analytic_moments build_pointer_profile pointer_moments pointer_terms
 weak_limit_sweep
 CONSTRAINT_NAMES CounterfactualAssignment CounterfactualReport HardyConfig
 HardyResult PhotonicWeakReport SwapResult analyzer_post_selection bell_pair
@@ -31,7 +31,7 @@ verify_paper_states
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert len(hardyweak.__all__) == len(set(hardyweak.__all__))
     assert set(hardyweak.__all__) == set(PUBLIC_NAMES)
     for name in hardyweak.__all__:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -22,8 +23,6 @@ from hardyweak.pointer import (
     _grid_integrals,
     analytic_moments,
     build_pointer_profile,
-    gaussian_amplitude,
-    gaussian_overlap,
     grid_error_budget,
     pointer_moments,
     pointer_terms,
@@ -91,29 +90,6 @@ def _draw_pointer(rng: random.Random) -> tuple[float, float, float, float]:
     while abs(math.cos(phi) * (math.cos(phi) + 2.0 * math.sin(phi))) < 0.25:
         phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
     return gamma, epsilon, sigma, phi
-
-
-class TestGaussianOverlap:
-    def test_no_displacement(self):
-        assert gaussian_overlap(0.0, 2.0) == 1.0
-
-    def test_half_overlap_displacement(self):
-        sigma = 1.7
-        delta = sigma * math.sqrt(8.0 * math.log(2.0))
-        assert abs(gaussian_overlap(delta, sigma) - 0.5) < 1e-12
-
-    @pytest.mark.parametrize("delta,sigma", [(0.7, 1.0), (2.5, 0.9), (0.0, 3.0), (4.0, 2.0)])
-    def test_matches_grid_integration(self, delta, sigma):
-        lo = -10 * sigma + min(0.0, delta)
-        hi = 10 * sigma + max(0.0, delta)
-        t = np.linspace(lo, hi, 4096)
-        integrand = np.array(gaussian_amplitude(t, 0.0, sigma)) * gaussian_amplitude(t, delta, sigma)
-        grid = float(np.trapezoid(integrand, t))
-        assert abs(grid - gaussian_overlap(delta, sigma)) < 1e-9
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(GridError):
-            gaussian_overlap(1.0, 0.0)
 
 
 class TestProfileConstruction:
@@ -288,6 +264,22 @@ class TestWorkCount:
         monkeypatch.setattr(pointer, "gaussian_amplitude", counting)
         assert run_cli(["run", *argv, "--grid-points=128"]) == 0
         assert len(centers) == want
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["--scenario=pointer"], ["--scenario=pointer-sweep"]])
+    def test_one_weak_value_per_run(self, monkeypatch, capsys, argv):
+        # The prediction does not depend on sigma, and the joint weak value
+        # holds both photons' values.
+        builds = []
+        original = pointer.arrival_time_operator
+
+        def counting(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pointer, "arrival_time_operator", counting)
+        assert run_cli(["run", *argv]) == 0
+        assert len(builds) == 1
         capsys.readouterr()
 
     @pytest.fixture
@@ -476,6 +468,24 @@ class TestNearOrthogonalAnalyzer:
             for got, want in zip(moments.mean, mean):
                 assert abs(got - want) <= 1e-11 * sigma, measured
 
+    @pytest.mark.parametrize("sigma", [1e3, 1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("offset", [1e-5, 1e-6, 1e-7])
+    def test_closed_form_matches_a_50_digit_closed_form(self, offset, sigma):
+        pre = run_entanglement_swap().conditional_state()
+        post = analyzer_post_selection(-math.atan(0.5) + offset)
+        spec = PointerSpec.default(0.0, 1.0, sigma)
+        for measured in (("2",), ("4",), ("2", "4")):
+            profile = build_pointer_profile(pre, post, measured, spec)
+            norm, mean = _mp_moments(profile.terms, sigma)
+            assert abs(profile.success_probability - norm) <= 1e-14 * norm, measured
+            if norm <= 1e-12:  # the fixed floor of ``_moments`` (ROADMAP item 4)
+                assert (offset, sigma) == (1e-7, 1e6)
+                with pytest.raises(EmptyPostSelectionError):
+                    analytic_moments(profile.terms, spec)
+                continue
+            for got, want in zip(analytic_moments(profile.terms, spec).mean, mean):
+                assert abs(got - want) <= 1e-14 * sigma, measured
+
 
 def _mp_table(gamma: float, epsilon: float, sigma: float):
     """J_k(p, q) = int t^k b_p b_q dt over the line, k = 0, 1, 2, in 50-digit
@@ -499,13 +509,13 @@ def _mp_table(gamma: float, epsilon: float, sigma: float):
         return table, float(e + 1)
 
 
-def _table_errors(spec: PointerSpec):
-    """Each ``basis_integrals`` entry's distance from its line integral, with
-    the scale w (c + sigma)^k that ``grid_error_budget`` is relative to."""
+def _table_errors(spec: PointerSpec, table):
+    """Each entry's distance from its line integral, with the scale
+    w (c + sigma)^k that ``grid_error_budget`` is relative to."""
     exact, u = _mp_table(spec.gamma, spec.epsilon, spec.sigma)
     weight = (1.0, 1.0 + u, 2.0 + 2.0 * u)  # unit densities in b0 b0, b0 b1, b1 b1
     c = max(abs(spec.gamma), abs(spec.epsilon))
-    for (p, q), sums in spec.basis_integrals.items():
+    for (p, q), sums in table.items():
         for k, value in enumerate(sums):
             yield abs(value - float(exact[p, q][k])), weight[p + q] * (c + spec.sigma) ** k
 
@@ -536,12 +546,41 @@ def accepted_specs(draw, ratios=(0.0, STEP_LIMIT), spread=True):
     return PointerSpec(gamma, gamma + delta, sigma, t_min, t_min + span, n)
 
 
+@st.composite
+def wide_specs(draw):
+    """Default specs of sigma between 2^8 and 2^26, delays as in
+    ``accepted_specs``."""
+    sigma = 2.0 ** draw(st.floats(8.0, 26.0))
+    gamma = draw(st.floats(-4.0, 4.0))
+    delta = 0.0 if draw(st.booleans()) else draw(st.floats(0.0, 8.0)) * sigma
+    return PointerSpec.default(gamma, gamma + delta, sigma)
+
+
+class TestClosedIntegrals:
+    @given(st.one_of(accepted_specs(), wide_specs()))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_entry_is_within_4_ulp_of_its_scale(self, spec):
+        table = spec.closed_integrals
+        want = {(0, 0)} if spec.gamma == spec.epsilon else set(product((0, 1), repeat=2))
+        assert set(table) == want
+        for error, scale in _table_errors(spec, table):
+            assert error <= 4 * math.ulp(scale)
+
+    def test_half_overlap_displacement(self):
+        sigma = 1.7
+        spec = PointerSpec.default(0.0, sigma * math.sqrt(8.0 * math.log(2.0)), sigma)
+        assert abs(1.0 + spec.closed_integrals[0, 1][0] - 0.5) < 1e-15
+
+    def test_no_displacement(self):
+        assert PointerSpec.default(2.0, 2.0, 3.0).closed_integrals == {(0, 0): (1.0, 2.0, 13.0)}
+
+
 class TestGridErrorBudget:
     @given(accepted_specs())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_budget_bounds_every_table_entry(self, spec):
         aliasing, truncation = grid_error_budget(spec)
-        for error, scale in _table_errors(spec):
+        for error, scale in _table_errors(spec, spec.basis_integrals):
             assert error <= scale * (aliasing + truncation + 32 * sys.float_info.epsilon)
 
     @given(accepted_specs(ratios=(0.8, STEP_LIMIT), spread=False))
@@ -551,7 +590,7 @@ class TestGridErrorBudget:
         # rounding, the budget overstates the worst entry at most 100-fold.
         budget = sum(grid_error_budget(spec))
         assert budget > 1e-12
-        assert max(error / scale for error, scale in _table_errors(spec)) >= budget / 100
+        assert max(error / scale for error, scale in _table_errors(spec, spec.basis_integrals)) >= budget / 100
 
     def test_step_limit_is_the_aliasing_tolerance(self):
         PointerSpec(0.0, 0.0, 1.0, -6.0, -6.0 + 0.8821 * 99, 100)
@@ -565,7 +604,7 @@ class TestGridErrorBudget:
         spec = PointerSpec(0.0, 0.0, 1.0, -6.0, 6.0, 256)
         aliasing, truncation = grid_error_budget(spec)
         assert aliasing < 1e-300 and 2e-9 < truncation < 1e-7
-        error = max(error for error, _ in _table_errors(spec))
+        error = max(error for error, _ in _table_errors(spec, spec.basis_integrals))
         assert truncation / 100 < error <= truncation
 
 

@@ -275,8 +275,8 @@ class PointerProfile:
     b1 = f_epsilon - f_gamma: ``analytic_moments`` reads the spec's
     ``closed_integrals``, ``pointer_moments`` its ``basis_integrals``, at
     most nine exact sums.  ``success_probability`` is the closed-form
-    squared norm.  Every grid integral lies within the spec's
-    ``grid_error_budget`` of its closed form: aliasing of at most
+    squared norm, summed when first read.  Every grid integral lies within
+    the spec's ``grid_error_budget`` of its closed form: aliasing of at most
     ``ALIASING_TOLERANCE`` (1e-9) on any accepted spec, and truncation
     that falls as exp(-p^2/2) with the padding p sigma (3.3e-13 at the
     default 8 sigma).
@@ -285,7 +285,10 @@ class PointerProfile:
     spec: PointerSpec
     measured: tuple[str, ...]
     terms: tuple[tuple[tuple[float, ...], complex], ...]
-    success_probability: float
+
+    @cached_property
+    def success_probability(self) -> float:
+        return _pair_sums(_basis_terms(self.terms, self.spec), self.spec.closed_integrals)[0]
 
 
 @dataclass(frozen=True)
@@ -393,9 +396,7 @@ def build_pointer_profile(
     spec: PointerSpec,
 ) -> PointerProfile:
     """The post-selected pointer's terms and closed-form success probability."""
-    terms = pointer_terms(pre, post, measured, spec)
-    success = _pair_sums(_basis_terms(terms, spec), spec.closed_integrals)[0]
-    return PointerProfile(spec, tuple(measured), terms, success)
+    return PointerProfile(spec, tuple(measured), pointer_terms(pre, post, measured, spec))
 
 
 def pointer_moments(profile: PointerProfile) -> PointerMoments:

@@ -11,7 +11,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .optics import (
     DEFAULT_CONVENTION,
@@ -21,7 +22,6 @@ from .optics import (
     apply_first_beamsplitter,
     apply_level_map,
     apply_pbs,
-    apply_polarization_rotation,
     apply_second_beamsplitter,
     hom_combine,
     interferometer_structure,
@@ -82,7 +82,7 @@ class HardyConfig:
 @dataclass(frozen=True)
 class HardyResult:
     state: StateVector
-    probabilities: dict[str, float]
+    probabilities: Mapping[str, float]
 
 
 def _annihilated_pair() -> StateVector:
@@ -96,13 +96,18 @@ def _annihilated_pair() -> StateVector:
 
 def run_hardy_gedanken(config: HardyConfig = HardyConfig()) -> HardyResult:
     """Propagate the pair through both interferometers and tabulate ports."""
+    return _hardy(config)  # once per configuration; the shared result is read-only
+
+
+@functools.lru_cache(maxsize=8)
+def _hardy(config: HardyConfig) -> HardyResult:
     sv = _annihilated_pair()
     sv = apply_second_beamsplitter(sv, "+", config.bs2_positron_present)
     sv = apply_second_beamsplitter(sv, "-", config.bs2_electron_present)
     probabilities = {"gamma": abs(sv.amplitude(GAMMA)) ** 2}
     for name, levels in PORT_PAIRS.items():
         probabilities[name] = abs(sv.amplitude(sv.structure.label(*levels))) ** 2
-    return HardyResult(sv, probabilities)
+    return HardyResult(sv, MappingProxyType(probabilities))
 
 
 @dataclass(frozen=True)
@@ -144,11 +149,16 @@ def counterfactual_check(
 
     ``include`` restricts the active constraint set by name, e.g. to ask
     how much room is left once the observed joint dark click is dropped.
-    A name given twice counts once.
+    Names count once, in any order: each set's report is built once and shared.
     """
     unknown = sorted(set(include or ()) - set(CONSTRAINT_NAMES))
     if unknown:
         raise ValueError(f"unknown constraint names: {unknown}")
+    return _counterfactual(None if include is None else frozenset(include))
+
+
+@functools.lru_cache(maxsize=32)
+def _counterfactual(include: frozenset[str] | None) -> CounterfactualReport:
     active = CONSTRAINTS if include is None else tuple(
         (name, pred) for name, pred in CONSTRAINTS if name in include
     )
@@ -186,6 +196,10 @@ class SwapResult:
     success_probability: float
 
     def conditional_state(self) -> StateVector:
+        return self._conditional_state
+
+    @functools.cached_property
+    def _conditional_state(self) -> StateVector:
         if len(self.branches) != 1:
             raise ValueError("conditional state is defined for a single branch")
         return self.branches[0][1].state.renormalized()
@@ -276,14 +290,14 @@ def entangled_target_state() -> StateVector:
 def analyzer_post_selection(phi: float = -math.pi / 4.0) -> StateVector:
     """Both photons detected in H behind analyzers rotated by phi.
 
-    Built by dragging the detection ket backwards through the rotation,
-    so the result is the product of cos(phi)|H> + sin(phi)|V> per photon.
+    The product of cos(phi)|H> + sin(phi)|V> per photon, each amplitude
+    bit for bit that of the H H ket rotated by -phi on each photon.
     """
+    row = (("H", math.cos(-phi)), ("V", -math.sin(-phi)))
     s = photon_pair_structure()
-    sv = StateVector(s, {s.label("H", "H"): 1.0})
-    sv = apply_polarization_rotation(sv, "2", -phi)
-    sv = apply_polarization_rotation(sv, "4", -phi)
-    return sv
+    return StateVector(s, {
+        s.label(l2, l4): a * f for l2, a in row for l4, f in row
+    }).prune()
 
 
 def surviving_paths_state() -> StateVector:
@@ -329,31 +343,28 @@ class PhotonicWeakReport:
     occupations: tuple[OccupationRow, ...]
 
 
-def _occupation_rows(pre: StateVector, post: StateVector) -> tuple[OccupationRow, ...]:
-    s = pre.structure
+@functools.lru_cache(maxsize=1)
+def _standard_selection() -> tuple[StateVector, StateVector, tuple[OccupationRow, ...]]:
+    # Everything in a photonic-weak report that does not depend on the delays.
+    pre = run_entanglement_swap("coherent").conditional_state()
+    post = analyzer_post_selection()
+    singles = [{ph: lv} for lv in "VH" for ph in "24"]
+    joints = [{"2": lv2, "4": lv4} for lv2 in "VH" for lv4 in "VH"]
     rows = []
-    singles = [
-        {"2": "V"}, {"4": "V"}, {"2": "H"}, {"4": "H"},
-    ]
-    joints = [
-        {"2": "V", "4": "V"}, {"2": "V", "4": "H"},
-        {"2": "H", "4": "V"}, {"2": "H", "4": "H"},
-    ]
     for assignment in singles + joints:
-        report = weak_value(occupation_operator(s, assignment), pre, post)
+        report = weak_value(occupation_operator(pre.structure, assignment), pre, post)
         photonic = " ".join(f"{lv}{ph}" for ph, lv in assignment.items())
         path = " ".join(
             f"{POLARIZATION_TO_PATH[lv]}{PHOTON_TO_PARTICLE[ph]}"
             for ph, lv in assignment.items()
         )
         rows.append(OccupationRow(photonic, path, report.scalar))
-    return tuple(rows)
+    return pre, post, tuple(rows)
 
 
 def run_photonic_weak(gamma: float = 0.0, epsilon: float = 1.0) -> PhotonicWeakReport:
     """Weak arrival-time readout of the swapped pair at the standard analyzers."""
-    pre = run_entanglement_swap("coherent").conditional_state()
-    post = analyzer_post_selection()
+    pre, post, occupations = _standard_selection()
     structure = pre.structure
     photon2 = weak_value(
         arrival_time_operator(structure, ("2",), gamma, epsilon), pre, post
@@ -374,7 +385,7 @@ def run_photonic_weak(gamma: float = 0.0, epsilon: float = 1.0) -> PhotonicWeakR
         photon4=photon4,
         joint=joint,
         decomposition=projector_weak_decomposition(joint_op, pre, post),
-        occupations=_occupation_rows(pre, post),
+        occupations=occupations,
     )
 
 

@@ -8,8 +8,9 @@ product label.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -76,22 +77,13 @@ class Structure:
             raise StructureError(
                 f"expected {len(self.subsystems)} levels, got {len(levels)}"
             )
-        for sub, level in zip(self.subsystems, levels):
-            sub.index(level)
-        return BasisLabel(tuple(zip(self.names, levels)))
+        label = BasisLabel(tuple(zip(self.names, levels)))
+        self.validate_label(label)
+        return label
 
     def product_labels(self) -> Iterator[BasisLabel]:
         """All product labels in canonical (alphabet-index) order."""
-
-        def rec(i: int, acc: tuple[tuple[str, str], ...]) -> Iterator[BasisLabel]:
-            if i == len(self.subsystems):
-                yield BasisLabel(acc)
-                return
-            sub = self.subsystems[i]
-            for level in sub.levels:
-                yield from rec(i + 1, acc + ((sub.name, level),))
-
-        return rec(0, ())
+        return iter(self._label_index)
 
     def replace(self, name: str, levels: Iterable[str]) -> Structure:
         self.subsystem(name)
@@ -113,8 +105,7 @@ class Structure:
 
     @cached_property
     def _label_index(self) -> dict[BasisLabel, int]:
-        # Each product label's position in canonical order, built once.
-        return {label: i for i, label in enumerate(self.product_labels())}
+        return _product_basis(self.subsystems)
 
     def validate_label(self, label: BasisLabel) -> None:
         if label.is_gamma or label in self._label_index:
@@ -135,12 +126,28 @@ class Structure:
         return (1, index)
 
 
+@lru_cache(maxsize=64)
+def _product_basis(subsystems: tuple[Subsystem, ...]) -> dict[BasisLabel, int]:
+    # Product labels in canonical order (the last subsystem varies fastest).
+    names = [s.name for s in subsystems]
+    levels = itertools.product(*(s.levels for s in subsystems))
+    return {BasisLabel(tuple(zip(names, lv))): i for i, lv in enumerate(levels)}
+
+
 @dataclass(frozen=True)
 class BasisLabel:
     """One basis element: a level assignment per subsystem, or GAMMA."""
 
     pairs: tuple[tuple[str, str], ...]
     is_gamma: bool = False
+    # Labels key every amplitude map, so each is hashed once, when built.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.pairs, self.is_gamma)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def level(self, name: str) -> str:
         for n, level in self.pairs:
@@ -182,14 +189,10 @@ class StateVector:
     normalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        for label in self.amplitudes:
-            self.structure.validate_label(label)
-        ordered = dict(
-            sorted(
-                ((lab, complex(amp)) for lab, amp in self.amplitudes.items()),
-                key=lambda kv: self.structure.sort_key(kv[0]),
-            )
-        )
+        # Sorting validates: sort_key rejects a label foreign to the structure.
+        key = self.structure.sort_key
+        ordered = {lab: complex(amp) for lab, amp in sorted(
+            self.amplitudes.items(), key=lambda kv: key(kv[0]))}
         object.__setattr__(self, "amplitudes", MappingProxyType(ordered))
         object.__setattr__(
             self, "normalized", abs(self.norm_sq() - 1.0) <= NORM_TOLERANCE

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hardyweak
-from hardyweak import __version__
+from hardyweak import __version__, scenarios
 from hardyweak.cli import (
     REPORTS,
     SCENARIOS,
@@ -429,6 +429,21 @@ def test_golden(capsys, name):
         )
     else:
         assert out == golden_text
+
+
+def test_goldens_repeat_byte_for_byte_from_the_caches(capsys):
+    caches = [scenarios._hardy, scenarios._counterfactual, scenarios._swap,
+              scenarios._standard_selection]
+
+    def golden_pass():
+        return [run(["run", *argv], capsys) for argv in GOLDENS.values()]
+
+    first = golden_pass()
+    filled = [cache.cache_info() for cache in caches]
+    assert golden_pass() == first
+    for before, cache in zip(filled, caches):
+        after = cache.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
 
 
 @pytest.mark.parametrize("name", sorted(n for n in GOLDENS if not n.endswith(".json")))

@@ -282,6 +282,29 @@ class TestWorkCount:
         assert len(builds) == 1
         capsys.readouterr()
 
+    def test_closed_form_norm_is_summed_when_read(self, monkeypatch, capsys):
+        # No report prints the closed-form norm: a pointer request sums
+        # only its three grid moments.
+        tables = []
+        original = pointer._pair_sums
+
+        def counting(terms, table):
+            tables.append(table)
+            return original(terms, table)
+
+        monkeypatch.setattr(pointer, "_pair_sums", counting)
+        assert run_cli(["run", "--scenario=pointer", "--grid-points=128"]) == 0
+        capsys.readouterr()
+        assert len(tables) == 3
+        pre, post = _pre_post()
+        spec = PointerSpec.default(0.0, 1.0, 1.0, 128)
+        profile = build_pointer_profile(pre, post, ("2", "4"), spec)
+        assert len(tables) == 3
+        want = analytic_moments(profile.terms, spec).success_probability
+        assert profile.success_probability == want
+        assert profile.success_probability == want
+        assert tables[3:] == [spec.closed_integrals] * 2
+
     @pytest.fixture
     def fsums(self, monkeypatch):
         # Every exactly summed pass over the grid goes through math.fsum.

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
 from hardyweak import scenarios
 from hardyweak.cli import run_cli
+from hardyweak.optics import apply_polarization_rotation, photon_pair_structure
 from hardyweak.scenarios import (
     CONSTRAINT_NAMES,
     DEFAULT_SWAP_CALIBRATION,
@@ -25,7 +27,7 @@ from hardyweak.scenarios import (
     surviving_paths_state,
     verify_paper_states,
 )
-from hardyweak.states import GAMMA, equal_up_to_global_phase, inner
+from hardyweak.states import GAMMA, StateVector, equal_up_to_global_phase, inner
 
 from conftest import (
     PRE_POST_OVERLAP,
@@ -153,6 +155,90 @@ def test_counterfactual_repeated_constraint_counts_once():
     assert repeated.constraints == ("joint-dark-click",)
 
 
+class TestFixedSetupMemo:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        # Counts the calls of one name in scenarios, with its cache emptied
+        # before and after the test.
+        caches = []
+
+        def count(name, cache):
+            calls = []
+            original = getattr(scenarios, name)
+
+            def counting(*args):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(scenarios, name, counting)
+            cache.cache_clear()
+            caches.append(cache)
+            return calls
+
+        yield count
+        for cache in caches:
+            cache.cache_clear()
+
+    def test_one_cascade_per_config(self, counted, capsys):
+        # Every Hardy cascade sends both particles to their exit splitters.
+        exits = counted("apply_second_beamsplitter", scenarios._hardy)
+        for _ in range(2):
+            assert run_cli(["run", "--scenario=hardy"]) == 0
+            assert run_cli(["run", "--scenario=hardy", "--format=json"]) == 0
+            assert run_cli(["run", "--scenario=hardy", "--bs2-plus=false"]) == 0
+        capsys.readouterr()
+        assert [args[1:] for args in exits] == [
+            ("+", True), ("-", True), ("+", False), ("-", True)
+        ]
+        assert run_hardy_gedanken() is run_hardy_gedanken(HardyConfig(True, True))
+
+    def test_shared_hardy_result_is_read_only(self):
+        result = run_hardy_gedanken()
+        with pytest.raises(TypeError):
+            result.probabilities["d+d-"] = 0.0
+        with pytest.raises(TypeError):
+            result.state.amplitudes[GAMMA] = 0.0
+        assert run_hardy_gedanken().probabilities["d+d-"] == pytest.approx(1.0 / 16.0)
+
+    def test_one_enumeration_per_constraint_set(self, counted, capsys):
+        # Every enumeration builds all sixteen assignments.
+        enumerations = counted("CounterfactualAssignment", scenarios._counterfactual)
+        for _ in range(2):
+            assert run_cli(["run", "--scenario=counterfactual"]) == 0
+        capsys.readouterr()
+        assert len(enumerations) == 2 * 16  # the full set and the relaxed one
+        relaxed = [n for n in CONSTRAINT_NAMES if n != "joint-dark-click"]
+        shared = counterfactual_check(relaxed)
+        assert counterfactual_check([*reversed(relaxed), relaxed[0]]) is shared
+        assert shared.constraints == tuple(relaxed)
+        assert counterfactual_check() is counterfactual_check(None)
+        assert len(enumerations) == 2 * 16
+        # No constraint at all is its own set, not the full one.
+        assert counterfactual_check([]).constraints == ()
+        assert len(counterfactual_check([]).satisfying) == 16
+        assert len(enumerations) == 3 * 16
+
+    def test_unknown_constraints_raise_on_every_call(self, counted):
+        enumerations = counted("CounterfactualAssignment", scenarios._counterfactual)
+        counterfactual_check(["joint-dark-click"])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown constraint"):
+                counterfactual_check(["joint-dark-click", "no-such-rule"])
+        assert len(enumerations) == 16
+
+    def test_one_occupation_table_per_process(self, counted, capsys):
+        occupations = counted("occupation_operator", scenarios._standard_selection)
+        assert run_cli(["run", "--scenario=photonic-weak"]) == 0
+        assert run_cli(["run", "--scenario=photonic-weak", "--gamma=0.3"]) == 0
+        capsys.readouterr()
+        assert len(occupations) == 8
+        first, second = run_photonic_weak(0.0, 1.0), run_photonic_weak(0.3, 1.7)
+        assert first.occupations is second.occupations
+        assert (first.pre, first.post) == (second.pre, second.post)
+        assert second.photon2.scalar == pytest.approx(1.7)
+        assert len(occupations) == 8
+
+
 # ------------------------------------------------------------------- swap
 
 
@@ -202,6 +288,16 @@ def test_swap_branches_never_hold_double_vertical():
 def test_swap_phase_calibration_is_per_input():
     with pytest.raises(ValueError, match="per combiner input"):
         run_entanglement_swap(phase_calibration=(0.0,))
+
+
+def test_conditional_state_is_built_once_per_result():
+    result = run_entanglement_swap()
+    assert result.conditional_state() is result.conditional_state()
+    assert result.conditional_state().normalized
+    decohered = run_entanglement_swap("decohered")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="single branch"):
+            decohered.conditional_state()
 
 
 def test_swap_rejects_unknown_mode():
@@ -389,6 +485,34 @@ def test_analyzer_post_selection_zero_angle_is_plain_detection():
     s = state.structure
     assert state.amplitude(s.label("H", "H")) == pytest.approx(1.0, abs=1e-12)
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+def _two_rotations(phi):
+    # The construction the direct product replaced, kept as its oracle.
+    s = photon_pair_structure()
+    sv = StateVector(s, {s.label("H", "H"): 1.0})
+    sv = apply_polarization_rotation(sv, "2", -phi)
+    return apply_polarization_rotation(sv, "4", -phi)
+
+
+def _bits(state):
+    return [(str(lab), amp.real.hex(), amp.imag.hex()) for lab, amp in state.items()]
+
+
+ANALYZER_ANGLES = [
+    0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi / 4, -math.pi / 4, 1e-16, 1e-8,
+    -math.atan(0.5), 0.3, 1e-15, -1e-15, 9.9e-16, math.pi, -3 * math.pi / 4,
+]
+
+
+@pytest.mark.parametrize("phi", ANALYZER_ANGLES + [
+    random.Random(7).uniform(-4.0, 4.0) for _ in range(40)
+])
+def test_analyzer_post_selection_is_the_two_rotations_bit_for_bit(phi):
+    got, want = analyzer_post_selection(phi), _two_rotations(phi)
+    assert got.structure == want.structure
+    assert _bits(got) == _bits(want)
+    assert got.normalized == want.normalized
 
 
 def test_entangled_target_matches_literal():

@@ -319,3 +319,60 @@ class TestLabelIndex:
         assert sv.amplitude(s.label("0")) == 0.8
         assert sv.amplitudes == {s.label("0"): 0.8, s.label("1"): 0.6}
         assert sv == StateVector(s, dict(sv.amplitudes))
+
+
+class TestBasisLabel:
+    def test_every_constructor_gives_equal_labels_with_equal_hashes(self):
+        s = Structure.of(("a", ("x", "y")), ("b", ("0", "1", "2")))
+        target = BasisLabel((("a", "y"), ("b", "2")))
+        left = Structure.of(("a", ("x", "y")))
+        right = Structure.of(("b", ("0", "1", "2")))
+        product = tensor(
+            StateVector(left, {left.label("y"): 1.0}),
+            StateVector(right, {right.label("2"): 1.0}),
+        )
+        built = [
+            s.label("y", "2"),
+            s.label("x", "2").with_level("a", "y"),
+            BasisLabel((("a", "y"), ("c", "q"), ("b", "2"))).drop(["c"]),
+            next(iter(product.amplitudes)),
+            list(s.product_labels())[5],
+            list(Structure.of(("a", ("x", "y")), ("b", ("0", "1", "2"))).product_labels())[5],
+        ]
+        assert product.structure == s
+        for label in built:
+            assert label == target and hash(label) == hash(target)
+        assert len(set(built)) == 1
+        assert {label: 1 for label in built} == {target: 1}
+
+    def test_equal_structures_share_one_basis(self):
+        first = Structure.of(("a", ("x", "y")), ("b", ("0", "1")))
+        again = Structure.of(("a", ("x", "y")), ("b", ("0", "1")))
+        wider = first.replace("b", ("0", "1", "2"))
+        assert all(p is q for p, q in zip(first.product_labels(), again.product_labels()))
+        assert list(wider.drop(["b"]).product_labels()) == list(
+            first.drop(["b"]).product_labels()
+        )
+        assert len(list(wider.product_labels())) == 6
+
+    def test_gamma_is_not_the_empty_product_label(self):
+        empty = BasisLabel(())
+        assert GAMMA != empty and empty != GAMMA
+        assert BasisLabel((), is_gamma=True) == GAMMA
+        assert hash(BasisLabel((), is_gamma=True)) == hash(GAMMA)
+        assert {GAMMA: 1.0}.get(empty) is None
+        assert list(Structure.of().product_labels()) == [empty]
+        assert not next(iter(Structure.of().product_labels())).is_gamma
+
+    def test_canonical_order_on_mixed_alphabets(self):
+        alphabets = {"+": ("O", "NO"), "2": ("H", "V", "D"), "x": ("in",)}
+        s = Structure.of(*alphabets.items())
+        want = [
+            BasisLabel((("+", p), ("2", q), ("x", r)))
+            for p in alphabets["+"] for q in alphabets["2"] for r in alphabets["x"]
+        ]
+        assert list(s.product_labels()) == want
+        assert [str(lab) for lab in want[:3]] == ["O+ H2 inx", "O+ V2 inx", "O+ D2 inx"]
+        shuffled = dict.fromkeys(reversed(want), 0.5)
+        assert list(StateVector(s, shuffled).amplitudes) == want
+        assert sorted([GAMMA, *reversed(want)], key=s.sort_key) == [GAMMA, *want]

@@ -12,7 +12,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -22,8 +22,10 @@ from .pointer import (
     MAX_N_POINTS,
     MIN_N_POINTS,
     GridError,
+    PointerProfile,
     PointerSpec,
-    pointer_readout,
+    build_pointer_profile,
+    pointer_moments,
     weak_limit_sweep,
     weak_prediction,
 )
@@ -398,7 +400,7 @@ def _counterfactual_block(include: Sequence[str] | None = None) -> dict[str, Any
     return {
         "constraints": report.constraints,
         "satisfying_count": len(report.satisfying),
-        "satisfying_assignments": [asdict(a) for a in report.satisfying],
+        "satisfying_assignments": [vars(a) for a in report.satisfying],  # _clean copies
     }
 
 
@@ -454,11 +456,12 @@ def _photonic_weak_payload(config: RunConfig) -> dict[str, Any]:
     }
 
 
-def _pointer_block(pre, post, measured, spec: PointerSpec, prediction) -> dict[str, Any]:
-    moments, deviation = pointer_readout(pre, post, measured, spec, prediction)
+def _pointer_block(profile: PointerProfile, prediction: tuple[float, ...]) -> dict[str, Any]:
+    moments = pointer_moments(profile)
+    deviation = tuple(abs(m - w) for m, w in zip(moments.mean, prediction))
 
     def per_photon(values: tuple[float, ...]) -> float | tuple[float, ...]:
-        return values[0] if len(measured) == 1 else values
+        return values[0] if len(prediction) == 1 else values
 
     return {
         "mean": per_photon(moments.mean),
@@ -474,8 +477,9 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
     pre = run_entanglement_swap().conditional_state()
     post = analyzer_post_selection(p.phi)
     spec = PointerSpec.default(p.gamma, p.epsilon, p.sigma, p.grid_points)
+    joint = build_pointer_profile(pre, post, ("2", "4"), spec)
     # The joint weak value holds each photon's, bit for bit.
-    a2, a4 = weak_prediction(pre, post, ("2", "4"), p.gamma, p.epsilon)
+    a2, a4 = weak_prediction(joint)
     return {
         "gamma": p.gamma,
         "epsilon": p.epsilon,
@@ -483,9 +487,9 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
         "phi": p.phi,
         "grid_points": spec.n_points,
         "weakness_ratio": spec.weakness_ratio,
-        "photon2": _pointer_block(pre, post, ("2",), spec, (a2,)),
-        "photon4": _pointer_block(pre, post, ("4",), spec, (a4,)),
-        "joint": _pointer_block(pre, post, ("2", "4"), spec, (a2, a4)),
+        "photon2": _pointer_block(build_pointer_profile(pre, post, ("2",), spec), (a2,)),
+        "photon4": _pointer_block(build_pointer_profile(pre, post, ("4",), spec), (a4,)),
+        "joint": _pointer_block(joint, (a2, a4)),
     }
 
 

@@ -6,6 +6,9 @@ displaced by delta overlap by exp(-delta^2 / (8 sigma^2)).  A measured
 photon shifts its pointer by gamma when it is H and by epsilon when it is
 V; post-selection leaves a small coherent mixture of shifted Gaussians
 whose moments interpolate between the strong regime and the weak values.
+``pointer_terms`` is the one walk over the product labels: a coefficient
+per tuple of measured delays, summing to <post|pre>.  The weak values are
+read off the same sigma-free terms (``weak_prediction``).
 
 Both routes to every moment write the terms in the difference basis
 b0 = f_gamma, b1 = f_epsilon - f_gamma and run one loop over pairs of
@@ -34,7 +37,7 @@ from operator import mul, sub
 from typing import Sequence
 
 from .states import StateVector, StructureError
-from .weakvalues import arrival_time_operator, weak_value
+from .weakvalues import check_overlap
 
 DEFAULT_PADDING = 8.0
 MIN_N_POINTS = 64
@@ -271,15 +274,10 @@ class PointerProfile:
     """Post-selected pointer on a spec: its mixture and closed-form norm.
 
     ``terms`` holds per measured axis a delay, with a complex coefficient
-    each.  Both routes rewrite them in the difference basis b0 = f_gamma,
-    b1 = f_epsilon - f_gamma: ``analytic_moments`` reads the spec's
-    ``closed_integrals``, ``pointer_moments`` its ``basis_integrals``, at
-    most nine exact sums.  ``success_probability`` is the closed-form
-    squared norm, summed when first read.  Every grid integral lies within
-    the spec's ``grid_error_budget`` of its closed form: aliasing of at most
-    ``ALIASING_TOLERANCE`` (1e-9) on any accepted spec, and truncation
-    that falls as exp(-p^2/2) with the padding p sigma (3.3e-13 at the
-    default 8 sigma).
+    each; they do not depend on sigma, so any width of the same delays may
+    share them.  ``success_probability`` is the closed-form squared norm,
+    summed when first read.  Every grid integral lies within the spec's
+    ``grid_error_budget`` of its closed form.
     """
 
     spec: PointerSpec
@@ -314,12 +312,14 @@ def pointer_terms(
     spec: PointerSpec,
 ) -> tuple[tuple[tuple[float, ...], complex], ...]:
     """Collapse unmeasured photons: coefficient per measured-delay tuple."""
+    if not (len(measured) in (1, 2) and len(set(measured)) == len(measured)):
+        raise StructureError("measure one photon or an ordered pair")
     if pre.structure != post.structure:
         raise StructureError("pre- and post-selection must share a structure")
     if not (pre.normalized and post.normalized):
         raise ValueError("pre- and post-selection must be normalized")
     names = pre.structure.names
-    if not measured or any(m not in names for m in measured):
+    if any(m not in names for m in measured):
         raise StructureError(f"measured photons must be among {names}")
     for sub in pre.structure.subsystems:
         if set(sub.levels) != {"H", "V"}:
@@ -406,21 +406,17 @@ def pointer_moments(profile: PointerProfile) -> PointerMoments:
     return _moments(sums, "post-selected pointer norm vanishes on grid")
 
 
-def weak_prediction(pre: StateVector, post: StateVector, measured: Sequence[str],
-                    gamma: float, epsilon: float) -> tuple[float, ...]:
-    """Where the pointer means go in the weak limit, one per measured
-    photon: the real part of the arrival-time weak value, at any sigma."""
-    op = arrival_time_operator(pre.structure, measured, gamma, epsilon)
-    return tuple(w.real for w in weak_value(op, pre, post).value)
-
-
-def pointer_readout(pre: StateVector, post: StateVector, measured: Sequence[str],
-                    spec: PointerSpec, prediction: tuple[float, ...]
-                    ) -> tuple[PointerMoments, tuple[float, ...]]:
-    """Grid moments at one pointer width and their distance from the
-    ``weak_prediction``, one per measured photon."""
-    moments = pointer_moments(build_pointer_profile(pre, post, measured, spec))
-    return moments, tuple(abs(m - w) for m, w in zip(moments.mean, prediction))
+def weak_prediction(profile: PointerProfile) -> tuple[float, ...]:
+    """Where the pointer means go in the weak limit, one per measured photon:
+    Re(sum d c / sum c) over the terms, the arrival-time weak value
+    (Aharonov et al., Phys. Lett. A 301, 130 (2002)).  For a pair this is
+    ``weak_value`` of ``arrival_time_operator`` bit for bit."""
+    overlap, numerator = 0j, [0j] * len(profile.measured)
+    for delays, coeff in profile.terms:  # weak_value's summation order
+        overlap += coeff
+        numerator = [n + d * coeff for n, d in zip(numerator, delays)]
+    overlap = check_overlap(overlap)
+    return tuple((n / overlap).real for n in numerator)
 
 
 def weak_limit_sweep(
@@ -446,11 +442,13 @@ def weak_limit_sweep(
         raise GridError("sweep sigmas must be strictly ascending")
     if n_points is None:
         n_points = max(PointerSpec.default(gamma, epsilon, s).n_points for s in sigmas)
-    rows, prediction = [], None
+    rows: list[SweepRow] = []
     for sigma in sigmas:
         spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
-        if prediction is None:  # sigma-free; after the first spec, before any grid
-            prediction = weak_prediction(pre, post, measured, gamma, epsilon)
-        moments, deviation = pointer_readout(pre, post, measured, spec, prediction)
-        rows.append(SweepRow(sigma, spec.weakness_ratio, moments.mean, deviation, n_points))
+        if not rows:  # terms and prediction are sigma-free: one walk, before any grid
+            profile = build_pointer_profile(pre, post, measured, spec)
+            prediction = weak_prediction(profile)
+        mean = pointer_moments(replace(profile, spec=spec)).mean
+        deviation = tuple(abs(m - w) for m, w in zip(mean, prediction))
+        rows.append(SweepRow(sigma, spec.weakness_ratio, mean, deviation, n_points))
     return rows

@@ -10,7 +10,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -365,15 +365,10 @@ def _standard_selection() -> tuple[StateVector, StateVector, tuple[OccupationRow
 def run_photonic_weak(gamma: float = 0.0, epsilon: float = 1.0) -> PhotonicWeakReport:
     """Weak arrival-time readout of the swapped pair at the standard analyzers."""
     pre, post, occupations = _standard_selection()
-    structure = pre.structure
-    photon2 = weak_value(
-        arrival_time_operator(structure, ("2",), gamma, epsilon), pre, post
-    )
-    photon4 = weak_value(
-        arrival_time_operator(structure, ("4",), gamma, epsilon), pre, post
-    )
-    joint_op = arrival_time_operator(structure, ("2", "4"), gamma, epsilon)
+    joint_op = arrival_time_operator(pre.structure, ("2", "4"), gamma, epsilon)
     joint = weak_value(joint_op, pre, post)
+    # A photon's own operator would give its joint component bit for bit.
+    photon2, photon4 = (replace(joint, value=(w,)) for w in joint.value)
     return PhotonicWeakReport(
         gamma=gamma,
         epsilon=epsilon,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import analyzer_literal, entangled_target_literal, state_of, photon_structure
-from hardyweak import pointer
+from hardyweak import pointer, scenarios, weakvalues
 from hardyweak.cli import DEFAULT_SWEEP_MULTIPLES, run_cli
 from hardyweak.scenarios import analyzer_post_selection, run_entanglement_swap
 from hardyweak.pointer import (
@@ -27,8 +27,14 @@ from hardyweak.pointer import (
     pointer_moments,
     pointer_terms,
     weak_limit_sweep,
+    weak_prediction,
 )
 from hardyweak.states import StructureError
+from hardyweak.weakvalues import (
+    OrthogonalPostSelectionError,
+    arrival_time_operator,
+    weak_value,
+)
 
 
 def _trapezoid(y: list[float], t: list[float]) -> float:
@@ -218,6 +224,15 @@ class TestProfileConstruction:
         with pytest.raises(StructureError):
             build_pointer_profile(pre, post, (), spec)
 
+    @pytest.mark.parametrize("measured", [("2", "2"), ("4", "4"), ("2", "4", "2")])
+    def test_both_entry_points_refuse_a_repeated_photon(self, measured):
+        pre, post = _pre_post()
+        spec = PointerSpec.default(0.0, 1.0, 1.0)
+        with pytest.raises(StructureError, match="^measure one photon or an ordered pair$"):
+            build_pointer_profile(pre, post, measured, spec)
+        with pytest.raises(StructureError, match="^measure one photon or an ordered pair$"):
+            weak_limit_sweep(pre, post, measured, 0.0, 1.0, [1.0, 2.0])
+
 
 class TestGridIntegrals:
     def test_weights_match_the_pairwise_trapezoid(self):
@@ -266,21 +281,35 @@ class TestWorkCount:
         assert len(centers) == want
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv", [["--scenario=pointer"], ["--scenario=pointer-sweep"]])
-    def test_one_weak_value_per_run(self, monkeypatch, capsys, argv):
-        # The prediction does not depend on sigma, and the joint weak value
-        # holds both photons' values.
-        builds = []
-        original = pointer.arrival_time_operator
+    @pytest.mark.parametrize("argv,walks,operators", [
+        (["--scenario=pointer"], 3, 0),
+        (["--scenario=pointer-sweep"], 1, 0),  # six default widths
+        (["--scenario=photonic-weak"], 0, 1),
+    ])
+    def test_one_label_contraction_per_run(self, monkeypatch, capsys, argv, walks, operators):
+        # A pointer reads its weak-value prediction off the joint profile's
+        # terms, which do not depend on sigma; the joint arrival-time weak
+        # value holds both photons' values.
+        scenarios._standard_selection()  # the once-per-process occupation operators
+        calls = []
 
-        def counting(*args):
-            builds.append(args)
-            return original(*args)
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(pointer, "arrival_time_operator", counting)
+        projector_sum = weakvalues.WeightedProjectorSum
+        monkeypatch.setattr(pointer, "pointer_terms", counting("walk", pointer.pointer_terms))
+        monkeypatch.setattr(scenarios, "arrival_time_operator",
+                            counting("operator", scenarios.arrival_time_operator))
+        monkeypatch.setattr(projector_sum, "__post_init__",
+                            counting("sum", projector_sum.__post_init__))
         assert run_cli(["run", *argv]) == 0
-        assert len(builds) == 1
         capsys.readouterr()
+        assert calls.count("walk") == walks
+        assert calls.count("operator") == operators
+        assert calls.count("sum") == operators
 
     def test_closed_form_norm_is_summed_when_read(self, monkeypatch, capsys):
         # No report prints the closed-form norm: a pointer request sums
@@ -340,6 +369,86 @@ class TestWorkCount:
         assert run_cli(["run", *argv, "--grid-points=128"]) == 0
         assert len(fsums) == want
         capsys.readouterr()
+
+
+def _prediction_cases(count: int):
+    """Seeded gamma, epsilon and phi, with delays from 1e-300 to 1e150,
+    equal and zero delays, and the orthogonal and standard analyzers."""
+    rng = random.Random("weak-prediction")
+    special = (0.0, -0.0, math.pi / 4.0, -math.pi / 4.0, math.pi / 2.0, -math.atan(0.5))
+
+    def delay() -> float:
+        kind = rng.random()
+        if kind < 0.5:
+            return rng.uniform(-3.0, 3.0)
+        if kind < 0.8:
+            return math.copysign(10.0 ** rng.uniform(-300.0, 150.0), rng.random() - 0.5)
+        return float(rng.randint(-2, 2))
+
+    for index in range(count):
+        phi = rng.choice(special) if index % 10 == 0 else rng.uniform(-math.pi / 2, math.pi / 2)
+        yield delay(), delay(), phi
+
+
+def _both_routes(pre, post, measured, gamma, epsilon):
+    """The terms route and its oracle: each prediction, or its error message."""
+    spec = PointerSpec.default(gamma, epsilon, max(abs(gamma), abs(epsilon), 1.0), 64)
+    profile = build_pointer_profile(pre, post, measured, spec)
+    results = []
+    for route in (
+        lambda: weak_prediction(profile),
+        lambda: tuple(w.real for w in weak_value(
+            arrival_time_operator(pre.structure, measured, gamma, epsilon), pre, post).value),
+    ):
+        try:
+            results.append(route())
+        except OrthogonalPostSelectionError as exc:
+            results.append(str(exc))
+    return profile, results
+
+
+class TestWeakPrediction:
+    """The weak prediction from the pointer terms against weak_value of
+    arrival_time_operator, the operator route photonic-weak prints."""
+
+    def test_joint_prediction_is_the_operator_weak_value_bit_for_bit(self):
+        pre = run_entanglement_swap().conditional_state()
+        refused = 0
+        for gamma, epsilon, phi in _prediction_cases(3000):
+            _, (got, want) = _both_routes(
+                pre, analyzer_post_selection(phi), ("2", "4"), gamma, epsilon)
+            if isinstance(want, str):
+                refused += 1
+                assert got == want
+            else:
+                assert [x.hex() for x in got] == [x.hex() for x in want], (gamma, epsilon, phi)
+        assert 0 < refused < 3000
+
+    def test_single_photon_prediction_matches_the_operator_weak_value(self):
+        # The terms add a photon's two labels per delay before weighting, so
+        # rounding differs: compare against the largest summand over the
+        # overlap, max|d| sum|c| / |sum c|, as the value itself may cancel.
+        pre = run_entanglement_swap().conditional_state()
+        for gamma, epsilon, phi in _prediction_cases(3000):
+            post = analyzer_post_selection(phi)
+            for measured in (("2",), ("4",)):
+                profile, (got, want) = _both_routes(pre, post, measured, gamma, epsilon)
+                if isinstance(want, str) or isinstance(got, str):
+                    assert isinstance(got, str) and isinstance(want, str)
+                    continue
+                coeffs = [c for _, c in profile.terms]
+                scale = (max(abs(gamma), abs(epsilon)) * sum(map(abs, coeffs))
+                         / abs(sum(coeffs)))
+                assert abs(got[0] - want[0]) <= 1e-14 * scale, (measured, gamma, epsilon, phi)
+
+    @pytest.mark.parametrize("measured", [("2",), ("4",), ("2", "4")])
+    def test_orthogonal_post_selection_is_refused(self, measured):
+        pre = run_entanglement_swap().conditional_state()
+        post = analyzer_post_selection(math.pi / 2.0)  # V V, absent from the pair
+        profile = build_pointer_profile(pre, post, measured, PointerSpec.default(0.0, 1.0, 1.0))
+        with pytest.raises(OrthogonalPostSelectionError) as exc:
+            weak_prediction(profile)
+        assert str(exc.value) == "post-selection overlap 0.000e+00 below threshold"
 
 
 class TestSinglePhotonExactness:

@@ -6,11 +6,9 @@ deterministic byte for byte so runs can be diffed and frozen.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
@@ -41,14 +39,7 @@ from .scenarios import (
     run_photonic_weak,
 )
 
-SCENARIOS = (
-    "hardy",
-    "counterfactual",
-    "swap",
-    "photonic-weak",
-    "pointer",
-    "pointer-sweep",
-)
+SCENARIOS = ("hardy", "counterfactual", "swap", "photonic-weak", "pointer", "pointer-sweep")
 POINTER_SCENARIOS = ("pointer", "pointer-sweep")
 DELAY_SCENARIOS = ("photonic-weak", *POINTER_SCENARIOS)
 FORMATS = ("table", "json", "csv")
@@ -230,51 +221,71 @@ def parse_config(text: str) -> dict[str, Any]:
     return {key: _check_value(key, INPUTS[key][1], value) for key, value in raw.items()}
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad flags; that slot is reserved for
-    # run-time domain errors here, so surface them as config errors.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise ConfigError(message)
+class HelpRequested(Exception):
+    """-h or --help was given: ``run_cli`` prints ``usage()`` and exits 0."""
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="hardyweak", add_help=True)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    run = sub.add_parser("run", help="run one scenario and print its report")
-    # The stock pattern misses values such as -6e-05 and -inf, so a flag
-    # followed by one would be rejected as missing its argument.
-    run._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
-    run.add_argument("--config", help="JSON config file; flags override it")
-    for key, (_, spec) in INPUTS.items():
-        options: dict[str, Any] = {"help": spec.help}
-        if spec.scenarios != SCENARIOS:
-            options["help"] += f" ({', '.join(spec.scenarios)})"
-        if spec.kind is bool:
-            options.update(nargs="?", const="true", metavar="BOOL")
-        elif isinstance(spec.kind, tuple):
-            options["metavar"] = "{" + ",".join(spec.kind) + "}"
-        run.add_argument("--" + key.replace("_", "-"), **options)
-    return parser
+# Flag -> (config key, Input); the key "config" names the config file.
+FLAGS = {
+    "--config": ("config", Input(str, "JSON config file; flags override it")),
+    **{"--" + key.replace("_", "-"): (key, spec) for key, (_, spec) in INPUTS.items()},
+}
+METAVARS = {float: "NUMBER", int: "INT", bool: "BOOL", str: "PATH", "sweep": "sigma=V1,..."}
 
 
-PARSER = _build_parser()
+def usage() -> str:
+    """The -h text: the flag grammar, then each flag with its help."""
+    lines = ["usage: hardyweak run --scenario=NAME [--flag=value | --flag value] ...",
+             "Each flag at most once, by its full name; a bare BOOL flag means true."]
+    for flag, (_, spec) in FLAGS.items():
+        kind, takers = spec.kind, spec.scenarios
+        metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else METAVARS[kind]
+        only = "" if takers == SCENARIOS else f" ({', '.join(takers)})"
+        lines.append(f"  {flag}={metavar}\n      {spec.help}{only}")
+    return "\n".join(lines)
+
+
+def _read_flags(argv: list[str]) -> dict[str, str]:
+    """Each flag's text after ``run``, by key. ``--flag value`` takes the next
+    argument unless it starts with ``--``; a bool flag without one is true."""
+    if argv[:1] in (["-h"], ["--help"]):
+        raise HelpRequested
+    if argv[:1] != ["run"]:
+        raise ConfigError("expected the run command")
+    texts: dict[str, str] = {}
+    args = argv[:0:-1]  # the flags, reversed so that pop() takes the next one
+    while args:
+        flag, inline, text = args.pop().partition("=")
+        if flag in ("-h", "--help"):
+            raise HelpRequested
+        if flag not in FLAGS:
+            raise ConfigError(f"unrecognized arguments: {flag}")
+        key, spec = FLAGS[flag]
+        if key in texts:
+            raise ConfigError(f"argument {flag}: given more than once")
+        if not inline and args and not args[-1].startswith("--"):
+            text = args.pop()
+        elif not inline and spec.kind is bool:
+            text = "true"
+        elif not inline:
+            raise ConfigError(f"argument {flag}: expected one argument")
+        texts[key] = text
+    return texts
 
 
 def assemble_config(argv: Sequence[str] | None = None) -> RunConfig:
-    ns = PARSER.parse_args(argv)
-    if ns.command != "run":
-        raise ConfigError("expected the run command")
+    """``run`` and its flags (default ``sys.argv[1:]``) as a checked RunConfig."""
+    texts = _read_flags(sys.argv[1:] if argv is None else list(argv))
     merged: dict[str, Any] = {}
-    if ns.config is not None:
+    if "config" in texts:
         try:
-            text = Path(ns.config).read_text(encoding="utf-8")
+            text = Path(texts["config"]).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         merged.update(parse_config(text))
     for key, (_, spec) in INPUTS.items():
-        text = getattr(ns, key)
-        if text is not None:
-            merged[key] = _check_value(key, spec, _from_text(key, spec, text))
+        if key in texts:
+            merged[key] = _check_value(key, spec, _from_text(key, spec, texts[key]))
     scenario = merged.get("scenario")
     if scenario is None:
         raise ConfigError("no scenario selected; pass --scenario or a config file")
@@ -343,6 +354,8 @@ def _clean_float(x: float) -> float:
     ROADMAP item 3 is to exempt such measured fields.
     """
     value = float(x)
+    if not math.isfinite(value):  # a builder overflowed; no report prints inf or nan
+        raise ValueError(f"a reported value is {value}, not a finite number")
     if abs(value) < DUST_THRESHOLD:
         return 0.0
     approx = _small_fraction(value)
@@ -373,11 +386,7 @@ def _clean(value: Any) -> Any:
 
 
 HARDY_SHORT_KEYS = {
-    "gamma": "p_gamma",
-    "c+c-": "p_cc",
-    "c+d-": "p_cd",
-    "d+c-": "p_dc",
-    "d+d-": "p_dd",
+    "gamma": "p_gamma", "c+c-": "p_cc", "c+d-": "p_cd", "d+c-": "p_dc", "d+d-": "p_dd",
 }
 
 
@@ -406,10 +415,7 @@ def _counterfactual_block(include: Sequence[str] | None = None) -> dict[str, Any
 
 def _counterfactual_payload(config: RunConfig) -> dict[str, Any]:
     relaxed = [name for name in CONSTRAINT_NAMES if name != "joint-dark-click"]
-    return {
-        **_counterfactual_block(),
-        "without_joint_click": _counterfactual_block(relaxed),
-    }
+    return {**_counterfactual_block(), "without_joint_click": _counterfactual_block(relaxed)}
 
 
 def _swap_payload(config: RunConfig) -> dict[str, Any]:
@@ -541,9 +547,7 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _fields(
-    payload: dict[str, Any], keys: Iterable[str], indent: str = ""
-) -> list[str]:
+def _fields(payload: dict[str, Any], keys: Iterable[str], indent: str = "") -> list[str]:
     """``key=value`` lines, each followed by `` (p/q)`` where the payload
     holds ``key_rational``."""
     lines = []
@@ -634,11 +638,7 @@ CSV_HEADER = "sigma,r,mean_t2,mean_t4,deviation_t2,deviation_t4"
 def _render_csv(payload: dict[str, Any]) -> str:
     lines = [CSV_HEADER]
     for row in payload["rows"]:
-        fields = [
-            row["sigma"], row["r"],
-            row["mean"][0], row["mean"][1],
-            row["deviation"][0], row["deviation"][1],
-        ]
+        fields = [row["sigma"], row["r"], *row["mean"], *row["deviation"]]
         lines.append(",".join(repr(float(x)) for x in fields))
     return "\n".join(lines)
 
@@ -678,6 +678,9 @@ def render(payload: dict[str, Any], output_format: str) -> str:
 def run_cli(argv: Sequence[str] | None = None) -> int:
     try:
         config = assemble_config(argv)
+    except HelpRequested:
+        print(usage())
+        return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
@@ -687,22 +690,19 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 2
     text = render(payload, config.output_format)
-    if config.output_path is None:
-        try:
+    try:
+        if config.output_path is None:
             print(text)
             sys.stdout.flush()  # a closed pipe fails here, not at exit
-        except BrokenPipeError as exc:
+        else:
+            Path(config.output_path).write_text(text + "\n")
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
             # Python flushes stdout again at exit; send that flush to
             # devnull so the closed pipe does not raise a second time.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            print(f"error: config: cannot write report: {exc}", file=sys.stderr)
-            return 1
-        return 0
-    try:
-        Path(config.output_path).write_text(text + "\n")
-    except OSError as exc:
         print(f"error: config: cannot write report: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -16,6 +16,7 @@ import pytest
 import hardyweak
 from hardyweak import __version__, scenarios
 from hardyweak.cli import (
+    INPUTS,
     REPORTS,
     SCENARIOS,
     ConfigError,
@@ -28,6 +29,8 @@ from hardyweak.cli import (
     run_cli,
 )
 from hardyweak.pointer import MAX_N_POINTS
+
+from byte_corpus import digest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -220,6 +223,10 @@ def test_bs2_flag_forms():
     assert spaced.parameters.bs2_minus is False
     with pytest.raises(ConfigError, match="expects true or false"):
         assemble_config(["run", "--scenario", "hardy", "--bs2-plus", "maybe"])
+    # A bare bool stops at the next flag; a word that is not a flag is its value.
+    followed = assemble_config(["run", "--bs2-plus", "--format=json", "--scenario=hardy"])
+    assert followed.parameters.bs2_plus is True
+    assert followed.output_format == "json"
 
 
 # -------------------------------------------------------------- exit codes
@@ -230,6 +237,38 @@ def test_unknown_flag_exits_one(capsys):
     assert code == 1
     assert err.startswith("error: config: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--scen", "pointer"], "unrecognized arguments: --scen"),
+    (["--scenario=pointer", "--sig=3"], "unrecognized arguments: --sig"),
+    (["--scenario=pointer", "--grid=64"], "unrecognized arguments: --grid"),
+    (["--scenario=hardy", "--bs2_plus=true"], "unrecognized arguments: --bs2_plus"),
+    (["--scenario=hardy", "--format=json", "--format=table"],
+     "argument --format: given more than once"),
+    (["--config", "run.json", "--config=run.json"],
+     "argument --config: given more than once"),
+    (["--scenario=pointer", "--gamma"], "argument --gamma: expected one argument"),
+    (["--scenario=pointer", "--gamma", "--sigma=2"],
+     "argument --gamma: expected one argument"),
+    (["--scenario", "hardy", "pointer"], "unrecognized arguments: pointer"),
+])
+def test_abbreviated_unknown_repeated_and_bare_flags_exit_one(capsys, argv, message):
+    code, out, err = run(["run", *argv], capsys)
+    assert (code, out, err) == (1, "", f"error: config: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"], ["run", "--help"],
+                                  ["run", "--scenario=nope", "--help"]])
+def test_help_prints_usage_and_exits_zero(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: hardyweak run --scenario=NAME ")
+    for key, (_, spec) in INPUTS.items():
+        assert f"  --{key.replace('_', '-')}=" in out
+        assert spec.help in out
+    assert "  --config=PATH\n" in out
+    assert "--swap-mode={coherent,decohered}\n      swap preparation (swap)\n" in out
 
 
 def test_bad_sigma_exits_one(capsys):
@@ -449,9 +488,13 @@ def test_goldens_repeat_byte_for_byte_from_the_caches(capsys):
 @pytest.mark.parametrize("name", sorted(n for n in GOLDENS if not n.endswith(".json")))
 def test_table_and_csv_render_from_the_json_report_alone(capsys, name):
     output_format = "csv" if name.endswith(".csv") else "table"
-    code, report, _ = run(["run", *GOLDENS[name]], capsys)
+    argv = GOLDENS[name]
+    code, report, _ = run(["run", *argv], capsys)
     assert code == 0
-    _, out, _ = run(["run", *GOLDENS[name], "--format", "json"], capsys)
+    if "--format" in argv:  # each flag may be given once: replace the format
+        at = argv.index("--format")
+        argv = argv[:at] + argv[at + 2:]
+    _, out, _ = run(["run", *argv, "--format", "json"], capsys)
     assert render(json.loads(out), output_format) + "\n" == report
 
 
@@ -490,19 +533,32 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def _child_run(*args):
+def _child_run(*args, **env):
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, check=True, env=_child_env()
+        [sys.executable, *args], capture_output=True, check=True,
+        env={**_child_env(), **env},
     )
 
 
+DIGEST_GOLDENS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from byte_corpus import digest
+for argv in json.loads(sys.argv[2]):
+    print(json.dumps(digest(argv)))
+"""
+
+
 def test_cross_process_determinism():
-    args = ["-c", "from hardyweak.cli import main; main()",
-            "run", "--scenario", "hardy", "--format", "json"]
-    first = _child_run(*args)
-    second = _child_run(*args)
-    assert first.stdout == second.stdout
-    assert first.stdout
+    # Each child runs every golden argv under its own string hashing; both
+    # print what this process prints.
+    argvs = [["run", *argv] for argv in GOLDENS.values()]
+    args = ["-c", DIGEST_GOLDENS, str(Path(__file__).parent), json.dumps(argvs)]
+    first = _child_run(*args, PYTHONHASHSEED="1").stdout.decode().splitlines()
+    second = _child_run(*args, PYTHONHASHSEED="2").stdout.decode().splitlines()
+    assert len(first) == len(GOLDENS)
+    assert first == second == [json.dumps(digest(argv)) for argv in argvs]
+    assert [json.loads(line)["exit"] for line in first] == [0] * len(GOLDENS)
 
 
 def test_module_entry_point_runs_a_scenario():
@@ -573,6 +629,15 @@ def test_photonic_weak_self_checks_scale_with_delays(capsys, gamma, epsilon):
     assert (code, err) == (0, "")
     real_parts = [z["re"] for z in json.loads(out)["A24_w"]]
     assert real_parts == pytest.approx([float(epsilon)] * 2, rel=1e-12)
+
+
+def test_weak_value_past_the_float_range_exits_two(capsys):
+    # A2_w is epsilon times 1 + 2 ulp here, which rounds past the largest float.
+    code, out, err = run(
+        ["run", "--scenario=photonic-weak", "--epsilon=1.7976931348623157e308"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: domain: a reported value is inf, not a finite number\n"
 
 
 def test_photonic_weak_json_schema(capsys):

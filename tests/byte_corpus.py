@@ -13,7 +13,8 @@ The argv lists are:
   generators of ``bench/workloads.py`` are imported, not changed);
 * edge argvs: near-orthogonal and orthogonal analyzers, grids over their
   error budget or overflowing, equal delays, extreme widths, the sweep's
-  error order, flags argparse accepts silently, and configuration errors.
+  error order, abbreviated, repeated and unknown flags (refused), help,
+  and configuration errors.
 
 The digests are of this program's output under the platform's libm; a
 libm that rounds ``exp`` differently moves grid-route bytes.  An intended
@@ -105,11 +106,20 @@ EDGE_ARGVS = [
     ["--scenario=photonic-weak", "--gamma=1", "--epsilon=1"],
     ["--scenario=photonic-weak", "--gamma=-1e308", "--epsilon=1e308", "--format=json"],
     ["--scenario=photonic-weak", "--epsilon=1e17"],
-    # Flags argparse accepts silently: prefixes and a repeated flag.
+    # Flags now refused with exit 1 (argparse accepted the first four
+    # silently): prefixes, repeats, an underscore, a missing value.
     ["--scen", "pointer"],
     ["--scenario=pointer", "--sig=3"],
     ["--scenario=pointer", "--grid=64"],
     ["--scenario=hardy", "--format=json", "--format=table"],
+    ["--config", "run.json", "--config=run.json"],
+    ["--scenario=hardy", "--bs2_plus=true"],
+    ["--scenario=pointer", "--gamma"],
+    # A bare bool flag followed by a flag; help.
+    ["--bs2-plus", "--format=json", "--scenario=hardy"],
+    ["--help"],
+    # A weak value that rounds past the largest float.
+    ["--scenario=photonic-weak", "--epsilon=1.7976931348623157e308"],
     # Configuration errors.
     [],
     ["--scenario=nope"],
@@ -152,7 +162,8 @@ def corpus_argvs() -> list[tuple[str, list[str]]]:
     for workload, seed, count in WORKLOAD_STREAMS:
         entries += [(workload, list(request.argv))
                     for request in workloads.first(workload, seed, count)]
-    entries += [("edge", ["run", *argv]) for argv in EDGE_ARGVS] + [("edge", [])]
+    entries += [("edge", ["run", *argv]) for argv in EDGE_ARGVS]
+    entries += [("edge", []), ("edge", ["-h"])]
     unique: dict[tuple[str, ...], tuple[str, list[str]]] = {}
     for group, argv in entries:  # each argv once, where it first appears
         unique.setdefault(tuple(argv), (group, argv))

@@ -11,7 +11,6 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -309,8 +308,8 @@ def assemble_config(argv: Sequence[str] | None = None) -> RunConfig:
 DUST_THRESHOLD = 1e-12
 
 
-def _small_fraction(value: float) -> Fraction | None:
-    """The p/q with q <= 64 within 1e-9 of ``value``, if there is one.
+def _small_fraction(value: float) -> tuple[int, int] | None:
+    """The p/q with q <= 64 within 1e-9 of ``value``, as (p, q), if there is one.
 
     This is ``Fraction(value).limit_denominator(64)``, run on the plain
     integers of ``value``'s exact ratio: the same continued fraction, the
@@ -339,7 +338,7 @@ def _small_fraction(value: float) -> Fraction | None:
             p, q = p0 + k * p1, q0 + k * q1
     if abs(p / q - value) > RATIONAL_TOLERANCE:
         return None
-    return Fraction(p, q)
+    return p, q
 
 
 def _clean_float(x: float) -> float:
@@ -359,7 +358,7 @@ def _clean_float(x: float) -> float:
     if abs(value) < DUST_THRESHOLD:
         return 0.0
     approx = _small_fraction(value)
-    return value if approx is None else float(approx)
+    return value if approx is None else approx[0] / approx[1]
 
 
 def _with_rational(key: str, value: float) -> dict[str, Any]:
@@ -368,7 +367,8 @@ def _with_rational(key: str, value: float) -> dict[str, Any]:
     approx = _small_fraction(value)
     if approx is None:
         return {key: value}
-    return {key: value, f"{key}_rational": str(approx)}
+    p, q = approx
+    return {key: value, f"{key}_rational": f"{p}/{q}" if q != 1 else str(p)}
 
 
 def _clean(value: Any) -> Any:

@@ -36,7 +36,8 @@ def _number(data, spec) -> tuple[str, object]:
     if spec.kind is int:
         low = 1 if above_zero else -INT_CAP if low is None else int(low)
         if family == "in":
-            value = data.draw(st.integers(low, INT_CAP if high is None else min(high, INT_CAP)))
+            top = INT_CAP if high is None else min(high, INT_CAP)
+            value = data.draw(st.integers(low, top))
         else:
             value = data.draw(st.sampled_from([
                 low - 1, -1, 0, 10**30, 1.5, *([] if high is None else [high + 1])]))
@@ -56,11 +57,12 @@ def _number(data, spec) -> tuple[str, object]:
     return repr(value), value
 
 
-def _value(data, key, spec, tmp_path) -> tuple[str, object]:
-    """A value for ``key`` as (flag text, config value): well formed or not."""
+def _value(data, spec, tmp_path) -> tuple[str, object]:
+    """A value for ``spec`` as (flag text, config value): well formed or not."""
     kind = spec.kind
     if kind is str:  # a path: only ever under tmp_path, or empty
-        name = data.draw(st.sampled_from(["report.out"] * 3 + ["missing/report.out", ".", ""]))
+        names = ["report.out"] * 3 + ["missing/report.out", ".", ""]
+        name = data.draw(st.sampled_from(names))
         path = str(tmp_path / name) if name else ""
         return path, path
     if data.draw(st.sampled_from(["good"] * 7 + ["malformed"])) == "malformed":
@@ -93,14 +95,16 @@ def _argv(data, tmp_path) -> tuple[list[str], set[str], bool]:
     for key in keys:
         spec = INPUTS[key][1]
         text, value = (scenario, scenario) if key == "scenario" else _value(
-            data, key, spec, tmp_path)
+            data, spec, tmp_path)
         flag = "--" + key.replace("_", "-")
-        forms = ["eq", "sep", "config"] + (["bare"] if value is True else [])
-        form = data.draw(st.sampled_from(forms))
-        if form == "config":
+        forms = {"eq": [f"{flag}={text}"], "sep": [flag, text], "config": None}
+        if value is True:
+            forms["bare"] = [flag]
+        group = forms[data.draw(st.sampled_from(list(forms)))]
+        if group is None:
             config[key] = value
         else:
-            groups.append({"eq": [f"{flag}={text}"], "sep": [flag, text], "bare": [flag]}[form])
+            groups.append(group)
     if config:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))

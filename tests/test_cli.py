@@ -253,7 +253,7 @@ def test_unknown_flag_exits_one(capsys):
      "argument --gamma: expected one argument"),
     (["--scenario", "hardy", "pointer"], "unrecognized arguments: pointer"),
 ])
-def test_abbreviated_unknown_repeated_and_bare_flags_exit_one(capsys, argv, message):
+def test_abbreviated_unknown_repeated_and_valueless_flags_exit_one(capsys, argv, message):
     code, out, err = run(["run", *argv], capsys)
     assert (code, out, err) == (1, "", f"error: config: {message}\n")
 

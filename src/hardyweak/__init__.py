@@ -23,8 +23,6 @@ from .states import (
     tensor,
 )
 from .optics import (
-    DEFAULT_CONVENTION,
-    BeamsplitterConvention,
     FockModeState,
     UnsupportedOccupancyError,
     apply_annihilation,

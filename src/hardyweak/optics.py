@@ -3,11 +3,6 @@
 All elements are expressed as level maps: a subsystem's alphabet is
 rewritten through a linear, norm-preserving substitution while every
 other subsystem (and the GAMMA channel) rides along untouched.
-
-Phase convention, fixed once for the whole package: a beamsplitter
-multiplies the reflected amplitude by i and the transmitted one by 1,
-both ports balanced.  The entry splitter reflects the input into the
-overlapping arm O; the exit splitter transmits O to port c.
 """
 from __future__ import annotations
 
@@ -42,31 +37,19 @@ def photon_pair_structure() -> Structure:
 LevelMap = Mapping[str, Mapping[str, complex]]
 
 
-@dataclass(frozen=True)
-class BeamsplitterConvention:
-    """Balanced splitter phases; transmissivity is pinned at one half."""
-
-    reflection_phase: complex = 1j
-
-    def entry_map(self) -> dict[str, dict[str, complex]]:
-        t = 1.0 / math.sqrt(2.0)
-        return {ENTRY_LEVEL: {"O": self.reflection_phase * t, "NO": t}}
-
-    def exit_map(self, present: bool) -> dict[str, dict[str, complex]]:
-        if not present:
-            return {"O": {"c": 1.0}, "NO": {"d": 1.0}}
-        t = 1.0 / math.sqrt(2.0)
-        r = self.reflection_phase * t
-        return {"O": {"c": t, "d": r}, "NO": {"c": r, "d": t}}
-
-    def fock_pair_map(self) -> dict[str, dict[str, complex]]:
-        # Creation-operator substitution for the two-input combiner.
-        t = 1.0 / math.sqrt(2.0)
-        r = self.reflection_phase * t
-        return {"a": {"c": t, "d": r}, "b": {"c": r, "d": t}}
+# The balanced splitter, the one phase convention of the package: each
+# port transmits with a real amplitude and reflects with a factor i.
+TRANSMIT = 1.0 / math.sqrt(2.0)
+REFLECT = 1j * TRANSMIT
 
 
-DEFAULT_CONVENTION = BeamsplitterConvention()
+def splitter_map(inputs: tuple[str, ...], outputs: tuple[str, str]) -> LevelMap:
+    """The balanced splitter as a level map: the k-th input transmits to
+    the k-th output and reflects to the other one.  A single input gives
+    the one-port entry splitter."""
+    first, second = outputs
+    rows = ({first: TRANSMIT, second: REFLECT}, {first: REFLECT, second: TRANSMIT})
+    return dict(zip(inputs, rows))
 
 
 def adjoint_level_map(mapping: LevelMap) -> dict[str, dict[str, complex]]:
@@ -88,7 +71,7 @@ def apply_level_map(
     sub = state.structure.subsystem(name)
     if set(mapping) != set(sub.levels):
         raise StructureError(
-            f"level map must cover exactly the alphabet of {name!r}"
+            f"level map on {name!r} covers {tuple(mapping)}, but {name!r} has {sub.levels}"
         )
     for row in mapping.values():
         for target in row:
@@ -108,13 +91,8 @@ def apply_level_map(
 
 def apply_first_beamsplitter(state: StateVector, particle: str) -> StateVector:
     """Split a particle waiting at its entry into the O / NO arm pair."""
-    sub = state.structure.subsystem(particle)
-    if len(sub.levels) != 1:
-        raise StructureError(
-            f"particle {particle!r} must sit in a single entry level, has {sub.levels}"
-        )
-    mapping = {sub.levels[0]: DEFAULT_CONVENTION.entry_map()[ENTRY_LEVEL]}
-    return apply_level_map(state, particle, mapping, ARM_LEVELS)
+    entry = state.structure.subsystem(particle).levels[:1]
+    return apply_level_map(state, particle, splitter_map(entry, ("NO", "O")), ARM_LEVELS)
 
 
 def apply_annihilation(state: StateVector) -> StateVector:
@@ -141,13 +119,11 @@ def apply_second_beamsplitter(
     state: StateVector, particle: str, present: bool
 ) -> StateVector:
     """Recombine (or, absent, merely relabel) one particle's arms into ports."""
-    sub = state.structure.subsystem(particle)
-    if set(sub.levels) != set(ARM_LEVELS):
-        raise StructureError(
-            f"exit splitter expects arms {ARM_LEVELS}, {particle!r} has {sub.levels}"
-        )
-    exit_map = DEFAULT_CONVENTION.exit_map(present)
-    return apply_level_map(state, particle, exit_map, PORT_LEVELS)
+    if present:
+        mapping = splitter_map(ARM_LEVELS, PORT_LEVELS)
+    else:
+        mapping = {"O": {"c": 1.0}, "NO": {"d": 1.0}}
+    return apply_level_map(state, particle, mapping, PORT_LEVELS)
 
 
 # H leaves a polarizing splitter in its transmitted mode, V in its reflected one.
@@ -161,9 +137,6 @@ def split_pbs_level(level: str) -> tuple[str, str]:
 
 def apply_pbs(state: StateVector, photon: str) -> StateVector:
     """Tag H with the transmitted spatial mode and V with the reflected one."""
-    sub = state.structure.subsystem(photon)
-    if set(sub.levels) != set(POLARIZATION_LEVELS):
-        raise StructureError(f"polarizing splitter expects H/V on {photon!r}")
     new_h, new_v = PBS_LEVELS
     mapping = {"H": {new_h: 1.0}, "V": {new_v: 1.0}}
     return apply_level_map(state, photon, mapping, PBS_LEVELS)
@@ -171,9 +144,6 @@ def apply_pbs(state: StateVector, photon: str) -> StateVector:
 
 def apply_polarization_rotation(state: StateVector, photon: str, phi: float) -> StateVector:
     """Rotate one photon's polarization basis by phi (real rotation)."""
-    sub = state.structure.subsystem(photon)
-    if set(sub.levels) != set(POLARIZATION_LEVELS):
-        raise StructureError(f"rotation expects H/V on {photon!r}")
     c, s = math.cos(phi), math.sin(phi)
     mapping = {"H": {"H": c, "V": -s}, "V": {"H": s, "V": c}}
     return apply_level_map(state, photon, mapping, POLARIZATION_LEVELS)
@@ -214,9 +184,7 @@ def hom_combine(
     """
     if len(state.modes) != 2:
         raise StructureError("combiner expects exactly two input modes")
-    sub = DEFAULT_CONVENTION.fock_pair_map()
-    a_row = [sub["a"]["c"], sub["a"]["d"]]
-    b_row = [sub["b"]["c"], sub["b"]["d"]]
+    a_row, b_row = splitter_map(("a", "b"), ("c", "d")).values()
     out: dict[tuple[int, ...], complex] = {}
     for (na, nb), amp in state.amplitudes.items():
         if na + nb > MAX_OCCUPANCY:
@@ -228,8 +196,8 @@ def hom_combine(
         for row in [a_row] * na + [b_row] * nb:
             grown: dict[tuple[int, int], complex] = {}
             for (j, k), coeff in poly.items():
-                grown[(j + 1, k)] = grown.get((j + 1, k), 0j) + coeff * row[0]
-                grown[(j, k + 1)] = grown.get((j, k + 1), 0j) + coeff * row[1]
+                grown[(j + 1, k)] = grown.get((j + 1, k), 0j) + coeff * row["c"]
+                grown[(j, k + 1)] = grown.get((j, k + 1), 0j) + coeff * row["d"]
             poly = grown
         scale = 1.0 / math.sqrt(math.factorial(na) * math.factorial(nb))
         for (j, k), coeff in poly.items():

@@ -15,7 +15,6 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .optics import (
-    DEFAULT_CONVENTION,
     FockModeState,
     adjoint_level_map,
     apply_annihilation,
@@ -27,6 +26,7 @@ from .optics import (
     interferometer_structure,
     photon_pair_structure,
     split_pbs_level,
+    splitter_map,
     ARM_LEVELS,
     PORT_LEVELS,
 )
@@ -313,7 +313,7 @@ def dark_port_coincidence_state() -> StateVector:
     """Joint dark-port detection pulled back through both exit splitters."""
     ports = Structure.of(("+", PORT_LEVELS), ("-", PORT_LEVELS))
     sv = StateVector(ports, {ports.label("d", "d"): 1.0})
-    adj = adjoint_level_map(DEFAULT_CONVENTION.exit_map(True))
+    adj = adjoint_level_map(splitter_map(ARM_LEVELS, PORT_LEVELS))
     sv = apply_level_map(sv, "+", adj, ARM_LEVELS)
     sv = apply_level_map(sv, "-", adj, ARM_LEVELS)
     return sv

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from hardyweak.optics import (
     apply_second_beamsplitter,
     hom_combine,
     interferometer_structure,
-    DEFAULT_CONVENTION,
+    splitter_map,
 )
 from hardyweak.states import (
     GAMMA,
@@ -155,7 +156,7 @@ class TestExitSplitter:
         # as post-selecting (-i|O> + |NO>)/sqrt2 on each particle upstream.
         ports = Structure.of(("+", ("c", "d")), ("-", ("c", "d")))
         dd = StateVector(ports, {ports.label("d", "d"): 1.0})
-        adj = adjoint_level_map(DEFAULT_CONVENTION.exit_map(True))
+        adj = adjoint_level_map(splitter_map(("O", "NO"), ("c", "d")))
         pulled = apply_level_map(dd, "+", adj, ("O", "NO"))
         pulled = apply_level_map(pulled, "-", adj, ("O", "NO"))
         sv = apply_first_beamsplitter(entry_pair(), "+")
@@ -166,6 +167,23 @@ class TestExitSplitter:
         )
         dd_amp = forward.amplitude(forward.structure.label("d", "d"))
         assert abs(inner(pulled, sv) - dd_amp) < 1e-12
+
+
+class TestOneAlphabetCheck:
+    # apply_level_map is the only alphabet check of the elements built on it;
+    # its message names the subsystem, the map's levels and the subsystem's.
+    @pytest.mark.parametrize("element, levels, covers", [
+        (apply_first_beamsplitter, ("O", "NO"), ("O",)),
+        (lambda sv, name: apply_second_beamsplitter(sv, name, True), ("c", "d"), ("O", "NO")),
+        (apply_pbs, ("O", "NO"), ("H", "V")),
+        (lambda sv, name: apply_polarization_rotation(sv, name, 0.3), ("O", "NO"), ("H", "V")),
+    ], ids=["entry", "exit", "pbs", "rotation"])
+    def test_wrong_alphabet_names_both_level_sets(self, element, levels, covers):
+        s = Structure.of(("+", levels))
+        sv = StateVector(s, {s.label(levels[0]): 1.0})
+        message = f"level map on '+' covers {covers}, but '+' has {levels}"
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            element(sv, "+")
 
 
 class TestPolarizationElements:
@@ -232,6 +250,20 @@ class TestHomCombine:
         out = hom_combine(one_b)
         assert abs(out.amplitudes[(1, 0)] - 1j / SQRT2) < 1e-12
         assert abs(out.amplitudes[(0, 1)] - 1 / SQRT2) < 1e-12
+
+    def test_single_photon_routes_are_the_exit_splitter(self):
+        # One splitter map: the combiner's amplitudes are the exit splitter's, bit for bit.
+        arms = Structure.of(("+", ("O", "NO")))
+        for occ, arm in (((1, 0), "O"), ((0, 1), "NO")):
+            combined = hom_combine(FockModeState(("a", "b"), {occ: 1.0})).amplitudes
+            split = apply_second_beamsplitter(
+                StateVector(arms, {arms.label(arm): 1.0}), "+", True
+            )
+            ports = split.structure
+            assert combined == {
+                (1, 0): split.amplitude(ports.label("c")),
+                (0, 1): split.amplitude(ports.label("d")),
+            }
 
     def test_two_photon_bunching(self):
         both = FockModeState(("a", "b"), {(1, 1): 1.0})

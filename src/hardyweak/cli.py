@@ -354,7 +354,7 @@ def _clean_float(x: float) -> float:
     """
     value = float(x)
     if not math.isfinite(value):  # a builder overflowed; no report prints inf or nan
-        raise ValueError(f"a reported value is {value}, not a finite number")
+        raise ValueError(f"{value}, not a finite number")  # build_payload names the key
     if abs(value) < DUST_THRESHOLD:
         return 0.0
     approx = _small_fraction(value)
@@ -656,11 +656,18 @@ REPORTS = {
 
 def build_payload(config: RunConfig) -> dict[str, Any]:
     build, _ = REPORTS[config.scenario]
-    return _clean({
+    raw = {
         "meta": {"tool": "hardyweak", "version": __version__},
         "scenario": config.scenario,
         **build(config),
-    })
+    }
+    payload = {}
+    for key, value in raw.items():
+        try:
+            payload[key] = _clean(value)
+        except ValueError as exc:  # _clean_float met an inf or nan
+            raise ValueError(f"{key} is {exc}") from None
+    return payload
 
 
 def render(payload: dict[str, Any], output_format: str) -> str:

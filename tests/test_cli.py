@@ -637,7 +637,7 @@ def test_weak_value_past_the_float_range_exits_two(capsys):
         ["run", "--scenario=photonic-weak", "--epsilon=1.7976931348623157e308"], capsys
     )
     assert (code, out) == (2, "")
-    assert err == "error: domain: a reported value is inf, not a finite number\n"
+    assert err == "error: domain: A2_w is inf, not a finite number\n"
 
 
 def test_photonic_weak_json_schema(capsys):

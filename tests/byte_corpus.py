@@ -16,17 +16,26 @@ The argv lists are:
   error order, abbreviated, repeated and unknown flags (refused), help,
   and configuration errors.
 
+Every argv runs from the root of the checkout, so a config path in it is
+relative to that root.
+
 The digests are of this program's output under the platform's libm; a
 libm that rounds ``exp`` differently moves grid-route bytes.  An intended
 output change regenerates the file in its own commit:
 
     PYTHONPATH=src python tests/byte_corpus.py
+
+Replaying the recorded argvs needs only the standard library (no pytest);
+it prints each argv that moved and exits 1 if any did:
+
+    PYTHONPATH=src python tests/byte_corpus.py --check
 """
 from __future__ import annotations
 
 import hashlib
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -34,6 +43,7 @@ from pathlib import Path
 from hardyweak.cli import run_cli
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 CORPUS = HERE / "byte_corpus.json"
 
 # (workload, seed, count): the first requests of each stream.
@@ -140,10 +150,16 @@ EDGE_ARGVS = [
 
 
 def digest(argv: list[str]) -> dict:
-    """Exit code and SHA-256 digests of stdout and stderr of one in-process run."""
+    """Exit code and SHA-256 digests of stdout and stderr of one in-process
+    run from the root of the checkout."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = run_cli(argv)
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(argv)
+    finally:
+        os.chdir(cwd)
     return {
         "exit": code,
         "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
@@ -170,12 +186,29 @@ def corpus_argvs() -> list[tuple[str, list[str]]]:
     return list(unique.values())
 
 
-def main() -> None:
+def check() -> int:
+    """Replay every recorded argv; print each one that moved; 1 if any did."""
+    entries = json.loads(CORPUS.read_text())
+    moved = [entry["argv"] for entry in entries
+             if digest(entry["argv"]) != {k: entry[k] for k in ("exit", "stdout", "stderr")}]
+    for argv in moved:
+        print("moved:", json.dumps(argv))
+    print(f"{len(moved)} of {len(entries)} argvs moved")
+    return 1 if moved else 0
+
+
+def main(args: list[str]) -> int:
+    if args == ["--check"]:
+        return check()
+    if args:
+        print("usage: byte_corpus.py [--check]", file=sys.stderr)
+        return 2
     entries = [{"group": group, "argv": argv, **digest(argv)}
                for group, argv in corpus_argvs()]
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {CORPUS.name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

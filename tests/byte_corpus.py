@@ -14,7 +14,7 @@ The argv lists are:
 * edge argvs: near-orthogonal and orthogonal analyzers, grids over their
   error budget or overflowing, equal delays, extreme widths, the sweep's
   error order, abbreviated, repeated and unknown flags (refused), help,
-  and configuration errors.
+  configuration errors, and the config files in ``configs/``.
 
 Every argv runs from the root of the checkout, so a config path in it is
 relative to that root.
@@ -146,6 +146,13 @@ EDGE_ARGVS = [
     ["--scenario=pointer-sweep", "--sweep=tau=1,2"],
     ["--scenario=pointer-sweep", "--sweep=sigma=0,1"],
     ["--no-such-flag"],
+    # Config files: the README's sweep, a flag over one of its values, an
+    # unknown key, a key of another scenario, a root that is not an object.
+    ["--config", "tests/configs/pointer_sweep.json"],
+    ["--config=tests/configs/pointer_sweep.json", "--epsilon=0.5"],
+    ["--config=tests/configs/unknown_key.json"],
+    ["--config=tests/configs/other_scenario_key.json"],
+    ["--config=tests/configs/not_an_object.json"],
 ]
 
 

@@ -27,7 +27,6 @@ from .optics import (
     UnsupportedOccupancyError,
     apply_annihilation,
     apply_first_beamsplitter,
-    apply_pbs,
     apply_polarization_rotation,
     apply_second_beamsplitter,
     hom_combine,

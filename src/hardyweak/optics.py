@@ -126,22 +126,6 @@ def apply_second_beamsplitter(
     return apply_level_map(state, particle, mapping, PORT_LEVELS)
 
 
-# H leaves a polarizing splitter in its transmitted mode, V in its reflected one.
-PBS_LEVELS = ("H@transmit", "V@reflect")
-
-
-def split_pbs_level(level: str) -> tuple[str, str]:
-    pol, _, port = level.partition("@")
-    return pol, port
-
-
-def apply_pbs(state: StateVector, photon: str) -> StateVector:
-    """Tag H with the transmitted spatial mode and V with the reflected one."""
-    new_h, new_v = PBS_LEVELS
-    mapping = {"H": {new_h: 1.0}, "V": {new_v: 1.0}}
-    return apply_level_map(state, photon, mapping, PBS_LEVELS)
-
-
 def apply_polarization_rotation(state: StateVector, photon: str, phi: float) -> StateVector:
     """Rotate one photon's polarization basis by phi (real rotation)."""
     c, s = math.cos(phi), math.sin(phi)

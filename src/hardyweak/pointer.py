@@ -37,7 +37,7 @@ from operator import mul, sub
 from typing import Sequence
 
 from .states import StateVector, StructureError
-from .weakvalues import check_overlap
+from .weakvalues import check_overlap, polarization_delays
 
 DEFAULT_PADDING = 8.0
 MIN_N_POINTS = 64
@@ -321,9 +321,7 @@ def pointer_terms(
     names = pre.structure.names
     if any(m not in names for m in measured):
         raise StructureError(f"measured photons must be among {names}")
-    for sub in pre.structure.subsystems:
-        if set(sub.levels) != {"H", "V"}:
-            raise StructureError("pointer profiles need H/V photons throughout")
+    delay = polarization_delays(pre.structure, measured, spec.gamma, spec.epsilon)
     collected: dict[tuple[str, ...], complex] = {}
     for label in pre.structure.product_labels():
         cross = post.amplitude(label).conjugate() * pre.amplitude(label)
@@ -331,7 +329,6 @@ def pointer_terms(
             continue
         key = tuple(label.level(m) for m in measured)
         collected[key] = collected.get(key, 0j) + cross
-    delay = {"H": spec.gamma, "V": spec.epsilon}
     return tuple(
         (tuple(delay[level] for level in key), coeff)
         for key, coeff in sorted(collected.items())

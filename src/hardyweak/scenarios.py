@@ -20,12 +20,10 @@ from .optics import (
     apply_annihilation,
     apply_first_beamsplitter,
     apply_level_map,
-    apply_pbs,
     apply_second_beamsplitter,
     hom_combine,
     interferometer_structure,
     photon_pair_structure,
-    split_pbs_level,
     splitter_map,
     ARM_LEVELS,
     PORT_LEVELS,
@@ -236,13 +234,11 @@ def run_entanglement_swap(
 def _swap(mode: str, phase_calibration: tuple[float, ...]) -> SwapResult:
     phase_a, phase_b = (cmath.exp(1j * p) for p in phase_calibration)
     four = tensor(bell_pair("1", "2"), bell_pair("3", "4"))
-    four = apply_pbs(four, "1")
-    four = apply_pbs(four, "3")
     pair = photon_pair_structure()
     branch_amps: dict[str, dict[BasisLabel, complex]] = {}
     for label, amp in four.items():
-        pol1, _ = split_pbs_level(label.level("1"))
-        pol3, _ = split_pbs_level(label.level("3"))
+        # Polarizing splitters transmit H to the combiner and reflect V away.
+        pol1, pol3 = label.level("1"), label.level("3")
         n_a = 1 if pol1 == "H" else 0
         n_b = 1 if pol3 == "H" else 0
         trimmed = amp * (phase_a**n_a) * (phase_b**n_b)

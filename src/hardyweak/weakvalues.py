@@ -17,7 +17,7 @@ ORTHOGONALITY_THRESHOLD = 1e-12
 # Path arms of the particle picture against polarization levels of the
 # photonic one: the overlapping arm plays the role of V on both photons.
 PATH_TO_POLARIZATION = {"O": "V", "NO": "H"}
-POLARIZATION_TO_PATH = {"V": "O", "H": "NO"}
+POLARIZATION_TO_PATH = {pol: path for path, pol in PATH_TO_POLARIZATION.items()}
 
 
 class OrthogonalPostSelectionError(ValueError):
@@ -158,6 +158,19 @@ def identity_operator(structure: Structure) -> WeightedProjectorSum:
     )
 
 
+def polarization_delays(
+    structure: Structure, measured: Sequence[str], gamma: float, epsilon: float
+) -> dict[str, float]:
+    """Delays gamma on H and epsilon on V, for measured photons that are H/V."""
+    for name in measured:
+        sub = structure.subsystem(name)
+        if set(sub.levels) != {"H", "V"}:
+            raise StructureError(
+                f"arrival time is defined on H/V photons, not {name!r} with {sub.levels}"
+            )
+    return {"H": float(gamma), "V": float(epsilon)}
+
+
 def arrival_time_operator(
     structure: Structure,
     measured: Sequence[str],
@@ -170,11 +183,7 @@ def arrival_time_operator(
     are traced along as identity.  The weight vector has one component
     per measured photon, in the given order.
     """
-    delays = {"H": float(gamma), "V": float(epsilon)}
-    for name in measured:
-        sub = structure.subsystem(name)
-        if set(sub.levels) != {"H", "V"}:
-            raise StructureError(f"arrival time is defined on H/V photons, not {sub.levels}")
+    delays = polarization_delays(structure, measured, gamma, epsilon)
     terms = tuple(
         (label, tuple(delays[label.level(name)] for name in measured))
         for label in structure.product_labels()

@@ -20,7 +20,6 @@ from hardyweak.optics import (
     apply_annihilation,
     apply_first_beamsplitter,
     apply_level_map,
-    apply_pbs,
     apply_polarization_rotation,
     apply_second_beamsplitter,
     hom_combine,
@@ -175,9 +174,8 @@ class TestOneAlphabetCheck:
     @pytest.mark.parametrize("element, levels, covers", [
         (apply_first_beamsplitter, ("O", "NO"), ("O",)),
         (lambda sv, name: apply_second_beamsplitter(sv, name, True), ("c", "d"), ("O", "NO")),
-        (apply_pbs, ("O", "NO"), ("H", "V")),
         (lambda sv, name: apply_polarization_rotation(sv, name, 0.3), ("O", "NO"), ("H", "V")),
-    ], ids=["entry", "exit", "pbs", "rotation"])
+    ], ids=["entry", "exit", "rotation"])
     def test_wrong_alphabet_names_both_level_sets(self, element, levels, covers):
         s = Structure.of(("+", levels))
         sv = StateVector(s, {s.label(levels[0]): 1.0})
@@ -187,15 +185,6 @@ class TestOneAlphabetCheck:
 
 
 class TestPolarizationElements:
-    def test_pbs_tags_levels(self):
-        s = photon_structure()
-        sv = state_of(s, {("H", "H"): 1 / SQRT2, ("V", "H"): 1 / SQRT2})
-        out = apply_pbs(sv, "2")
-        levels = out.structure.subsystem("2").levels
-        assert levels == ("H@transmit", "V@reflect")
-        assert abs(out.norm_sq() - 1.0) < 1e-12
-        assert abs(out.amplitude(out.structure.label("H@transmit", "H")) - 1 / SQRT2) < 1e-12
-
     def test_rotation_at_zero_is_identity(self):
         sv = state_of(photon_structure(), {("H", "V"): 0.6, ("V", "H"): 0.8j})
         out = apply_polarization_rotation(sv, "2", 0.0)

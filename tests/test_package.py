@@ -14,7 +14,7 @@ __version__
 GAMMA BasisLabel StateVector Structure StructureError Subnormalized Subsystem
 condition equal_up_to_global_phase inner tensor
 FockModeState UnsupportedOccupancyError
-apply_annihilation apply_first_beamsplitter apply_pbs apply_polarization_rotation
+apply_annihilation apply_first_beamsplitter apply_polarization_rotation
 apply_second_beamsplitter hom_combine interferometer_structure photon_pair_structure
 OrthogonalPostSelectionError ProjectorWeakValue WeakValueReport WeightedProjectorSum
 arrival_time_operator identity_operator occupation_operator
@@ -31,7 +31,7 @@ verify_paper_states
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
     assert len(hardyweak.__all__) == len(set(hardyweak.__all__))
     assert set(hardyweak.__all__) == set(PUBLIC_NAMES)
     for name in hardyweak.__all__:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from itertools import product
 
@@ -29,7 +30,8 @@ from hardyweak.pointer import (
     weak_limit_sweep,
     weak_prediction,
 )
-from hardyweak.states import StructureError
+from hardyweak.optics import apply_level_map
+from hardyweak.states import Structure, StructureError
 from hardyweak.weakvalues import (
     OrthogonalPostSelectionError,
     arrival_time_operator,
@@ -223,6 +225,28 @@ class TestProfileConstruction:
             build_pointer_profile(pre, post, ("7",), spec)
         with pytest.raises(StructureError):
             build_pointer_profile(pre, post, (), spec)
+
+    def test_both_delay_callers_refuse_a_measured_photon_that_is_not_h_v(self):
+        s = Structure.of(("2", ("H", "V")), ("4", ("O", "NO")))
+        pre = state_of(s, {("H", "O"): 1.0})
+        spec = PointerSpec.default(0.0, 1.0, 1.0)
+        message = "arrival time is defined on H/V photons, not '4' with ('O', 'NO')"
+        for call in (lambda: pointer_terms(pre, pre, ("2", "4"), spec),
+                     lambda: arrival_time_operator(s, ("2", "4"), 0.0, 1.0)):
+            with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_an_unmeasured_photon_may_have_another_alphabet(self):
+        pre, post = _pre_post()
+        as_path = {"H": {"NO": 1.0}, "V": {"O": 1.0}}
+        pre_path, post_path = (apply_level_map(sv, "4", as_path, ("NO", "O"))
+                               for sv in (pre, post))
+        spec = PointerSpec.default(0.3, 1.7, 2.0)
+        terms = pointer_terms(pre_path, post_path, ("2",), spec)
+        assert terms == pointer_terms(pre, post, ("2",), spec)
+        op = arrival_time_operator(pre_path.structure, ("2",), 0.3, 1.7)
+        assert weak_value(op, pre_path, post_path).value == weak_value(
+            arrival_time_operator(pre.structure, ("2",), 0.3, 1.7), pre, post).value
 
     @pytest.mark.parametrize("measured", [("2", "2"), ("4", "4"), ("2", "4", "2")])
     def test_both_entry_points_refuse_a_repeated_photon(self, measured):

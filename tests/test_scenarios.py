@@ -307,28 +307,28 @@ def test_swap_rejects_unknown_mode():
 
 class TestSwapMemo:
     @pytest.fixture
-    def splitters(self, monkeypatch):
-        # Every swap sends photons 1 and 3 through a polarizing splitter.
+    def builds(self, monkeypatch):
+        # Every swap builds its four photons as one tensor product of two pairs.
         calls = []
-        original = scenarios.apply_pbs
+        original = scenarios.tensor
 
-        def counting(state, photon):
-            calls.append(photon)
-            return original(state, photon)
+        def counting(a, b):
+            calls.append(a.structure.names + b.structure.names)
+            return original(a, b)
 
-        monkeypatch.setattr(scenarios, "apply_pbs", counting)
+        monkeypatch.setattr(scenarios, "tensor", counting)
         scenarios._swap.cache_clear()
         yield calls
         scenarios._swap.cache_clear()
 
-    def test_one_swap_serves_every_request(self, splitters, capsys):
+    def test_one_swap_serves_every_request(self, builds, capsys):
         assert run_cli(["run", "--scenario=pointer"]) == 0
         assert run_cli(["run", "--scenario=pointer", "--phi=0.3"]) == 0
         assert run_cli(["run", "--scenario=photonic-weak"]) == 0
         capsys.readouterr()
-        assert splitters == ["1", "3"]
+        assert builds == [("1", "2", "3", "4")]
 
-    def test_each_mode_and_calibration_is_its_own_entry(self, splitters):
+    def test_each_mode_and_calibration_is_its_own_entry(self, builds):
         coherent = run_entanglement_swap()
         assert run_entanglement_swap("coherent", list(DEFAULT_SWAP_CALIBRATION)) is coherent
         decohered = run_entanglement_swap("decohered")
@@ -336,15 +336,15 @@ class TestSwapMemo:
         assert run_entanglement_swap("decohered") is decohered
         uncalibrated = run_entanglement_swap(phase_calibration=(0.0, 0.0))
         assert uncalibrated is not coherent
-        assert len(splitters) == 2 * 3
+        assert len(builds) == 3
 
-    def test_bad_arguments_raise_on_every_call(self, splitters):
+    def test_bad_arguments_raise_on_every_call(self, builds):
         for _ in range(2):
             with pytest.raises(ValueError, match="unknown swap mode"):
                 run_entanglement_swap(mode="classical")
             with pytest.raises(ValueError, match="per combiner input"):
                 run_entanglement_swap(phase_calibration=[0.0])
-        assert splitters == []
+        assert builds == []
 
     def test_shared_states_are_read_only(self):
         result = run_entanglement_swap()

@@ -18,6 +18,9 @@ from typing import Iterable, Iterator, Mapping
 # precision and may be dropped without moving any probability by > 1e-12.
 PRUNE_THRESHOLD = 1e-15
 NORM_TOLERANCE = 1e-12
+# Two normalized states are equal up to a global phase when |<a|b>| is
+# within this of one.
+PHASE_TOLERANCE = 1e-9
 
 
 class StructureError(ValueError):
@@ -207,10 +210,10 @@ class StateVector:
     def items(self) -> Iterator[tuple[BasisLabel, complex]]:
         return iter(self.amplitudes.items())
 
-    def prune(self, threshold: float = PRUNE_THRESHOLD) -> StateVector:
+    def prune(self) -> StateVector:
         return StateVector(
             self.structure,
-            {lab: a for lab, a in self.amplitudes.items() if abs(a) >= threshold},
+            {lab: a for lab, a in self.amplitudes.items() if abs(a) >= PRUNE_THRESHOLD},
         )
 
     def scaled(self, factor: complex) -> StateVector:
@@ -294,12 +297,10 @@ def condition(state: StateVector, outcome: Mapping[str, str]) -> Subnormalized:
     return Subnormalized.of(reduced)
 
 
-def equal_up_to_global_phase(
-    a: StateVector, b: StateVector, tol: float = 1e-9
-) -> bool:
-    """True iff |<a|b>| >= 1 - tol.  Both states must be normalized."""
+def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
+    """True iff |<a|b>| >= 1 - PHASE_TOLERANCE.  Both states must be normalized."""
     if a.structure != b.structure:
         raise StructureError("comparison requires identical structures")
     if not (a.normalized and b.normalized):
         raise ValueError("global-phase comparison is defined for normalized states")
-    return abs(inner(a, b)) >= 1.0 - tol
+    return abs(inner(a, b)) >= 1.0 - PHASE_TOLERANCE

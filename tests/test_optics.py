@@ -134,7 +134,7 @@ class TestExitSplitter:
         for name, levels in OUTCOME_LEVELS.items():
             want = table[name]
             assert abs(got.amplitude(got.structure.label(*levels)) - want) < 1e-12, name
-        assert equal_up_to_global_phase(got, expected_final_state(plus, minus), 1e-9)
+        assert equal_up_to_global_phase(got, expected_final_state(plus, minus))
 
     @given(st.lists(coeff_pairs, min_size=4, max_size=4))
     @settings(max_examples=40, deadline=None)

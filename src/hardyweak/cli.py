@@ -202,14 +202,26 @@ def _from_text(key: str, spec: Input, text: str) -> Any:
     return text
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object, refused if it repeats a key, as a repeated flag is."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {key!r} given more than once")
+        obj[key] = value
+    return obj
+
+
 def parse_config(text: str) -> dict[str, Any]:
     """Validate a JSON config document into a flat key/value mapping."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"parse error at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ConfigError:
+        raise
     except (ValueError, RecursionError) as exc:  # too many digits, too deep
         raise ConfigError(f"parse error: {exc}") from exc
     if not isinstance(raw, dict):

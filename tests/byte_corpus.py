@@ -147,12 +147,14 @@ EDGE_ARGVS = [
     ["--scenario=pointer-sweep", "--sweep=sigma=0,1"],
     ["--no-such-flag"],
     # Config files: the README's sweep, a flag over one of its values, an
-    # unknown key, a key of another scenario, a root that is not an object.
+    # unknown key, a key of another scenario, a root that is not an object,
+    # a repeated key.
     ["--config", "tests/configs/pointer_sweep.json"],
     ["--config=tests/configs/pointer_sweep.json", "--epsilon=0.5"],
     ["--config=tests/configs/unknown_key.json"],
     ["--config=tests/configs/other_scenario_key.json"],
     ["--config=tests/configs/not_an_object.json"],
+    ["--config=tests/configs/repeated_key.json"],
 ]
 
 

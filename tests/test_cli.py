@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -72,6 +73,25 @@ def test_parse_config_reports_json_error_position():
 def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys.*sigmas"):
         parse_config('{"scenario": "hardy", "sigmas": [1]}')
+
+
+@pytest.mark.parametrize("document,key", [
+    ('{"scenario": "pointer", "sigma": 1, "sigma": 2}', "sigma"),
+    ('{"sigma": 1, "scenario": "pointer", "sigma": 1}', "sigma"),
+    ('{"scenario": "pointer-sweep", "sweep": {"sigma": [1], "sigma": [2]}}', "sigma"),
+    ('{"scenario": "pointer", "tau": 1, "tau": 2}', "tau"),
+])
+def test_parse_config_refuses_a_repeated_key_at_every_level(document, key):
+    message = f"config key {key!r} given more than once"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(document)
+
+
+def test_repeated_config_key_exits_one_and_names_it(capsys):
+    config = Path(__file__).parent / "configs" / "repeated_key.json"
+    code, out, err = run(["run", "--config", str(config)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: config: config key 'sigma' given more than once\n"
 
 
 def test_parse_config_rejects_non_object_root():

@@ -5,7 +5,6 @@ import json
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -75,18 +74,6 @@ def test_parse_config_rejects_unknown_keys():
         parse_config('{"scenario": "hardy", "sigmas": [1]}')
 
 
-@pytest.mark.parametrize("document,key", [
-    ('{"scenario": "pointer", "sigma": 1, "sigma": 2}', "sigma"),
-    ('{"sigma": 1, "scenario": "pointer", "sigma": 1}', "sigma"),
-    ('{"scenario": "pointer-sweep", "sweep": {"sigma": [1], "sigma": [2]}}', "sigma"),
-    ('{"scenario": "pointer", "tau": 1, "tau": 2}', "tau"),
-])
-def test_parse_config_refuses_a_repeated_key_at_every_level(document, key):
-    message = f"config key {key!r} given more than once"
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        parse_config(document)
-
-
 def test_repeated_config_key_exits_one_and_names_it(capsys):
     config = Path(__file__).parent / "configs" / "repeated_key.json"
     code, out, err = run(["run", "--config", str(config)], capsys)
@@ -115,6 +102,11 @@ def test_parse_config_rejects_non_object_root():
     ('{"sweep": []}', "at least one value"),
     ('{"sweep": [1, -2]}', "must be positive"),
     ('{"sweep": [2, 1]}', "strictly ascending"),
+    ('{"scenario": "pointer", "sigma": 1, "sigma": 2}',
+     "^config key 'sigma' given more than once$"),
+    ('{"sigma": 1, "scenario": "pointer", "sigma": 1}', "^config key 'sigma' given"),
+    ('{"sweep": {"sigma": [1], "sigma": [2]}}', "^config key 'sigma' given"),
+    ('{"tau": 1, "tau": 2}', "^config key 'tau' given"),
     pytest.param(
         '{"gamma": ' + "7" * 5000 + "}", "^parse error: ",
         id="gamma-5000-digits",

@@ -14,10 +14,12 @@ Both routes to every moment write the terms in the difference basis
 b0 = f_gamma, b1 = f_epsilon - f_gamma and run one loop over pairs of
 terms, which factorises over the axes.  They differ only in the spec's
 table of one-axis integrals of b_p b_q: in closed form, or by the
-trapezoid rule in at most nine exact sums on the grid.  Near an
-orthogonal post-selection the delay coefficients nearly cancel: the basis
-adds them before any integral enters, where f_gamma f_epsilon products
-would cancel large integrals.
+trapezoid rule in exact sums on the grid, filled only to the moment
+order the caller prints.  A pointer's means and variances take nine sums
+per spec, a sweep width's means six; equal delays take three and two.
+Near an orthogonal post-selection the delay coefficients nearly cancel:
+the basis adds them before any integral enters, where f_gamma f_epsilon
+products would cancel large integrals.
 
 The trapezoid rule converges exponentially on a Gaussian, and
 ``grid_error_budget`` bounds its error by aliasing from the step plus
@@ -32,7 +34,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, islice, product
 from operator import mul, sub
 from typing import Sequence
 
@@ -45,6 +47,7 @@ MAX_N_POINTS = 8192
 MIN_PADDING = 6.0
 # The most aliasing any grid may carry: the accuracy PointerProfile promises.
 ALIASING_TOLERANCE = 1e-9
+_EMPTY_ON_GRID = "post-selected pointer norm vanishes on grid"
 
 
 class GridError(ValueError):
@@ -154,15 +157,20 @@ class PointerSpec:
 
     def grid(self) -> list[float]:
         """``numpy.linspace(t_min, t_max, n_points)`` bit for bit."""
-        step = self.step
-        return [i * step + self.t_min for i in range(self.n_points - 1)] + [self.t_max]
+        step, t_min = self.step, self.t_min
+        # Float indices (exact below 2**53) multiply as the ints would.
+        indices = islice(count(0.0, 1.0), self.n_points - 1)
+        return [i * step + t_min for i in indices] + [self.t_max]
 
     @cached_property
     def quadrature(self) -> tuple[list[float], list[float]]:
-        """The grid t and its trapezoid weights w: fsum(w * y) integrates y."""
+        """The grid t and its trapezoid weights w: fsum(w * y) integrates y.
+
+        Halving by ``* 0.5`` rounds exactly as ``/ 2.0`` does.
+        """
         t = self.grid()
-        w = ([(t[1] - t[0]) / 2.0] + [(b - a) / 2.0 for a, b in zip(t, t[2:])]
-             + [(t[-1] - t[-2]) / 2.0])
+        w = [(t[1] - t[0]) * 0.5, *[(b - a) * 0.5 for a, b in zip(t, t[2:])],
+             (t[-1] - t[-2]) * 0.5]
         return t, w
 
     @cached_property
@@ -174,10 +182,17 @@ class PointerSpec:
 
     @cached_property
     def basis_integrals(self) -> dict[tuple[int, int], tuple[float, float, float]]:
-        """``_grid_integrals`` of b_p b_q for each pair of basis indices.
+        """The grid table of b_p b_q to second order, as ``pointer_moments``
+        reads it: int, int t and int t^2 of each pair of basis functions.
 
-        b0 = f_gamma and, unless the delays are equal, b1 = f_epsilon - f_gamma.
+        b0 = f_gamma and, unless the delays are equal, b1 = f_epsilon - f_gamma,
+        so the table holds nine exact sums, or three when they are equal.
         """
+        return self._basis_table(2)
+
+    def _basis_table(self, order: int) -> dict[tuple[int, int], tuple[float, ...]]:
+        """``_grid_integrals`` up to ``order`` of b_p b_q per pair of basis
+        indices; order 1, the norm and means only, takes two sums a pair."""
         f = self.samples
         basis = [f[self.gamma]]
         if self.epsilon != self.gamma:
@@ -185,7 +200,7 @@ class PointerSpec:
         table = {}
         for p, q in combinations_with_replacement(range(len(basis)), 2):
             table[p, q] = table[q, p] = _grid_integrals(
-                self, list(map(mul, basis[p], basis[q])))
+                self, list(map(mul, basis[p], basis[q])), order)
         return table
 
     @cached_property
@@ -251,20 +266,25 @@ def grid_error_budget(spec: PointerSpec) -> tuple[float, float]:
 
 def gaussian_amplitude(t: Sequence[float], center: float, sigma: float) -> list[float]:
     norm = (2.0 * math.pi * sigma * sigma) ** (-0.25)
-    width = 4.0 * sigma * sigma
-    return [norm * math.exp(-((x - center) * (x - center)) / width) for x in t]
+    scale = -4.0 * sigma * sigma  # d * d / scale rounds as -(d * d) / (4 sigma^2)
+    return [norm * math.exp((d := x - center) * d / scale) for x in t]
 
 
-def _grid_integrals(spec: PointerSpec, y: list[float]) -> tuple[float, float, float]:
-    """Trapezoidal int y, int t y and int t^2 y on the spec's grid.
+def _grid_integrals(spec: PointerSpec, y: list[float], order: int = 2) -> tuple[float, ...]:
+    """Trapezoidal int t^k y for k = 0, ..., ``order`` on the spec's grid.
 
-    The weights multiply last: w * t^2 would overflow on grids whose
-    squared extent is finite but close to the largest float.
+    Each order multiplies the last product by t once more.  The weights
+    multiply last: w * t^2 would overflow on grids whose squared extent is
+    finite but close to the largest float.
     """
     t, w = spec.quadrature
-    ty = list(map(mul, t, y))
-    return (math.fsum(map(mul, w, y)), math.fsum(map(mul, w, ty)),
-            math.fsum(map(mul, w, map(mul, t, ty))))
+    sums = [math.fsum(map(mul, w, y))]
+    for k in range(order):
+        y = map(mul, t, y)
+        if k + 1 < order:  # the next order reads it too
+            y = list(y)
+        sums.append(math.fsum(map(mul, w, y)))
+    return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -333,17 +353,17 @@ def pointer_terms(
     )
 
 
-def _pair_sums(terms, table) -> tuple[float, list[float], list[float]]:
-    """Norm and, per axis, first and second sums of the basis terms' mixture.
+def _pair_sums(terms, table) -> tuple[float, list[list[float]]]:
+    """Norm and, per order k >= 1 of the table, the k-th moment sums of the
+    basis terms' mixture per axis.
 
-    ``table[p, q]`` gives int b_p b_q, int t b_p b_q and int t^2 b_p b_q.
-    A pair of terms contributes the product over axes of the first, with
-    the second or third on the axis whose sums are taken.
+    ``table[p, q]`` gives int t^k b_p b_q from k = 0 to the table's order.
+    A pair of terms contributes the product over axes of the k = 0
+    integrals, with the k-th on the axis whose sums are taken.
     """
     n_axes = len(terms[0][0]) if terms else 0
     norm = 0.0
-    first = [0.0] * n_axes
-    second = [0.0] * n_axes
+    moments = [[0.0] * n_axes for _ in table[0, 0][1:]]
     for keys_i, ci in terms:
         for keys_j, cj in terms:
             cross = (ci.conjugate() * cj).real
@@ -351,11 +371,11 @@ def _pair_sums(terms, table) -> tuple[float, list[float], list[float]]:
                 continue
             sums = [table[a, b] for a, b in zip(keys_i, keys_j)]
             norm += cross * math.prod(s[0] for s in sums)
-            for ax, (_, s1, s2) in enumerate(sums):
+            for ax, integrals in enumerate(sums):
                 rest = cross * math.prod(s[0] for s in sums[:ax] + sums[ax + 1:])
-                first[ax] += rest * s1
-                second[ax] += rest * s2
-    return norm, first, second
+                for moment, integral in zip(moments, integrals[1:]):
+                    moment[ax] += rest * integral
+    return norm, moments
 
 
 def _basis_terms(terms, spec: PointerSpec) -> tuple[tuple[tuple[int, ...], complex], ...]:
@@ -368,11 +388,16 @@ def _basis_terms(terms, spec: PointerSpec) -> tuple[tuple[tuple[int, ...], compl
     return tuple(coeffs.items())
 
 
-def _moments(sums: tuple[float, list[float], list[float]], empty: str) -> PointerMoments:
-    norm, first, second = sums
+def _means(sums: tuple[float, list[list[float]]], empty: str) -> tuple[float, ...]:
+    norm, (first, *_) = sums
     if norm <= 1e-12:
         raise EmptyPostSelectionError(empty)
-    mean = tuple(f / norm for f in first)
+    return tuple(f / norm for f in first)
+
+
+def _moments(sums: tuple[float, list[list[float]]], empty: str) -> PointerMoments:
+    mean = _means(sums, empty)
+    norm, (_, second) = sums
     return PointerMoments(mean, tuple(s / norm - m * m for s, m in zip(second, mean)), norm)
 
 
@@ -398,7 +423,7 @@ def pointer_moments(profile: PointerProfile) -> PointerMoments:
     """Trapezoidal mean and variance per axis, normalized on the grid."""
     sums = _pair_sums(_basis_terms(profile.terms, profile.spec),
                       profile.spec.basis_integrals)
-    return _moments(sums, "post-selected pointer norm vanishes on grid")
+    return _moments(sums, _EMPTY_ON_GRID)
 
 
 def weak_prediction(profile: PointerProfile) -> tuple[float, ...]:
@@ -427,7 +452,9 @@ def weak_limit_sweep(
 
     ``sigmas`` must be positive and ascending so the rows read as an
     approach to the weak limit.  Without ``n_points`` every width gets the
-    largest default grid that any of them needs.
+    largest default grid that any of them needs.  A width fills its grid
+    table to first order only, the means ``pointer_moments`` would give bit
+    for bit: no row prints a variance.
     """
     if not sigmas:
         raise GridError("sweep needs at least one sigma")
@@ -443,7 +470,8 @@ def weak_limit_sweep(
         if not rows:  # terms and prediction are sigma-free: one walk, before any grid
             profile = build_pointer_profile(pre, post, measured, spec)
             prediction = weak_prediction(profile)
-        mean = pointer_moments(replace(profile, spec=spec)).mean
+            terms = _basis_terms(profile.terms, spec)  # reads the delays only
+        mean = _means(_pair_sums(terms, spec._basis_table(1)), _EMPTY_ON_GRID)
         deviation = tuple(abs(m - w) for m, w in zip(mean, prediction))
         rows.append(SweepRow(sigma, spec.weakness_ratio, mean, deviation, n_points))
     return rows

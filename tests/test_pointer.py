@@ -2,6 +2,7 @@ import math
 import random
 import re
 import sys
+from dataclasses import replace
 from itertools import product
 
 import mpmath
@@ -24,6 +25,7 @@ from hardyweak.pointer import (
     _grid_integrals,
     analytic_moments,
     build_pointer_profile,
+    gaussian_amplitude,
     grid_error_budget,
     pointer_moments,
     pointer_terms,
@@ -285,6 +287,76 @@ class TestGridIntegrals:
             assert second == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+def _old_gaussian_amplitude(t, center, sigma):
+    # The expressions the leaner sampling kernel replaced, kept as its oracle.
+    norm = (2.0 * math.pi * sigma * sigma) ** (-0.25)
+    width = 4.0 * sigma * sigma
+    return [norm * math.exp(-((x - center) * (x - center)) / width) for x in t]
+
+
+def _old_quadrature(spec):
+    step = spec.step
+    t = [i * step + spec.t_min for i in range(spec.n_points - 1)] + [spec.t_max]
+    w = ([(t[1] - t[0]) / 2.0] + [(b - a) / 2.0 for a, b in zip(t, t[2:])]
+         + [(t[-1] - t[-2]) / 2.0])
+    return t, w
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def _kernel_specs():
+    """Seeded specs, the smallest sigma whose square passes the underflow
+    guard, and grids whose squared extent is just finite."""
+    tiny = math.sqrt(sys.float_info.min)
+    specs = [
+        PointerSpec.default(-0.0, -0.0, 1.0, 64),
+        PointerSpec.default(0.0, 1e-154, tiny, 64),
+        PointerSpec.default(-0.0, 0.0, tiny * 3.0, MAX_N_POINTS),
+        PointerSpec.default(0.0, 0.0, 1.18e153, 64),  # 2 t_max**2 is just below the largest float
+        PointerSpec.default(-1e153, 1e153, 1e152, 4096),
+        PointerSpec.default(0.0, 1.0, 8.0, MAX_N_POINTS),
+    ]
+    rng = random.Random("sampling kernel")
+    while len(specs) < 60:
+        gamma = rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-6, 6)
+        epsilon = gamma + rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-6, 3)
+        sigma = abs(epsilon - gamma) * 2.0 ** rng.uniform(-2.0, 4.0) or 1.0
+        try:
+            specs.append(PointerSpec.default(gamma, epsilon, sigma,
+                                             round(2.0 ** rng.uniform(6.0, 13.0))))
+        except GridError:
+            continue
+    return specs
+
+
+class TestSamplingKernel:
+    @pytest.mark.parametrize("spec", _kernel_specs())
+    def test_grid_weights_and_samples_are_the_old_expressions_bit_for_bit(self, spec):
+        t, w = spec.quadrature
+        want_t, want_w = _old_quadrature(spec)
+        assert _hex(spec.grid()) == _hex(t) == _hex(want_t)
+        assert _hex(w) == _hex(want_w)
+        for center in (spec.gamma, spec.epsilon):
+            assert _hex(gaussian_amplitude(t, center, spec.sigma)) == _hex(
+                _old_gaussian_amplitude(t, center, spec.sigma))
+
+    def test_samples_off_the_grid_are_the_old_expression_bit_for_bit(self):
+        # Signed zeros, squares that overflow to inf and exponents that
+        # underflow to 0, at seeded centres and widths.
+        rng = random.Random("gaussian oracle")
+        t = [-0.0, 0.0, 1e-320, -1e200, 1e200, 1e154, -3.0, 2.5]
+        t += [rng.uniform(-50.0, 50.0) for _ in range(200)]
+        tiny = math.sqrt(sys.float_info.min)
+        cases = [(-0.0, 1.0), (0.0, tiny), (-0.0, tiny * (1.0 + 2**-52)), (1e-320, 1e-160),
+                 (0.0, 1e300), (2.5, 1e-3)]
+        cases += [(rng.uniform(-5.0, 5.0), 2.0 ** rng.uniform(-10.0, 10.0)) for _ in range(60)]
+        for center, sigma in cases:
+            assert _hex(gaussian_amplitude(t, center, sigma)) == _hex(
+                _old_gaussian_amplitude(t, center, sigma)), (center, sigma)
+
+
 class TestWorkCount:
     @pytest.mark.parametrize("argv,want", [
         (["--scenario=pointer"], 2),
@@ -386,8 +458,10 @@ class TestWorkCount:
     @pytest.mark.parametrize("argv,want", [
         (["--scenario=pointer"], 9),
         (["--scenario=pointer", "--gamma=1", "--epsilon=1"], 3),
-        (["--scenario=pointer-sweep"], 9 * 6),
-        (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 9 * 3),
+        # A sweep width sums the norm and first moment only.
+        (["--scenario=pointer-sweep"], 6 * 6),
+        (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 6 * 3),
+        (["--scenario=pointer-sweep", "--gamma=1", "--epsilon=1"], 2 * 6),
     ])
     def test_exact_sums_per_run(self, fsums, capsys, argv, want):
         assert run_cli(["run", *argv, "--grid-points=128"]) == 0
@@ -578,6 +652,29 @@ class TestWeakLimitSweep:
             assert row.weakness_ratio == 0.0
             for axis in (0, 1):
                 assert row.deviation[axis] < 1e-9
+
+    @pytest.mark.parametrize("n_points", [64, 1024, 8192])
+    def test_means_are_the_pointer_moments_bit_for_bit(self, n_points):
+        # A width fills its grid table to first order only; its means are
+        # the ones the full table gives.
+        rng = random.Random(f"sweep means {n_points}")
+        pre = run_entanglement_swap().conditional_state()
+        cases = [(0.0, 1.0, -math.atan(0.5) + 1e-7), (0.7, 0.7, 0.3), (-0.0, -0.0, 1.1)]
+        while len(cases) < 5:
+            gamma, epsilon, _, phi = _draw_pointer(rng)
+            cases.append((gamma, epsilon, phi))
+        for gamma, epsilon, phi in cases:
+            post = analyzer_post_selection(phi)
+            scale = abs(epsilon - gamma) or 1.0
+            sigmas = sorted({scale * 2.0 ** rng.uniform(-2.0, 4.0) for _ in range(3)})
+            for measured in (("2",), ("4",), ("2", "4")):
+                rows = weak_limit_sweep(pre, post, measured, gamma, epsilon, sigmas, n_points)
+                spec = PointerSpec.default(gamma, epsilon, sigmas[0], n_points)
+                profile = build_pointer_profile(pre, post, measured, spec)
+                for row in rows:
+                    spec = PointerSpec.default(gamma, epsilon, row.sigma, n_points)
+                    want = pointer_moments(replace(profile, spec=spec)).mean
+                    assert [m.hex() for m in row.mean] == [m.hex() for m in want]
 
     def test_sweep_validation(self):
         pre, post = _pre_post()

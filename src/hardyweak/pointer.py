@@ -164,10 +164,7 @@ class PointerSpec:
 
     @cached_property
     def quadrature(self) -> tuple[list[float], list[float]]:
-        """The grid t and its trapezoid weights w: fsum(w * y) integrates y.
-
-        Halving by ``* 0.5`` rounds exactly as ``/ 2.0`` does.
-        """
+        """The grid t and its trapezoid weights w: fsum(w * y) integrates y."""
         t = self.grid()
         w = [(t[1] - t[0]) * 0.5, *[(b - a) * 0.5 for a, b in zip(t, t[2:])],
              (t[-1] - t[-2]) * 0.5]
@@ -182,17 +179,15 @@ class PointerSpec:
 
     @cached_property
     def basis_integrals(self) -> dict[tuple[int, int], tuple[float, float, float]]:
-        """The grid table of b_p b_q to second order, as ``pointer_moments``
-        reads it: int, int t and int t^2 of each pair of basis functions.
-
-        b0 = f_gamma and, unless the delays are equal, b1 = f_epsilon - f_gamma,
-        so the table holds nine exact sums, or three when they are equal.
-        """
+        """The second-order table ``pointer_moments`` reads: int, int t and
+        int t^2 of b_p b_q, nine exact sums, or three when the delays are equal."""
         return self._basis_table(2)
 
     def _basis_table(self, order: int) -> dict[tuple[int, int], tuple[float, ...]]:
-        """``_grid_integrals`` up to ``order`` of b_p b_q per pair of basis
-        indices; order 1, the norm and means only, takes two sums a pair."""
+        """``_grid_integrals`` to ``order`` of b_p b_q per pair of basis indices.
+
+        b0 = f_gamma and, unless the delays are equal, b1 = f_epsilon - f_gamma.
+        """
         f = self.samples
         basis = [f[self.gamma]]
         if self.epsilon != self.gamma:
@@ -273,9 +268,8 @@ def gaussian_amplitude(t: Sequence[float], center: float, sigma: float) -> list[
 def _grid_integrals(spec: PointerSpec, y: list[float], order: int = 2) -> tuple[float, ...]:
     """Trapezoidal int t^k y for k = 0, ..., ``order`` on the spec's grid.
 
-    Each order multiplies the last product by t once more.  The weights
-    multiply last: w * t^2 would overflow on grids whose squared extent is
-    finite but close to the largest float.
+    The weights multiply last: w * t^2 would overflow on grids whose
+    squared extent is finite but close to the largest float.
     """
     t, w = spec.quadrature
     sums = [math.fsum(map(mul, w, y))]

@@ -674,7 +674,7 @@ class TestWeakLimitSweep:
                 for row in rows:
                     spec = PointerSpec.default(gamma, epsilon, row.sigma, n_points)
                     want = pointer_moments(replace(profile, spec=spec)).mean
-                    assert [m.hex() for m in row.mean] == [m.hex() for m in want]
+                    assert _hex(row.mean) == _hex(want)
 
     def test_sweep_validation(self):
         pre, post = _pre_post()

@@ -21,7 +21,7 @@ from .pointer import (
     GridError,
     PointerProfile,
     PointerSpec,
-    build_pointer_profile,
+    _pointer_profiles,
     pointer_moments,
     weak_limit_sweep,
     weak_prediction,
@@ -362,7 +362,7 @@ def _clean_float(x: float) -> float:
     out of repeated 1/sqrt(2) factors, so they arrive a few ulps off.
     Every payload float comes through here, grid-route pointer means and
     deviations included, so a grid deviation of 2.75e-14 reports as 0;
-    ROADMAP item 3 is to exempt such measured fields.
+    ROADMAP item 12 is to exempt such measured fields.
     """
     value = float(x)
     if not math.isfinite(value):  # a builder overflowed; no report prints inf or nan
@@ -495,7 +495,7 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
     pre = run_entanglement_swap().conditional_state()
     post = analyzer_post_selection(p.phi)
     spec = PointerSpec.default(p.gamma, p.epsilon, p.sigma, p.grid_points)
-    joint = build_pointer_profile(pre, post, ("2", "4"), spec)
+    photon2, photon4, joint = _pointer_profiles(pre, post, (("2",), ("4",), ("2", "4")), spec)
     # The joint weak value holds each photon's, bit for bit.
     a2, a4 = weak_prediction(joint)
     return {
@@ -505,8 +505,8 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
         "phi": p.phi,
         "grid_points": spec.n_points,
         "weakness_ratio": spec.weakness_ratio,
-        "photon2": _pointer_block(build_pointer_profile(pre, post, ("2",), spec), (a2,)),
-        "photon4": _pointer_block(build_pointer_profile(pre, post, ("4",), spec), (a4,)),
+        "photon2": _pointer_block(photon2, (a2,)),
+        "photon4": _pointer_block(photon4, (a4,)),
         "joint": _pointer_block(joint, (a2, a4)),
     }
 

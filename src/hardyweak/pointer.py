@@ -6,8 +6,9 @@ displaced by delta overlap by exp(-delta^2 / (8 sigma^2)).  A measured
 photon shifts its pointer by gamma when it is H and by epsilon when it is
 V; post-selection leaves a small coherent mixture of shifted Gaussians
 whose moments interpolate between the strong regime and the weak values.
-``pointer_terms`` is the one walk over the product labels: a coefficient
-per tuple of measured delays, summing to <post|pre>.  The weak values are
+``pointer_terms`` is the one walk over the pre-selection's labels: a coefficient
+per tuple of measured delays, summing to <post|pre>; a ``pointer`` request
+walks once for photon 2, photon 4 and the pair.  The weak values are
 read off the same sigma-free terms (``weak_prediction``).
 
 Both routes to every moment write the terms in the difference basis
@@ -123,23 +124,31 @@ class PointerSpec:
         hi = max(gamma, epsilon) + DEFAULT_PADDING * sigma
         if n_points is not None:
             return cls(gamma, epsilon, sigma, lo, hi, n_points)
-        finest = cls(gamma, epsilon, sigma, lo, hi, MAX_N_POINTS)  # names a bad input
-        padding = finest.padding / sigma
+        try:  # names a bad input before any budget is evaluated
+            spec = cls(gamma, epsilon, sigma, lo, hi, MIN_N_POINTS)
+        except GridError:  # a bad input, or a step that aliases at 64 points
+            spec = cls(gamma, epsilon, sigma, lo, hi, MAX_N_POINTS)
+        padding = spec.padding / sigma
+
+        def budget(n: int) -> tuple[float, float]:
+            return _budget((hi - lo) / (n - 1) / sigma, padding)
 
         def within(n: int) -> bool:
-            aliasing, truncation = _budget((hi - lo) / (n - 1) / sigma, padding)
+            aliasing, truncation = budget(n)
             return aliasing <= truncation
 
+        if spec.n_points == MIN_N_POINTS and within(MIN_N_POINTS):
+            return spec
         sizes = range(MIN_N_POINTS, MAX_N_POINTS + 1)
         index = bisect_left(sizes, True, key=within)
         if index == len(sizes):
-            aliasing, truncation = grid_error_budget(finest)
+            aliasing, truncation = budget(MAX_N_POINTS)
             raise GridError(
                 f"grid error budget needs more than {MAX_N_POINTS} points for "
                 f"sigma {sigma:g}: at {MAX_N_POINTS} the aliasing {aliasing:.3g} "
                 f"exceeds the truncation {truncation:.3g} of the padding"
             )
-        return replace(finest, n_points=sizes[index])
+        return replace(spec, n_points=sizes[index])
 
     @property
     def weakness_ratio(self) -> float:
@@ -324,27 +333,55 @@ def pointer_terms(
     spec: PointerSpec,
 ) -> tuple[tuple[tuple[float, ...], complex], ...]:
     """Collapse unmeasured photons: coefficient per measured-delay tuple."""
-    if not (len(measured) in (1, 2) and len(set(measured)) == len(measured)):
-        raise StructureError("measure one photon or an ordered pair")
+    return _pointer_profiles(pre, post, (measured,), spec)[0].terms
+
+
+def _pointer_profiles(
+    pre: StateVector,
+    post: StateVector,
+    measured_sets: Sequence[Sequence[str]],
+    spec: PointerSpec,
+) -> list[PointerProfile]:
+    """``build_pointer_profile`` for each measured tuple, from one walk over
+    the labels.
+
+    Each cross term <post|label><label|pre> is formed once and added to the
+    key of every measured tuple, in canonical label order.  Labels outside
+    the pre-selection's support add nothing: both selections are finite.
+    """
+    for measured in measured_sets:
+        if not (len(measured) in (1, 2) and len(set(measured)) == len(measured)):
+            raise StructureError("measure one photon or an ordered pair")
     if pre.structure != post.structure:
         raise StructureError("pre- and post-selection must share a structure")
     if not (pre.normalized and post.normalized):
         raise ValueError("pre- and post-selection must be normalized")
     names = pre.structure.names
-    if any(m not in names for m in measured):
-        raise StructureError(f"measured photons must be among {names}")
-    delay = polarization_delays(pre.structure, measured, spec.gamma, spec.epsilon)
-    collected: dict[tuple[str, ...], complex] = {}
-    for label in pre.structure.product_labels():
-        cross = post.amplitude(label).conjugate() * pre.amplitude(label)
+    for measured in measured_sets:
+        if any(m not in names for m in measured):
+            raise StructureError(f"measured photons must be among {names}")
+    delays = [polarization_delays(pre.structure, measured, spec.gamma, spec.epsilon)
+              for measured in measured_sets]
+    # A product label's pairs follow the structure's names.
+    axes = [tuple(names.index(m) for m in measured) for measured in measured_sets]
+    collected: list[dict[tuple[str, ...], complex]] = [{} for _ in measured_sets]
+    bra = post.amplitudes
+    for label, ket in pre.amplitudes.items():
+        if label.is_gamma:
+            continue
+        cross = bra.get(label, 0j).conjugate() * ket
         if cross == 0j:
             continue
-        key = tuple(label.level(m) for m in measured)
-        collected[key] = collected.get(key, 0j) + cross
-    return tuple(
-        (tuple(delay[level] for level in key), coeff)
-        for key, coeff in sorted(collected.items())
-    )
+        pairs = label.pairs
+        for positions, coeffs in zip(axes, collected):
+            key = tuple(pairs[i][1] for i in positions)
+            coeffs[key] = coeffs.get(key, 0j) + cross
+    return [
+        PointerProfile(spec, tuple(measured), tuple(
+            (tuple(delay[level] for level in key), coeff)
+            for key, coeff in sorted(coeffs.items())))
+        for measured, delay, coeffs in zip(measured_sets, delays, collected)
+    ]
 
 
 def _pair_sums(terms, table) -> tuple[float, list[list[float]]]:
@@ -353,22 +390,32 @@ def _pair_sums(terms, table) -> tuple[float, list[list[float]]]:
 
     ``table[p, q]`` gives int t^k b_p b_q from k = 0 to the table's order.
     A pair of terms contributes the product over axes of the k = 0
-    integrals, with the k-th on the axis whose sums are taken.
+    integrals, with the k-th on the axis whose sums are taken.  Terms have
+    one axis or two.
     """
     n_axes = len(terms[0][0]) if terms else 0
     norm = 0.0
     moments = [[0.0] * n_axes for _ in table[0, 0][1:]]
     for keys_i, ci in terms:
+        bra = ci.conjugate()
         for keys_j, cj in terms:
-            cross = (ci.conjugate() * cj).real
+            cross = (bra * cj).real
             if cross == 0.0:
                 continue
-            sums = [table[a, b] for a, b in zip(keys_i, keys_j)]
-            norm += cross * math.prod(s[0] for s in sums)
-            for ax, integrals in enumerate(sums):
-                rest = cross * math.prod(s[0] for s in sums[:ax] + sums[ax + 1:])
-                for moment, integral in zip(moments, integrals[1:]):
-                    moment[ax] += rest * integral
+            if n_axes == 1:
+                (a,), (b,) = keys_i, keys_j
+                first = table[a, b]
+                norm += cross * first[0]
+                for moment, integral in zip(moments, first[1:]):
+                    moment[0] += cross * integral
+            else:
+                (a, c), (b, d) = keys_i, keys_j
+                first, second = table[a, b], table[c, d]
+                norm += cross * (first[0] * second[0])
+                rest_first, rest_second = cross * second[0], cross * first[0]
+                for moment, f, s in zip(moments, first[1:], second[1:]):
+                    moment[0] += rest_first * f
+                    moment[1] += rest_second * s
     return norm, moments
 
 
@@ -456,11 +503,14 @@ def weak_limit_sweep(
         raise GridError("sweep sigmas must be positive")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise GridError("sweep sigmas must be strictly ascending")
+    sized = [None] * len(sigmas)
     if n_points is None:
-        n_points = max(PointerSpec.default(gamma, epsilon, s).n_points for s in sigmas)
+        sized = [PointerSpec.default(gamma, epsilon, s) for s in sigmas]
+        n_points = max(spec.n_points for spec in sized)
     rows: list[SweepRow] = []
-    for sigma in sigmas:
-        spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
+    for sigma, spec in zip(sigmas, sized):
+        if spec is None or spec.n_points != n_points:
+            spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
         if not rows:  # terms and prediction are sigma-free: one walk, before any grid
             profile = build_pointer_profile(pre, post, measured, spec)
             prediction = weak_prediction(profile)

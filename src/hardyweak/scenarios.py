@@ -30,6 +30,7 @@ from .optics import (
 )
 from .states import (
     GAMMA,
+    PRUNE_THRESHOLD,
     BasisLabel,
     StateVector,
     Structure,
@@ -287,13 +288,14 @@ def analyzer_post_selection(phi: float = -math.pi / 4.0) -> StateVector:
     """Both photons detected in H behind analyzers rotated by phi.
 
     The product of cos(phi)|H> + sin(phi)|V> per photon, each amplitude
-    bit for bit that of the H H ket rotated by -phi on each photon.
+    bit for bit that of the H H ket rotated by -phi on each photon.  An
+    amplitude below ``PRUNE_THRESHOLD`` is left out, as ``prune`` would.
     """
-    row = (("H", math.cos(-phi)), ("V", -math.sin(-phi)))
+    factor = {"H": math.cos(-phi), "V": -math.sin(-phi)}
     s = photon_pair_structure()
-    return StateVector(s, {
-        s.label(l2, l4): a * f for l2, a in row for l4, f in row
-    }).prune()
+    products = ((label, factor[label.pairs[0][1]] * factor[label.pairs[1][1]])
+                for label in s.product_labels())  # photon 2, then photon 4
+    return StateVector(s, {label: a for label, a in products if abs(a) >= PRUNE_THRESHOLD})
 
 
 def surviving_paths_state() -> StateVector:

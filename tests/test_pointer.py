@@ -2,6 +2,7 @@ import math
 import random
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import replace
 from itertools import product
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import analyzer_literal, entangled_target_literal, state_of, photon_structure
-from hardyweak import pointer, scenarios, weakvalues
+from hardyweak import cli, pointer, scenarios, weakvalues
 from hardyweak.cli import DEFAULT_SWEEP_MULTIPLES, run_cli
 from hardyweak.scenarios import analyzer_post_selection, run_entanglement_swap
 from hardyweak.pointer import (
@@ -33,7 +34,7 @@ from hardyweak.pointer import (
     weak_prediction,
 )
 from hardyweak.optics import apply_level_map
-from hardyweak.states import Structure, StructureError
+from hardyweak.states import GAMMA, PRUNE_THRESHOLD, StateVector, Structure, StructureError
 from hardyweak.weakvalues import (
     OrthogonalPostSelectionError,
     arrival_time_operator,
@@ -357,6 +358,274 @@ class TestSamplingKernel:
                 _old_gaussian_amplitude(t, center, sigma)), (center, sigma)
 
 
+# The pointer request's steps as they were before one label walk served
+# every measured tuple, kept as oracles: the generic pair loop, a walk per
+# measured tuple over every product label, the post-selection built and
+# then pruned, and grid sizing by a plain bisection.
+
+def _old_pair_sums(terms, table):
+    n_axes = len(terms[0][0]) if terms else 0
+    norm = 0.0
+    moments = [[0.0] * n_axes for _ in table[0, 0][1:]]
+    for keys_i, ci in terms:
+        for keys_j, cj in terms:
+            cross = (ci.conjugate() * cj).real
+            if cross == 0.0:
+                continue
+            sums = [table[a, b] for a, b in zip(keys_i, keys_j)]
+            norm += cross * math.prod(s[0] for s in sums)
+            for ax, integrals in enumerate(sums):
+                rest = cross * math.prod(s[0] for s in sums[:ax] + sums[ax + 1:])
+                for moment, integral in zip(moments, integrals[1:]):
+                    moment[ax] += rest * integral
+    return norm, moments
+
+
+def _old_pointer_terms(pre, post, measured, spec):
+    if not (len(measured) in (1, 2) and len(set(measured)) == len(measured)):
+        raise StructureError("measure one photon or an ordered pair")
+    if pre.structure != post.structure:
+        raise StructureError("pre- and post-selection must share a structure")
+    if not (pre.normalized and post.normalized):
+        raise ValueError("pre- and post-selection must be normalized")
+    names = pre.structure.names
+    if any(m not in names for m in measured):
+        raise StructureError(f"measured photons must be among {names}")
+    delay = weakvalues.polarization_delays(pre.structure, measured, spec.gamma, spec.epsilon)
+    collected = {}
+    for label in pre.structure.product_labels():
+        cross = post.amplitude(label).conjugate() * pre.amplitude(label)
+        if cross == 0j:
+            continue
+        key = tuple(label.level(m) for m in measured)
+        collected[key] = collected.get(key, 0j) + cross
+    return tuple((tuple(delay[level] for level in key), coeff)
+                 for key, coeff in sorted(collected.items()))
+
+
+def _old_analyzer_post_selection(phi):
+    row = (("H", math.cos(-phi)), ("V", -math.sin(-phi)))
+    s = photon_structure()
+    return StateVector(s, {
+        s.label(l2, l4): a * f for l2, a in row for l4, f in row
+    }).prune()
+
+
+def _old_default(gamma, epsilon, sigma):
+    lo = min(gamma, epsilon) - pointer.DEFAULT_PADDING * sigma
+    hi = max(gamma, epsilon) + pointer.DEFAULT_PADDING * sigma
+    finest = PointerSpec(gamma, epsilon, sigma, lo, hi, MAX_N_POINTS)
+    padding = finest.padding / sigma
+
+    def within(n):
+        aliasing, truncation = pointer._budget((hi - lo) / (n - 1) / sigma, padding)
+        return aliasing <= truncation
+
+    sizes = range(MIN_N_POINTS, MAX_N_POINTS + 1)
+    index = bisect_left(sizes, True, key=within)
+    if index == len(sizes):
+        aliasing, truncation = grid_error_budget(finest)
+        raise GridError(
+            f"grid error budget needs more than {MAX_N_POINTS} points for "
+            f"sigma {sigma:g}: at {MAX_N_POINTS} the aliasing {aliasing:.3g} "
+            f"exceeds the truncation {truncation:.3g} of the padding"
+        )
+    return replace(finest, n_points=sizes[index])
+
+
+def _outcome(fn, *args):
+    """``fn``'s result with every float as hex, or its error and message."""
+    try:
+        return _exact(fn(*args))
+    except Exception as exc:  # both routes must refuse alike
+        return type(exc), str(exc)
+
+
+def _exact(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, (tuple, list)):
+        return [_exact(v) for v in value]
+    if isinstance(value, PointerSpec):
+        return _exact([getattr(value, f) for f in ("gamma", "epsilon", "sigma", "t_min",
+                                                  "t_max")]) + [value.n_points]
+    if isinstance(value, pointer.PointerMoments):
+        return _exact([value.mean, value.variance, value.success_probability])
+    return value
+
+
+def _draw_complex(rng: random.Random) -> complex:
+    kind = rng.random()
+    if kind < 0.1:
+        return complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0]))
+    if kind < 0.2:
+        return complex(rng.uniform(-1.0, 1.0), rng.choice([0.0, -0.0]))
+    if kind < 0.3:
+        return complex(rng.choice([0.0, -0.0]), rng.uniform(-1.0, 1.0))
+    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+
+def _draw_terms(rng: random.Random, n_axes: int, n_basis: int):
+    """Basis terms of one or two axes; some keys repeat and some
+    coefficients are signed zeros, real or imaginary, so that some cross
+    terms vanish."""
+    return tuple((tuple(rng.randrange(n_basis) for _ in range(n_axes)), _draw_complex(rng))
+                 for _ in range(rng.randint(1, 6)))
+
+
+def _draw_table(rng: random.Random, order: int, n_basis: int):
+    table = {}
+    for p in range(n_basis):
+        for q in range(p, n_basis):
+            table[p, q] = table[q, p] = tuple(rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-3, 3)
+                                              for _ in range(order + 1))
+    return table
+
+
+# An unmeasured photon with a third level: its labels add to one key of
+# each measured tuple, so the order of those additions shows.
+THREE_PHOTONS = Structure.of(("2", ("H", "V")), ("3", ("a", "b", "c")), ("4", ("H", "V")))
+MEASURED_SETS = (("2",), ("4",), ("2", "4"))
+
+
+def _draw_state(rng: random.Random, structure: Structure, gamma: bool = False) -> StateVector:
+    """A normalized state with absent and signed-zero amplitudes."""
+    amps = {label: _draw_complex(rng) for label in structure.product_labels()
+            if rng.random() < 0.8}
+    if gamma:
+        amps[GAMMA] = _draw_complex(rng)
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values())) or 1.0
+    return StateVector(structure, {label: a / norm for label, a in amps.items()})
+
+
+class TestRequestOracles:
+    def test_pair_sums_are_the_generic_loop_bit_for_bit(self):
+        rng = random.Random("pair sums")
+        specs = [PointerSpec.default(0.0, 1.0, 0.7, 64), PointerSpec.default(0.5, 0.5, 2.0, 64),
+                 PointerSpec.default(-0.0, 0.0, 1.0, 64), PointerSpec.default(1.0, -3.0, 0.4)]
+        for _ in range(400):
+            n_axes = rng.randint(1, 2)
+            spec = rng.choice(specs)
+            n_basis = 1 if spec.gamma == spec.epsilon else 2
+            terms = _draw_terms(rng, n_axes, n_basis)
+            tables = [spec._basis_table(1), spec.basis_integrals, spec.closed_integrals,
+                      _draw_table(rng, 1, n_basis), _draw_table(rng, 2, n_basis)]
+            for table in tables:
+                assert _outcome(pointer._pair_sums, terms, table) == _outcome(
+                    _old_pair_sums, terms, table), (terms, table)
+
+    def test_pair_sums_of_walked_terms_are_the_generic_loop_bit_for_bit(self):
+        pre = run_entanglement_swap().conditional_state()
+        for phi in (-math.pi / 4.0, -math.atan(0.5) + 1e-7, 0.3, 1.2):
+            for gamma, epsilon in ((0.0, 1.0), (1.0, 1.0), (-0.0, 0.0), (2.0, -1.5)):
+                spec = PointerSpec.default(gamma, epsilon, 1.5)
+                for profile in pointer._pointer_profiles(
+                        pre, analyzer_post_selection(phi), MEASURED_SETS, spec):
+                    terms = pointer._basis_terms(profile.terms, spec)
+                    for table in (spec.basis_integrals, spec.closed_integrals):
+                        assert _outcome(pointer._pair_sums, terms, table) == _outcome(
+                            _old_pair_sums, terms, table)
+
+    def test_post_selection_is_the_pruned_state_bit_for_bit(self):
+        rng = random.Random("analyzer")
+        phis = [-math.pi / 4.0, -math.atan(0.5), -math.atan(0.5) + 1e-7, math.pi / 2.0,
+                -math.pi / 2.0, 0.0, -0.0, math.pi, 1e-300, 1e-16]
+        phis += [rng.uniform(-math.pi, math.pi) for _ in range(200)]
+        # Amplitudes on both sides of PRUNE_THRESHOLD, and at it.
+        phis += [1e-15, math.asin(PRUNE_THRESHOLD), math.pi / 2.0 - 1e-14]
+        phis += [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, -6.0) for _ in range(100)]
+        for phi in phis:
+            got, want = analyzer_post_selection(phi), _old_analyzer_post_selection(phi)
+            assert list(got.amplitudes) == list(want.amplitudes), phi
+            assert _exact(list(got.amplitudes.values())) == _exact(
+                list(want.amplitudes.values())), phi
+            assert got.normalized == want.normalized
+
+    def test_one_walk_is_the_walk_per_measured_tuple_bit_for_bit(self):
+        # The request's own states, and seeded states on a structure with
+        # an unmeasured photon, some of them carrying GAMMA.
+        rng = random.Random("label walk")
+        pre = run_entanglement_swap().conditional_state()
+        phis = [-math.pi / 4.0, -math.atan(0.5), -math.atan(0.5) + 1e-7, math.pi / 2.0]
+        cases = [(pre, analyzer_post_selection(phi), _old_analyzer_post_selection(phi))
+                 for phi in phis + [rng.uniform(-math.pi, math.pi) for _ in range(40)]]
+        for _ in range(150):
+            structure = rng.choice([photon_structure(), THREE_PHOTONS])
+            post = _draw_state(rng, structure)
+            cases.append((_draw_state(rng, structure, gamma=rng.random() < 0.3), post, post))
+        for pre_state, post, old_post in cases:
+            gamma, epsilon = rng.choice([(0.0, 1.0), (1.0, 1.0), (-0.5, 2.0)])
+            spec = PointerSpec.default(gamma, epsilon, 1.0)
+            profiles = pointer._pointer_profiles(pre_state, post, MEASURED_SETS, spec)
+            for measured, profile in zip(MEASURED_SETS, profiles):
+                want = _old_pointer_terms(pre_state, old_post, measured, spec)
+                assert profile.measured == measured
+                assert _exact(profile.terms) == _exact(want)
+                assert _exact(pointer_terms(pre_state, post, measured, spec)) == _exact(want)
+                old = pointer.PointerProfile(spec, measured, want)
+                for route in (weak_prediction, pointer_moments):
+                    assert _outcome(route, profile) == _outcome(route, old), (measured, route)
+
+    def test_orthogonal_analyzers_are_refused_alike(self):
+        pre = run_entanglement_swap().conditional_state()
+        spec = PointerSpec.default(0.0, 1.0, 8.0)
+        for phi in (-math.atan(0.5), math.pi / 2.0):
+            post, old_post = analyzer_post_selection(phi), _old_analyzer_post_selection(phi)
+            profiles = pointer._pointer_profiles(pre, post, MEASURED_SETS, spec)
+            refusals = 0
+            for measured, profile in zip(MEASURED_SETS, profiles):
+                old = pointer.PointerProfile(
+                    spec, measured, _old_pointer_terms(pre, old_post, measured, spec))
+                got = _outcome(weak_prediction, profile)
+                assert got == _outcome(weak_prediction, old)
+                refusals += got[0] is OrthogonalPostSelectionError
+            assert refusals >= 1, phi
+
+    @pytest.mark.parametrize("pre,post,measured", [
+        ("pair", "pair", ("2", "2")),
+        ("pair", "pair", ("2", "4", "2")),
+        ("pair", "pair", ()),
+        ("pair", "three", ("2",)),
+        ("half", "pair", ("2",)),
+        ("pair", "pair", ("9",)),
+        ("three", "three", ("3",)),
+        ("three", "three", ("4", "3")),
+    ])
+    def test_walks_refuse_bad_inputs_alike(self, pre, post, measured):
+        rng = random.Random("refusals")
+        states = {"pair": _draw_state(rng, photon_structure()),
+                  "three": _draw_state(rng, THREE_PHOTONS),
+                  "half": _draw_state(rng, photon_structure()).scaled(0.5)}
+        spec = PointerSpec.default(0.0, 1.0, 1.0)
+        pre, post = states[pre], states[post]
+        want = _outcome(_old_pointer_terms, pre, post, measured, spec)
+        assert isinstance(want[0], type) and issubclass(want[0], Exception)
+        assert _outcome(pointer_terms, pre, post, measured, spec) == want
+        assert _outcome(pointer._pointer_profiles, pre, post, [measured], spec) == want
+
+    def test_default_sizing_is_the_plain_bisection(self):
+        rng = random.Random("default sizing")
+        cases = [(0.0, 1.0, 8.0), (0.0, 1.0, 0.00025), (0.0, 1.0, 0.00016), (0.0, 1.0, 0.00014),
+                 (0.0, 1.0, 1e-5), (1.0, 1.0, 1e-300), (0.0, 0.0, 1.18e153), (1e20, 1e20, 1.0),
+                 (0.0, 1.0, 0.0), (0.0, 1.0, -1.0), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+                 (math.nan, 1.0, 1.0), (0.0, -math.inf, 1.0), (0.0, 1e308, 1e300),
+                 (-0.0, 0.0, 5e-324)]
+        for _ in range(300):
+            gamma = rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-3, 3)
+            epsilon = gamma + rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-3, 3)
+            sigma = abs(epsilon - gamma) * 10.0 ** rng.uniform(-4.5, 1.0) or 1.0
+            cases.append((gamma, epsilon, sigma))
+        sized = set()
+        for gamma, epsilon, sigma in cases:
+            got = _outcome(PointerSpec.default, gamma, epsilon, sigma)
+            assert got == _outcome(_old_default, gamma, epsilon, sigma), (gamma, epsilon, sigma)
+            sized.add(got[-1] if isinstance(got, list) else got[0])
+        # Both sides of 64 points, and refusals, were reached.
+        assert {64, GridError} <= sized and max(n for n in sized if isinstance(n, int)) > 64
+
+
 class TestWorkCount:
     @pytest.mark.parametrize("argv,want", [
         (["--scenario=pointer"], 2),
@@ -378,14 +647,15 @@ class TestWorkCount:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv,walks,operators", [
-        (["--scenario=pointer"], 3, 0),
+        (["--scenario=pointer"], 1, 0),  # photon 2, photon 4 and the pair
         (["--scenario=pointer-sweep"], 1, 0),  # six default widths
         (["--scenario=photonic-weak"], 0, 1),
     ])
     def test_one_label_contraction_per_run(self, monkeypatch, capsys, argv, walks, operators):
         # A pointer reads its weak-value prediction off the joint profile's
         # terms, which do not depend on sigma; the joint arrival-time weak
-        # value holds both photons' values.
+        # value holds both photons' values.  One walk fills the terms of
+        # every measured tuple of a request.
         scenarios._standard_selection()  # the once-per-process occupation operators
         calls = []
 
@@ -396,7 +666,9 @@ class TestWorkCount:
             return wrapper
 
         projector_sum = weakvalues.WeightedProjectorSum
-        monkeypatch.setattr(pointer, "pointer_terms", counting("walk", pointer.pointer_terms))
+        walk = counting("walk", pointer._pointer_profiles)
+        monkeypatch.setattr(pointer, "_pointer_profiles", walk)
+        monkeypatch.setattr(cli, "_pointer_profiles", walk)
         monkeypatch.setattr(scenarios, "arrival_time_operator",
                             counting("operator", scenarios.arrival_time_operator))
         monkeypatch.setattr(projector_sum, "__post_init__",
@@ -406,6 +678,19 @@ class TestWorkCount:
         assert calls.count("walk") == walks
         assert calls.count("operator") == operators
         assert calls.count("sum") == operators
+
+    def test_a_64_point_default_grid_evaluates_its_budget_once(self, monkeypatch, capsys):
+        budgets = []
+        original = pointer._budget
+
+        def counting(step_ratio, padding):
+            budgets.append(step_ratio)
+            return original(step_ratio, padding)
+
+        monkeypatch.setattr(pointer, "_budget", counting)
+        assert run_cli(["run", "--scenario=pointer"]) == 0
+        assert "grid_points=64\n" in capsys.readouterr().out
+        assert len(budgets) == 1
 
     def test_closed_form_norm_is_summed_when_read(self, monkeypatch, capsys):
         # No report prints the closed-form norm: a pointer request sums

@@ -21,8 +21,8 @@ from .pointer import (
     GridError,
     PointerProfile,
     PointerSpec,
-    _pointer_profiles,
     pointer_moments,
+    pointer_profiles,
     weak_limit_sweep,
     weak_prediction,
 )
@@ -495,7 +495,7 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
     pre = run_entanglement_swap().conditional_state()
     post = analyzer_post_selection(p.phi)
     spec = PointerSpec.default(p.gamma, p.epsilon, p.sigma, p.grid_points)
-    photon2, photon4, joint = _pointer_profiles(pre, post, (("2",), ("4",), ("2", "4")), spec)
+    photon2, photon4, joint = pointer_profiles(pre, post, (("2",), ("4",), ("2", "4")), spec)
     # The joint weak value holds each photon's, bit for bit.
     a2, a4 = weak_prediction(joint)
     return {

@@ -6,6 +6,7 @@ other subsystem (and the GAMMA channel) rides along untouched.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -24,11 +25,13 @@ class UnsupportedOccupancyError(ValueError):
     """More photons per mode than the two-photon model supports."""
 
 
+@functools.cache  # a Structure is frozen: one per process
 def interferometer_structure() -> Structure:
     """Particles + and -, each about to enter its interferometer."""
     return Structure.of(("+", (ENTRY_LEVEL,)), ("-", (ENTRY_LEVEL,)))
 
 
+@functools.cache
 def photon_pair_structure() -> Structure:
     """Photons 2 and 4, each polarized H or V."""
     return Structure.of(("2", POLARIZATION_LEVELS), ("4", POLARIZATION_LEVELS))

@@ -6,10 +6,10 @@ displaced by delta overlap by exp(-delta^2 / (8 sigma^2)).  A measured
 photon shifts its pointer by gamma when it is H and by epsilon when it is
 V; post-selection leaves a small coherent mixture of shifted Gaussians
 whose moments interpolate between the strong regime and the weak values.
-``pointer_terms`` is the one walk over the pre-selection's labels: a coefficient
-per tuple of measured delays, summing to <post|pre>; a ``pointer`` request
-walks once for photon 2, photon 4 and the pair.  The weak values are
-read off the same sigma-free terms (``weak_prediction``).
+``pointer_profiles`` gives the levels of one label walk their delays: a
+coefficient per tuple of measured delays, summing to <post|pre>; a ``pointer``
+request walks once for photon 2, photon 4 and the pair.  The weak values
+are read off the same sigma-free terms (``weak_prediction``).
 
 Both routes to every moment write the terms in the difference basis
 b0 = f_gamma, b1 = f_epsilon - f_gamma and run one loop over pairs of
@@ -39,8 +39,8 @@ from itertools import combinations_with_replacement, count, islice, product
 from operator import mul, sub
 from typing import Sequence
 
-from .states import StateVector, StructureError
-from .weakvalues import check_overlap, polarization_delays
+from .states import StateVector
+from .weakvalues import coefficient_weak_value, level_coefficients, polarization_delays
 
 DEFAULT_PADDING = 8.0
 MIN_N_POINTS = 64
@@ -333,55 +333,23 @@ def pointer_terms(
     spec: PointerSpec,
 ) -> tuple[tuple[tuple[float, ...], complex], ...]:
     """Collapse unmeasured photons: coefficient per measured-delay tuple."""
-    return _pointer_profiles(pre, post, (measured,), spec)[0].terms
+    return pointer_profiles(pre, post, (measured,), spec)[0].terms
 
 
-def _pointer_profiles(
+def pointer_profiles(
     pre: StateVector,
     post: StateVector,
     measured_sets: Sequence[Sequence[str]],
     spec: PointerSpec,
 ) -> list[PointerProfile]:
     """``build_pointer_profile`` for each measured tuple, from one walk over
-    the labels.
-
-    Each cross term <post|label><label|pre> is formed once and added to the
-    key of every measured tuple, in canonical label order.  Labels outside
-    the pre-selection's support add nothing: both selections are finite.
-    """
-    for measured in measured_sets:
-        if not (len(measured) in (1, 2) and len(set(measured)) == len(measured)):
-            raise StructureError("measure one photon or an ordered pair")
-    if pre.structure != post.structure:
-        raise StructureError("pre- and post-selection must share a structure")
-    if not (pre.normalized and post.normalized):
-        raise ValueError("pre- and post-selection must be normalized")
-    names = pre.structure.names
-    for measured in measured_sets:
-        if any(m not in names for m in measured):
-            raise StructureError(f"measured photons must be among {names}")
-    delays = [polarization_delays(pre.structure, measured, spec.gamma, spec.epsilon)
-              for measured in measured_sets]
-    # A product label's pairs follow the structure's names.
-    axes = [tuple(names.index(m) for m in measured) for measured in measured_sets]
-    collected: list[dict[tuple[str, ...], complex]] = [{} for _ in measured_sets]
-    bra = post.amplitudes
-    for label, ket in pre.amplitudes.items():
-        if label.is_gamma:
-            continue
-        cross = bra.get(label, 0j).conjugate() * ket
-        if cross == 0j:
-            continue
-        pairs = label.pairs
-        for positions, coeffs in zip(axes, collected):
-            key = tuple(pairs[i][1] for i in positions)
-            coeffs[key] = coeffs.get(key, 0j) + cross
-    return [
-        PointerProfile(spec, tuple(measured), tuple(
-            (tuple(delay[level] for level in key), coeff)
-            for key, coeff in sorted(coeffs.items())))
-        for measured, delay, coeffs in zip(measured_sets, delays, collected)
-    ]
+    the labels (``level_coefficients``): each level becomes its delay."""
+    tables = level_coefficients(pre, post, measured_sets)
+    delays = [polarization_delays(pre.structure, m, spec.gamma, spec.epsilon)
+              for m in measured_sets]
+    return [PointerProfile(spec, tuple(measured), tuple(
+                (tuple(delay[level] for level in levels), coeff) for levels, coeff in table))
+            for measured, delay, table in zip(measured_sets, delays, tables)]
 
 
 def _pair_sums(terms, table) -> tuple[float, list[list[float]]]:
@@ -469,15 +437,10 @@ def pointer_moments(profile: PointerProfile) -> PointerMoments:
 
 def weak_prediction(profile: PointerProfile) -> tuple[float, ...]:
     """Where the pointer means go in the weak limit, one per measured photon:
-    Re(sum d c / sum c) over the terms, the arrival-time weak value
-    (Aharonov et al., Phys. Lett. A 301, 130 (2002)).  For a pair this is
-    ``weak_value`` of ``arrival_time_operator`` bit for bit."""
-    overlap, numerator = 0j, [0j] * len(profile.measured)
-    for delays, coeff in profile.terms:  # weak_value's summation order
-        overlap += coeff
-        numerator = [n + d * coeff for n, d in zip(numerator, delays)]
-    overlap = check_overlap(overlap)
-    return tuple((n / overlap).real for n in numerator)
+    the real part of ``coefficient_weak_value`` of the terms, the arrival-time
+    weak value that ``photonic-weak`` prints.  For a pair this is ``weak_value``
+    of ``arrival_time_operator`` bit for bit."""
+    return tuple(w.real for w in coefficient_weak_value(profile.terms).value)
 
 
 def weak_limit_sweep(

@@ -10,6 +10,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -42,9 +43,11 @@ from .weakvalues import (
     POLARIZATION_TO_PATH,
     ProjectorWeakValue,
     WeakValueReport,
-    arrival_time_operator,
+    check_overlap,
+    coefficient_weak_value,
+    level_coefficients,
     occupation_operator,
-    projector_weak_decomposition,
+    polarization_delays,
     weak_value,
 )
 
@@ -342,29 +345,36 @@ class PhotonicWeakReport:
 
 
 @functools.lru_cache(maxsize=1)
-def _standard_selection() -> tuple[StateVector, StateVector, tuple[OccupationRow, ...]]:
-    # Everything in a photonic-weak report that does not depend on the delays.
+def _standard_selection() -> tuple[StateVector, StateVector, tuple, tuple[OccupationRow, ...]]:
+    # Everything in a photonic-weak report that does not depend on the
+    # delays, from one label walk: <post|label><label|pre> per level of each
+    # photon and per pair of levels.  A label the pre-selection does not
+    # hold, such as V2 V4, has coefficient 0 (the paper's N_{O+O-} = 0).
     pre = run_entanglement_swap("coherent").conditional_state()
     post = analyzer_post_selection()
-    singles = [{ph: lv} for lv in "VH" for ph in "24"]
-    joints = [{"2": lv2, "4": lv4} for lv2 in "VH" for lv4 in "VH"]
+    measured = (("2",), ("4",), ("2", "4"))
+    tables = dict(zip(measured, map(dict, level_coefficients(pre, post, measured))))
+    pair = tuple((label, tables["2", "4"].get(tuple(lv for _, lv in label.pairs), 0j))
+                 for label in pre.structure.product_labels())
+    # coefficient_weak_value's sum over the pair, so the overlap it reports
+    overlap = check_overlap(functools.reduce(operator.add, (c for _, c in pair), 0j))
     rows = []
-    for assignment in singles + joints:
-        report = weak_value(occupation_operator(pre.structure, assignment), pre, post)
-        photonic = " ".join(f"{lv}{ph}" for ph, lv in assignment.items())
-        path = " ".join(
-            f"{POLARIZATION_TO_PATH[lv]}{PHOTON_TO_PARTICLE[ph]}"
-            for ph, lv in assignment.items()
-        )
-        rows.append(OccupationRow(photonic, path, report.scalar))
-    return pre, post, tuple(rows)
+    for photons, levels in [*(((ph,), (lv,)) for lv in "VH" for ph in "24"),
+                            *((("2", "4"), lvs) for lvs in itertools.product("VH", repeat=2))]:
+        photonic = " ".join(f"{lv}{ph}" for ph, lv in zip(photons, levels))
+        path = " ".join(f"{POLARIZATION_TO_PATH[lv]}{PHOTON_TO_PARTICLE[ph]}"
+                        for ph, lv in zip(photons, levels))
+        rows.append(OccupationRow(photonic, path, tables[photons].get(levels, 0j) / overlap))
+    return pre, post, pair, tuple(rows)
 
 
 def run_photonic_weak(gamma: float = 0.0, epsilon: float = 1.0) -> PhotonicWeakReport:
-    """Weak arrival-time readout of the swapped pair at the standard analyzers."""
-    pre, post, occupations = _standard_selection()
-    joint_op = arrival_time_operator(pre.structure, ("2", "4"), gamma, epsilon)
-    joint = weak_value(joint_op, pre, post)
+    """Weak arrival-time readout of the swapped pair at the standard analyzers:
+    the delays weight the pair's coefficients, sum d c / sum c."""
+    pre, post, pair, occupations = _standard_selection()
+    delays = polarization_delays(pre.structure, ("2", "4"), gamma, epsilon)
+    terms = [(tuple(delays[lv] for _, lv in label.pairs), c) for label, c in pair]
+    joint = coefficient_weak_value(terms)
     # A photon's own operator would give its joint component bit for bit.
     photon2, photon4 = (replace(joint, value=(w,)) for w in joint.value)
     return PhotonicWeakReport(
@@ -377,7 +387,8 @@ def run_photonic_weak(gamma: float = 0.0, epsilon: float = 1.0) -> PhotonicWeakR
         photon2=photon2,
         photon4=photon4,
         joint=joint,
-        decomposition=projector_weak_decomposition(joint_op, pre, post),
+        decomposition=tuple(ProjectorWeakValue(label, w, c / joint.overlap)
+                            for (label, _), (w, c) in zip(pair, terms)),
         occupations=occupations,
     )
 

@@ -4,6 +4,10 @@ The central quantity is <post|A|pre> / <post|pre> for operators that are
 real-weighted sums of product-basis projectors.  Weights are k-vectors so
 a joint arrival-time observable can carry one delay per measured photon;
 plain occupation numbers are the k = 1 case.
+
+Reports weight one label walk's coefficients, sum d c / sum c, by
+linearity (Aharonov et al., Phys. Lett. A 301, 130 (2002)); ``weak_value``
+of an explicit ``WeightedProjectorSum`` is the independent cross-check.
 """
 from __future__ import annotations
 
@@ -130,6 +134,46 @@ def weak_value(
             numerator[i] += w * cross
     value = tuple(n / overlap for n in numerator)
     return WeakValueReport(value, overlap, abs(overlap) ** 2)
+
+
+def level_coefficients(
+    pre: StateVector, post: StateVector, measured_sets: Sequence[Sequence[str]]
+) -> list[tuple[tuple[tuple[str, ...], complex], ...]]:
+    """Per measured tuple, <post|label><label|pre> summed per tuple of the
+    measured levels, sorted: one walk forms each cross term once, in canonical
+    label order.  Labels outside the pre-selection's support add nothing."""
+    if not all(len(m) in (1, 2) and len(set(m)) == len(m) for m in measured_sets):
+        raise StructureError("measure one photon or an ordered pair")
+    if pre.structure != post.structure:
+        raise StructureError("pre- and post-selection must share a structure")
+    if not (pre.normalized and post.normalized):
+        raise ValueError("pre- and post-selection must be normalized")
+    names = pre.structure.names
+    if any(m not in names for measured in measured_sets for m in measured):
+        raise StructureError(f"measured photons must be among {names}")
+    # A product label's pairs follow the structure's names.
+    axes = [tuple(names.index(m) for m in measured) for measured in measured_sets]
+    collected: list[dict[tuple[str, ...], complex]] = [{} for _ in measured_sets]
+    for label, ket in pre.amplitudes.items():
+        cross = post.amplitudes.get(label, 0j).conjugate() * ket
+        if label.is_gamma or cross == 0j:
+            continue
+        for positions, coeffs in zip(axes, collected):
+            key = tuple(label.pairs[i][1] for i in positions)
+            coeffs[key] = coeffs.get(key, 0j) + cross
+    return [tuple(sorted(coeffs.items())) for coeffs in collected]
+
+
+def coefficient_weak_value(terms: Sequence[tuple[Sequence[float], complex]]) -> WeakValueReport:
+    """sum d c / sum c per component of the weights d, in ``weak_value``'s
+    order: over a walk's coefficients c, the weak value of the operator
+    with those weights.  An orthogonal selection is refused."""
+    overlap, numerator = 0j, [0j] * (len(terms[0][0]) if terms else 0)
+    for weights, coeff in terms:
+        overlap += coeff
+        numerator = [n + w * coeff for n, w in zip(numerator, weights)]
+    overlap = check_overlap(overlap)
+    return WeakValueReport(tuple(n / overlap for n in numerator), overlap, abs(overlap) ** 2)
 
 
 def occupation_operator(

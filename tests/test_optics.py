@@ -24,6 +24,7 @@ from hardyweak.optics import (
     apply_second_beamsplitter,
     hom_combine,
     interferometer_structure,
+    photon_pair_structure,
     splitter_map,
 )
 from hardyweak.states import (
@@ -55,6 +56,14 @@ def run_pipeline(plus_present, minus_present):
     sv = apply_second_beamsplitter(sv, "+", plus_present)
     sv = apply_second_beamsplitter(sv, "-", minus_present)
     return sv
+
+
+def test_fixed_structures_are_built_once_per_process():
+    # A Structure is frozen, so every caller may share one.
+    assert interferometer_structure() is interferometer_structure()
+    assert photon_pair_structure() is photon_pair_structure()
+    assert photon_pair_structure() == Structure.of(("2", ("H", "V")), ("4", ("H", "V")))
+    assert interferometer_structure() == Structure.of(("+", ("in",)), ("-", ("in",)))
 
 
 class TestEntrySplitter:

@@ -521,7 +521,7 @@ class TestRequestOracles:
         for phi in (-math.pi / 4.0, -math.atan(0.5) + 1e-7, 0.3, 1.2):
             for gamma, epsilon in ((0.0, 1.0), (1.0, 1.0), (-0.0, 0.0), (2.0, -1.5)):
                 spec = PointerSpec.default(gamma, epsilon, 1.5)
-                for profile in pointer._pointer_profiles(
+                for profile in pointer.pointer_profiles(
                         pre, analyzer_post_selection(phi), MEASURED_SETS, spec):
                     terms = pointer._basis_terms(profile.terms, spec)
                     for table in (spec.basis_integrals, spec.closed_integrals):
@@ -558,7 +558,7 @@ class TestRequestOracles:
         for pre_state, post, old_post in cases:
             gamma, epsilon = rng.choice([(0.0, 1.0), (1.0, 1.0), (-0.5, 2.0)])
             spec = PointerSpec.default(gamma, epsilon, 1.0)
-            profiles = pointer._pointer_profiles(pre_state, post, MEASURED_SETS, spec)
+            profiles = pointer.pointer_profiles(pre_state, post, MEASURED_SETS, spec)
             for measured, profile in zip(MEASURED_SETS, profiles):
                 want = _old_pointer_terms(pre_state, old_post, measured, spec)
                 assert profile.measured == measured
@@ -573,7 +573,7 @@ class TestRequestOracles:
         spec = PointerSpec.default(0.0, 1.0, 8.0)
         for phi in (-math.atan(0.5), math.pi / 2.0):
             post, old_post = analyzer_post_selection(phi), _old_analyzer_post_selection(phi)
-            profiles = pointer._pointer_profiles(pre, post, MEASURED_SETS, spec)
+            profiles = pointer.pointer_profiles(pre, post, MEASURED_SETS, spec)
             refusals = 0
             for measured, profile in zip(MEASURED_SETS, profiles):
                 old = pointer.PointerProfile(
@@ -603,7 +603,7 @@ class TestRequestOracles:
         want = _outcome(_old_pointer_terms, pre, post, measured, spec)
         assert isinstance(want[0], type) and issubclass(want[0], Exception)
         assert _outcome(pointer_terms, pre, post, measured, spec) == want
-        assert _outcome(pointer._pointer_profiles, pre, post, [measured], spec) == want
+        assert _outcome(pointer.pointer_profiles, pre, post, [measured], spec) == want
 
     def test_default_sizing_is_the_plain_bisection(self):
         rng = random.Random("default sizing")
@@ -646,17 +646,17 @@ class TestWorkCount:
         assert len(centers) == want
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv,walks,operators", [
-        (["--scenario=pointer"], 1, 0),  # photon 2, photon 4 and the pair
-        (["--scenario=pointer-sweep"], 1, 0),  # six default widths
-        (["--scenario=photonic-weak"], 0, 1),
+    @pytest.mark.parametrize("argv,walks", [
+        (["--scenario=pointer"], 1),  # photon 2, photon 4 and the pair
+        (["--scenario=pointer-sweep"], 1),  # six default widths
+        (["--scenario=photonic-weak"], 0),  # weights the once-per-process table
     ])
-    def test_one_label_contraction_per_run(self, monkeypatch, capsys, argv, walks, operators):
+    def test_one_label_contraction_per_run(self, monkeypatch, capsys, argv, walks):
         # A pointer reads its weak-value prediction off the joint profile's
         # terms, which do not depend on sigma; the joint arrival-time weak
         # value holds both photons' values.  One walk fills the terms of
-        # every measured tuple of a request.
-        scenarios._standard_selection()  # the once-per-process occupation operators
+        # every measured tuple of a request, and no request builds an operator.
+        scenarios._standard_selection()  # the once-per-process walk
         calls = []
 
         def counting(name, original):
@@ -666,18 +666,15 @@ class TestWorkCount:
             return wrapper
 
         projector_sum = weakvalues.WeightedProjectorSum
-        walk = counting("walk", pointer._pointer_profiles)
-        monkeypatch.setattr(pointer, "_pointer_profiles", walk)
-        monkeypatch.setattr(cli, "_pointer_profiles", walk)
-        monkeypatch.setattr(scenarios, "arrival_time_operator",
-                            counting("operator", scenarios.arrival_time_operator))
+        walk = counting("walk", weakvalues.level_coefficients)
+        for module in (pointer, scenarios):
+            monkeypatch.setattr(module, "level_coefficients", walk)
         monkeypatch.setattr(projector_sum, "__post_init__",
                             counting("sum", projector_sum.__post_init__))
         assert run_cli(["run", *argv]) == 0
         capsys.readouterr()
         assert calls.count("walk") == walks
-        assert calls.count("operator") == operators
-        assert calls.count("sum") == operators
+        assert calls.count("sum") == 0
 
     def test_a_64_point_default_grid_evaluates_its_budget_once(self, monkeypatch, capsys):
         budgets = []

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardyweak import scenarios
 from hardyweak.cli import run_cli
@@ -28,6 +30,12 @@ from hardyweak.scenarios import (
     verify_paper_states,
 )
 from hardyweak.states import GAMMA, StateVector, equal_up_to_global_phase, inner
+from hardyweak.weakvalues import (
+    arrival_time_operator,
+    occupation_operator,
+    projector_weak_decomposition,
+    weak_value,
+)
 
 from conftest import (
     PRE_POST_OVERLAP,
@@ -227,16 +235,17 @@ class TestFixedSetupMemo:
         assert len(enumerations) == 16
 
     def test_one_occupation_table_per_process(self, counted, capsys):
-        occupations = counted("occupation_operator", scenarios._standard_selection)
+        # One label walk fills photon 2's, photon 4's and the pair's tables.
+        walks = counted("level_coefficients", scenarios._standard_selection)
         assert run_cli(["run", "--scenario=photonic-weak"]) == 0
         assert run_cli(["run", "--scenario=photonic-weak", "--gamma=0.3"]) == 0
         capsys.readouterr()
-        assert len(occupations) == 8
+        assert [args[2] for args in walks] == [(("2",), ("4",), ("2", "4"))]
         first, second = run_photonic_weak(0.0, 1.0), run_photonic_weak(0.3, 1.7)
         assert first.occupations is second.occupations
         assert (first.pre, first.post) == (second.pre, second.post)
         assert second.photon2.scalar == pytest.approx(1.7)
-        assert len(occupations) == 8
+        assert len(walks) == 1
 
 
 # ------------------------------------------------------------------- swap
@@ -436,6 +445,35 @@ def test_photonic_weak_decomposition_recombines(gamma, epsilon):
     tolerance = 1e-12 * max(1.0, abs(gamma), abs(epsilon))
     for total, direct in zip(totals, report.joint.value):
         assert total == pytest.approx(direct, abs=tolerance)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0, 1.0)
+@example(0.3, 1.7)
+@example(1.0, 1.0)
+def test_photonic_weak_is_the_operator_route_exactly(gamma, epsilon):
+    # The weighted label table against the operators it stands for; == lets
+    # a signed zero stand for the other, as every report prints it as 0.
+    report = run_photonic_weak(gamma, epsilon)
+    pre = run_entanglement_swap("coherent").conditional_state()
+    post = analyzer_post_selection()
+    s = pre.structure
+    joint_op = arrival_time_operator(s, ("2", "4"), gamma, epsilon)
+    joint = weak_value(joint_op, pre, post)
+    assert report.joint.value == joint.value
+    assert report.overlap == report.joint.overlap == joint.overlap == inner(post, pre)
+    assert report.success_probability == joint.success_probability
+    for photon, got in (("2", report.photon2), ("4", report.photon4)):
+        own = weak_value(arrival_time_operator(s, (photon,), gamma, epsilon), pre, post)
+        assert got.value == own.value
+    rows = projector_weak_decomposition(joint_op, pre, post)
+    assert [(r.label, r.weight, r.value) for r in report.decomposition] == [
+        (r.label, r.weight, r.value) for r in rows]
+    for row in report.occupations:
+        assignment = {part[-1]: part[:-1] for part in row.photonic.split()}
+        assert row.value == weak_value(occupation_operator(s, assignment), pre, post).scalar
 
 
 def test_photonic_weak_decomposition_weights_are_delays():

@@ -17,8 +17,6 @@ from .states import (
     StructureError,
     Subnormalized,
     Subsystem,
-    condition,
-    equal_up_to_global_phase,
     inner,
     tensor,
 )
@@ -27,7 +25,6 @@ from .optics import (
     UnsupportedOccupancyError,
     apply_annihilation,
     apply_first_beamsplitter,
-    apply_polarization_rotation,
     apply_second_beamsplitter,
     hom_combine,
     interferometer_structure,
@@ -39,7 +36,6 @@ from .weakvalues import (
     WeakValueReport,
     WeightedProjectorSum,
     arrival_time_operator,
-    identity_operator,
     occupation_operator,
     projector_weak_decomposition,
     weak_value,
@@ -68,13 +64,10 @@ from .scenarios import (
     analyzer_post_selection,
     bell_pair,
     counterfactual_check,
-    dark_port_coincidence_state,
     entangled_target_state,
     run_entanglement_swap,
     run_hardy_gedanken,
     run_photonic_weak,
-    surviving_paths_state,
-    verify_paper_states,
 )
 
 # Every name imported above; the submodules bound as a side effect stay out.

@@ -289,8 +289,9 @@ def assemble_config(argv: Sequence[str] | None = None) -> RunConfig:
     texts = _read_flags(sys.argv[1:] if argv is None else list(argv))
     merged: dict[str, Any] = {}
     if "config" in texts:
+        path = _check_value("config", FLAGS["--config"][1], texts["config"])
         try:
-            text = Path(texts["config"]).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         merged.update(parse_config(text))

@@ -55,15 +55,6 @@ def splitter_map(inputs: tuple[str, ...], outputs: tuple[str, str]) -> LevelMap:
     return dict(zip(inputs, rows))
 
 
-def adjoint_level_map(mapping: LevelMap) -> dict[str, dict[str, complex]]:
-    """Reverse a level map: useful for pulling detection events backward."""
-    out: dict[str, dict[str, complex]] = {}
-    for old, row in mapping.items():
-        for new, amp in row.items():
-            out.setdefault(new, {})[old] = complex(amp).conjugate()
-    return out
-
-
 def apply_level_map(
     state: StateVector,
     name: str,
@@ -127,13 +118,6 @@ def apply_second_beamsplitter(
     else:
         mapping = {"O": {"c": 1.0}, "NO": {"d": 1.0}}
     return apply_level_map(state, particle, mapping, PORT_LEVELS)
-
-
-def apply_polarization_rotation(state: StateVector, photon: str, phi: float) -> StateVector:
-    """Rotate one photon's polarization basis by phi (real rotation)."""
-    c, s = math.cos(phi), math.sin(phi)
-    mapping = {"H": {"H": c, "V": -s}, "V": {"H": s, "V": c}}
-    return apply_level_map(state, photon, mapping, POLARIZATION_LEVELS)
 
 
 @dataclass(frozen=True)

@@ -224,10 +224,6 @@ class PointerSpec:
             table[1, 1] = (-2.0 * e, -2.0 * e * m, -2.0 * e * (s2 + m * m) + d * d / 2.0)
         return table
 
-    def refined(self) -> PointerSpec:
-        """The same extent with twice the points."""
-        return replace(self, n_points=2 * self.n_points)
-
 
 def _require_finite(spec: PointerSpec, name: str) -> None:
     value = getattr(spec, name)

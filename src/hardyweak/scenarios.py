@@ -17,17 +17,12 @@ from typing import Callable, Mapping, Sequence
 
 from .optics import (
     FockModeState,
-    adjoint_level_map,
     apply_annihilation,
     apply_first_beamsplitter,
-    apply_level_map,
     apply_second_beamsplitter,
     hom_combine,
     interferometer_structure,
     photon_pair_structure,
-    splitter_map,
-    ARM_LEVELS,
-    PORT_LEVELS,
 )
 from .states import (
     GAMMA,
@@ -46,9 +41,7 @@ from .weakvalues import (
     check_overlap,
     coefficient_weak_value,
     level_coefficients,
-    occupation_operator,
     polarization_delays,
-    weak_value,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -87,15 +80,6 @@ class HardyResult:
     probabilities: Mapping[str, float]
 
 
-def _annihilated_pair() -> StateVector:
-    """Both particles through their entry splitters, then the annihilation."""
-    s = interferometer_structure()
-    sv = StateVector(s, {s.label("in", "in"): 1.0})
-    sv = apply_first_beamsplitter(sv, "+")
-    sv = apply_first_beamsplitter(sv, "-")
-    return apply_annihilation(sv)
-
-
 def run_hardy_gedanken(config: HardyConfig = HardyConfig()) -> HardyResult:
     """Propagate the pair through both interferometers and tabulate ports."""
     return _hardy(config)  # once per configuration; the shared result is read-only
@@ -103,7 +87,11 @@ def run_hardy_gedanken(config: HardyConfig = HardyConfig()) -> HardyResult:
 
 @functools.lru_cache(maxsize=8)
 def _hardy(config: HardyConfig) -> HardyResult:
-    sv = _annihilated_pair()
+    s = interferometer_structure()
+    sv = StateVector(s, {s.label("in", "in"): 1.0})
+    sv = apply_first_beamsplitter(sv, "+")
+    sv = apply_first_beamsplitter(sv, "-")
+    sv = apply_annihilation(sv)
     sv = apply_second_beamsplitter(sv, "+", config.bs2_positron_present)
     sv = apply_second_beamsplitter(sv, "-", config.bs2_electron_present)
     probabilities = {"gamma": abs(sv.amplitude(GAMMA)) ** 2}
@@ -301,25 +289,6 @@ def analyzer_post_selection(phi: float = -math.pi / 4.0) -> StateVector:
     return StateVector(s, {label: a for label, a in products if abs(a) >= PRUNE_THRESHOLD})
 
 
-def surviving_paths_state() -> StateVector:
-    """Equal-weight pre-selection on the three non-annihilating arm pairs."""
-    sv = _annihilated_pair()
-    survivors = {
-        lab: amp for lab, amp in sv.items() if not lab.is_gamma
-    }
-    return StateVector(sv.structure, survivors).renormalized()
-
-
-def dark_port_coincidence_state() -> StateVector:
-    """Joint dark-port detection pulled back through both exit splitters."""
-    ports = Structure.of(("+", PORT_LEVELS), ("-", PORT_LEVELS))
-    sv = StateVector(ports, {ports.label("d", "d"): 1.0})
-    adj = adjoint_level_map(splitter_map(ARM_LEVELS, PORT_LEVELS))
-    sv = apply_level_map(sv, "+", adj, ARM_LEVELS)
-    sv = apply_level_map(sv, "-", adj, ARM_LEVELS)
-    return sv
-
-
 @dataclass(frozen=True)
 class OccupationRow:
     """One occupation weak value in both vocabularies."""
@@ -390,74 +359,4 @@ def run_photonic_weak(gamma: float = 0.0, epsilon: float = 1.0) -> PhotonicWeakR
         decomposition=tuple(ProjectorWeakValue(label, w, c / joint.overlap)
                             for (label, _), (w, c) in zip(pair, terms)),
         occupations=occupations,
-    )
-
-
-@dataclass(frozen=True)
-class RouteComparison:
-    name: str
-    literal: complex
-    pipeline: complex
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    overlap_literal: complex
-    overlap_pipeline: complex
-    annihilation_probability: float
-    singles: tuple[RouteComparison, ...]
-    joints: tuple[RouteComparison, ...]
-    max_difference: float
-
-
-def verify_paper_states() -> ConsistencyReport:
-    """Occupation weak values along two independently built routes.
-
-    Route one uses the textbook pre/post pair written down directly;
-    route two grows the pre-selection out of the entry splitters and
-    annihilation and pulls the post-selection back from the dark ports.
-    The two differ by branch phases yet should agree observable by
-    observable; ``max_difference`` is the largest disagreement, left for
-    the caller to judge.
-    """
-    s = Structure.of(("+", ARM_LEVELS), ("-", ARM_LEVELS))
-    third = 1.0 / SQRT3
-    pre_a = StateVector(
-        s,
-        {
-            s.label("O", "NO"): third,
-            s.label("NO", "O"): third,
-            s.label("NO", "NO"): third,
-        },
-    )
-    post_a = StateVector(
-        s,
-        {
-            s.label("NO", "NO"): 0.5,
-            s.label("NO", "O"): -0.5,
-            s.label("O", "NO"): -0.5,
-            s.label("O", "O"): 0.5,
-        },
-    )
-    pre_b = surviving_paths_state()
-    post_b = dark_port_coincidence_state()
-
-    singles = ("O-", "O+", "NO-", "NO+")
-    joints = ("O+ O-", "O+ NO-", "NO+ O-", "NO+ NO-")
-    rows = []
-    for name in singles + joints:
-        # "NO+ O-" reads as {"+": "NO", "-": "O"}; both routes share the arm basis.
-        op = occupation_operator(s, {part[-1]: part[:-1] for part in name.split()})
-        rows.append(RouteComparison(
-            name,
-            weak_value(op, pre_a, post_a).scalar,
-            weak_value(op, pre_b, post_b).scalar,
-        ))
-    return ConsistencyReport(
-        overlap_literal=inner(post_a, pre_a),
-        overlap_pipeline=inner(post_b, pre_b),
-        annihilation_probability=abs(_annihilated_pair().amplitude(GAMMA)) ** 2,
-        singles=tuple(rows[: len(singles)]),
-        joints=tuple(rows[len(singles):]),
-        max_difference=max(abs(row.literal - row.pipeline) for row in rows),
     )

@@ -18,9 +18,6 @@ from typing import Iterable, Iterator, Mapping
 # precision and may be dropped without moving any probability by > 1e-12.
 PRUNE_THRESHOLD = 1e-15
 NORM_TOLERANCE = 1e-12
-# Two normalized states are equal up to a global phase when |<a|b>| is
-# within this of one.
-PHASE_TOLERANCE = 1e-9
 
 
 class StructureError(ValueError):
@@ -97,10 +94,6 @@ class Structure:
             )
         )
 
-    def drop(self, names: Iterable[str]) -> Structure:
-        gone = set(names)
-        return Structure(tuple(s for s in self.subsystems if s.name not in gone))
-
     def concat(self, other: Structure) -> Structure:
         if set(self.names) & set(other.names):
             raise StructureError("subsystem names collide in tensor product")
@@ -162,10 +155,6 @@ class BasisLabel:
         return BasisLabel(
             tuple((n, level if n == name else lv) for n, lv in self.pairs)
         )
-
-    def drop(self, names: Iterable[str]) -> BasisLabel:
-        gone = set(names)
-        return BasisLabel(tuple(p for p in self.pairs if p[0] not in gone))
 
     def __str__(self) -> str:
         if self.is_gamma:
@@ -273,34 +262,3 @@ def inner(bra: StateVector, ket: StateVector) -> complex:
         if ba is not None:
             acc += ba.conjugate() * amp
     return acc
-
-
-def condition(state: StateVector, outcome: Mapping[str, str]) -> Subnormalized:
-    """Project onto a partial level assignment and drop the addressed subsystems.
-
-    The weight of the result is the outcome probability (for a normalized
-    input).  GAMMA survives only the empty assignment: an annihilated pair
-    never reaches a detector.
-    """
-    for name, level in outcome.items():
-        state.structure.subsystem(name).index(level)
-    kept: dict[BasisLabel, complex] = {}
-    for label, amp in state.items():
-        if label.is_gamma:
-            if outcome:
-                continue
-            kept[label] = amp
-            continue
-        if all(label.level(n) == lv for n, lv in outcome.items()):
-            kept[label.drop(outcome)] = amp
-    reduced = StateVector(state.structure.drop(outcome), kept)
-    return Subnormalized.of(reduced)
-
-
-def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
-    """True iff |<a|b>| >= 1 - PHASE_TOLERANCE.  Both states must be normalized."""
-    if a.structure != b.structure:
-        raise StructureError("comparison requires identical structures")
-    if not (a.normalized and b.normalized):
-        raise ValueError("global-phase comparison is defined for normalized states")
-    return abs(inner(a, b)) >= 1.0 - PHASE_TOLERANCE

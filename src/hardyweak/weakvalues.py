@@ -61,27 +61,6 @@ class WeightedProjectorSum:
     def dimension(self) -> int:
         return len(self.terms[0][1])
 
-    def scaled(self, factor: float) -> WeightedProjectorSum:
-        return WeightedProjectorSum(
-            self.structure,
-            tuple((lab, tuple(factor * x for x in w)) for lab, w in self.terms),
-        )
-
-    def plus(self, other: WeightedProjectorSum) -> WeightedProjectorSum:
-        if self.structure != other.structure or self.dimension != other.dimension:
-            raise StructureError("operators must share structure and dimension")
-        merged: dict[BasisLabel, list[float]] = {
-            lab: list(w) for lab, w in self.terms
-        }
-        for lab, w in other.terms:
-            if lab in merged:
-                merged[lab] = [a + b for a, b in zip(merged[lab], w)]
-            else:
-                merged[lab] = list(w)
-        return WeightedProjectorSum(
-            self.structure, tuple((lab, tuple(w)) for lab, w in merged.items())
-        )
-
 
 @dataclass(frozen=True)
 class WeakValueReport:
@@ -194,12 +173,6 @@ def occupation_operator(
         if all(label.level(n) == lv for n, lv in assignment.items())
     )
     return WeightedProjectorSum(structure, terms)
-
-
-def identity_operator(structure: Structure) -> WeightedProjectorSum:
-    return WeightedProjectorSum(
-        structure, tuple((label, (1.0,)) for label in structure.product_labels())
-    )
 
 
 def polarization_delays(

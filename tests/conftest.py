@@ -1,4 +1,5 @@
-"""Shared literal reference states and small helpers.
+"""Shared literal reference states, the optics-built routes to them, and
+small helpers.
 
 The expected amplitude tables here were derived by hand from the
 interferometer convention (entry splitter sends the input to
@@ -11,7 +12,15 @@ from __future__ import annotations
 
 import math
 
-from hardyweak.states import GAMMA, StateVector, Structure
+from hardyweak.optics import (
+    apply_annihilation,
+    apply_first_beamsplitter,
+    apply_level_map,
+    interferometer_structure,
+    splitter_map,
+)
+from hardyweak.states import GAMMA, StateVector, Structure, inner
+from hardyweak.weakvalues import WeightedProjectorSum
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -56,6 +65,50 @@ def dark_coincidence_literal() -> StateVector:
         arm_structure(),
         {("NO", "NO"): 0.5, ("NO", "O"): -0.5, ("O", "NO"): -0.5, ("O", "O"): 0.5},
     )
+
+
+def annihilated_pair() -> StateVector:
+    """Both particles through their entry splitters, then the annihilation."""
+    s = interferometer_structure()
+    sv = apply_first_beamsplitter(StateVector(s, {s.label("in", "in"): 1.0}), "+")
+    return apply_annihilation(apply_first_beamsplitter(sv, "-"))
+
+
+def surviving_paths_state() -> StateVector:
+    """The pre-selection grown by the optics: the three arm pairs that survive
+    the annihilation, renormalized.  Equals surviving_paths_literal() up to
+    branch phases."""
+    sv = annihilated_pair()
+    survivors = {lab: amp for lab, amp in sv.items() if not lab.is_gamma}
+    return StateVector(sv.structure, survivors).renormalized()
+
+
+def dark_port_coincidence_state() -> StateVector:
+    """The joint dark-port detection pulled back through both exit splitters
+    by the adjoint splitter map.  Equals dark_coincidence_literal() up to
+    branch phases."""
+    split = splitter_map(("O", "NO"), ("c", "d"))
+    adjoint = {port: {arm: row[port].conjugate() for arm, row in split.items()}
+               for port in ("c", "d")}
+    sv = state_of(port_structure(), {("d", "d"): 1.0})
+    sv = apply_level_map(sv, "+", adjoint, ("O", "NO"))
+    return apply_level_map(sv, "-", adjoint, ("O", "NO"))
+
+
+def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
+    return a.normalized and b.normalized and abs(inner(a, b)) >= 1.0 - 1e-9
+
+
+def identity_operator(structure: Structure) -> WeightedProjectorSum:
+    return WeightedProjectorSum(
+        structure, tuple((lab, (1.0,)) for lab in structure.product_labels()))
+
+
+def rotate_polarization(state: StateVector, photon: str, phi: float) -> StateVector:
+    """Rotate one photon's polarization basis by phi (a real rotation)."""
+    c, s = math.cos(phi), math.sin(phi)
+    mapping = {"H": {"H": c, "V": -s}, "V": {"H": s, "V": c}}
+    return apply_level_map(state, photon, mapping, ("H", "V"))
 
 
 def entangled_target_literal() -> StateVector:

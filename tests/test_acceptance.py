@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+from dataclasses import replace
 
 from hardyweak.optics import FockModeState, hom_combine
 from hardyweak.pointer import (
@@ -29,18 +30,24 @@ from hardyweak.scenarios import (
     run_entanglement_swap,
     run_hardy_gedanken,
     run_photonic_weak,
-    verify_paper_states,
 )
 from hardyweak.states import StateVector, Structure
 from hardyweak.weakvalues import (
-    identity_operator,
+    arrival_time_operator,
     occupation_operator,
     projector_weak_decomposition,
     weak_value,
 )
 from hardyweak.cli import run_cli
 
-from conftest import expected_final_state
+from conftest import (
+    dark_coincidence_literal,
+    dark_port_coincidence_state,
+    expected_final_state,
+    identity_operator,
+    surviving_paths_literal,
+    surviving_paths_state,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -101,22 +108,21 @@ def test_03_counterfactual_contradiction():
 
 
 def test_04_occupation_weak_values_two_routes():
-    report = verify_paper_states()
-    singles = {row.name: row for row in report.singles}
-    joints = {row.name: row for row in report.joints}
-    expected_singles = {"O-": 1.0, "O+": 1.0, "NO-": 0.0, "NO+": 0.0}
-    expected_joints = {
+    expected = {
+        "O-": 1.0, "O+": 1.0, "NO-": 0.0, "NO+": 0.0,
         "O+ O-": 0.0, "O+ NO-": 1.0, "NO+ O-": 1.0, "NO+ NO-": -1.0,
     }
-    ok = report.max_difference <= 1e-12
-    for name, want in expected_singles.items():
-        row = singles[name]
-        ok = ok and abs(row.literal - want) <= 1e-12
-        ok = ok and abs(row.pipeline - want) <= 1e-12
-    for name, want in expected_joints.items():
-        row = joints[name]
-        ok = ok and abs(row.literal - want) <= 1e-12
-        ok = ok and abs(row.pipeline - want) <= 1e-12
+    # The literal states, then the same selection grown through the optics.
+    routes = ((surviving_paths_literal(), dark_coincidence_literal()),
+              (surviving_paths_state(), dark_port_coincidence_state()))
+    ok = True
+    for name, want in expected.items():
+        # "NO+ O-" reads as {"+": "NO", "-": "O"}; both routes share the arm basis.
+        op = occupation_operator(routes[0][0].structure,
+                                 {part[-1]: part[:-1] for part in name.split()})
+        literal, grown = (weak_value(op, pre, post).scalar for pre, post in routes)
+        ok = ok and abs(literal - want) <= 1e-12 and abs(grown - want) <= 1e-12
+        ok = ok and abs(literal - grown) <= 1e-12
     _report(4, "occupation weak values on both construction routes", ok)
 
 
@@ -223,7 +229,7 @@ def test_09_structural_properties():
     s = pre.structure
     a = occupation_operator(s, {"2": "V"})
     b = occupation_operator(s, {"2": "H"})
-    combined = a.scaled(0.7).plus(b.scaled(-1.3))
+    combined = arrival_time_operator(s, ("2",), -1.3, 0.7)
     direct = weak_value(combined, pre, post).scalar
     split = (
         0.7 * weak_value(a, pre, post).scalar
@@ -251,7 +257,7 @@ def test_09_structural_properties():
     spec = PointerSpec.default(0.0, 1.0, 8.0, 1024)
     coarse = pointer_moments(build_pointer_profile(pre, post, ("2", "4"), spec))
     fine = pointer_moments(
-        build_pointer_profile(pre, post, ("2", "4"), spec.refined())
+        build_pointer_profile(pre, post, ("2", "4"), replace(spec, n_points=2 * spec.n_points))
     )
     for c, f in zip(coarse.mean, fine.mean):
         ok = ok and abs(c - f) <= 1e-8

@@ -803,6 +803,13 @@ def test_unwritable_out_path_exits_one(tmp_path, capsys, target):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--out=", "--config="])
+def test_empty_path_exits_one_before_any_file_access(capsys, flag):
+    code, out, err = run(["run", "--scenario=hardy", flag], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: config: {flag[2:-1]} must be a nonempty path\n"
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({

@@ -897,12 +897,14 @@ class TestJointMoments:
         pre, post = _pre_post()
         spec1 = PointerSpec.default(0.0, 1.0, 8.0, 4096)
         m1 = pointer_moments(build_pointer_profile(pre, post, ("2",), spec1))
-        m2 = pointer_moments(build_pointer_profile(pre, post, ("2",), spec1.refined()))
+        m2 = pointer_moments(build_pointer_profile(
+            pre, post, ("2",), replace(spec1, n_points=2 * spec1.n_points)))
         assert abs(m1.mean[0] - m2.mean[0]) < 1e-8
         assert abs(m1.variance[0] - m2.variance[0]) < 1e-8
         spec2 = PointerSpec.default(0.0, 1.0, 1.0, 1024)
         j1 = pointer_moments(build_pointer_profile(pre, post, ("2", "4"), spec2))
-        j2 = pointer_moments(build_pointer_profile(pre, post, ("2", "4"), spec2.refined()))
+        j2 = pointer_moments(build_pointer_profile(
+            pre, post, ("2", "4"), replace(spec2, n_points=2 * spec2.n_points)))
         for axis in (0, 1):
             assert abs(j1.mean[axis] - j2.mean[axis]) < 1e-8
         assert abs(j1.success_probability - j2.success_probability) < 1e-8

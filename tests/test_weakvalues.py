@@ -10,6 +10,7 @@ from conftest import (
     arm_structure,
     dark_coincidence_literal,
     entangled_target_literal,
+    identity_operator,
     photon_structure,
     state_of,
     surviving_paths_literal,
@@ -21,7 +22,6 @@ from hardyweak.weakvalues import (
     POLARIZATION_TO_PATH,
     WeightedProjectorSum,
     arrival_time_operator,
-    identity_operator,
     occupation_operator,
     projector_weak_decomposition,
     weak_value,
@@ -181,13 +181,12 @@ class TestLinearityAndValidation:
     def test_linearity(self, wa, wb, alpha, beta):
         pre, post = _pre_post_photons()
         labels = list(pre.structure.product_labels())
-        a = WeightedProjectorSum(
-            pre.structure, tuple((lab, (w,)) for lab, w in zip(labels, wa))
-        )
-        b = WeightedProjectorSum(
-            pre.structure, tuple((lab, (w,)) for lab, w in zip(labels, wb))
-        )
-        combined = a.scaled(alpha).plus(b.scaled(beta))
+
+        def operator(weights):
+            return WeightedProjectorSum(pre.structure, tuple(zip(labels, zip(weights))))
+
+        a, b = operator(wa), operator(wb)
+        combined = operator([alpha * x + beta * y for x, y in zip(wa, wb)])
         lhs = weak_value(combined, pre, post).scalar
         rhs = (
             alpha * weak_value(a, pre, post).scalar

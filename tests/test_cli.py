@@ -304,6 +304,22 @@ def test_non_utf8_config_file_exits_one(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_config_directory_exits_one(tmp_path, capsys):
+    code, out, err = run(["run", "--scenario=hardy", f"--config={tmp_path}"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: config: cannot read config file: ")
+    assert err.count("\n") == 1
+
+
+def test_config_file_cannot_name_another_config(tmp_path, capsys):
+    # --config is a flag only; a file does not chain to a second file.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"scenario": "hardy", "config": str(config)}))
+    code, out, err = run(["run", "--config", str(config)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: config: unknown config keys: ['config']\n"
+
+
 def test_default_sweep_at_zero_epsilon_names_the_cause(capsys):
     # The default widths are multiples of epsilon; no sweep was passed.
     code, out, err = run(["run", "--scenario=pointer-sweep", "--epsilon=0"], capsys)

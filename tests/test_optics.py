@@ -160,6 +160,17 @@ class TestExitSplitter:
         dd_amp = forward.amplitude(forward.structure.label("d", "d"))
         assert abs(inner(dark_port_coincidence_state(), annihilated_pair()) - dd_amp) < 1e-12
 
+    def test_dark_coincidence_pullback_returns_to_the_dark_ports(self):
+        # The adjoint map inverts the exit splitter: sending the pulled-back
+        # post-selection forward again lands on |d+ d-> alone.
+        pulled = dark_port_coincidence_state()
+        assert pulled.normalized
+        sv = apply_second_beamsplitter(pulled, "+", True)
+        sv = apply_second_beamsplitter(sv, "-", True)
+        dd = sv.structure.label("d", "d")
+        assert abs(sv.amplitude(dd) - 1.0) < 1e-12
+        assert all(abs(amp) < 1e-12 for lab, amp in sv.items() if lab != dd)
+
 
 class TestOneAlphabetCheck:
     # apply_level_map is the only alphabet check of the elements built on it;

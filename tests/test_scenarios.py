@@ -576,5 +576,25 @@ def test_paper_states_overlap_and_annihilation():
         assert inner(post, pre) == pytest.approx(PRE_POST_OVERLAP, abs=1e-12)
 
 
+def test_paper_states_occupation_values():
+    singles = {"O-": 1.0, "O+": 1.0, "NO-": 0.0, "NO+": 0.0}
+    joints = {"O+ O-": 0.0, "O+ NO-": 1.0, "NO+ O-": 1.0, "NO+ NO-": -1.0}
+    routes = ((surviving_paths_literal(), dark_coincidence_literal()),
+              (surviving_paths_state(), dark_port_coincidence_state()))
+    values = []
+    for pre, post in routes:
+        # "NO+ O-" reads as {"+": "NO", "-": "O"}.
+        values.append({
+            name: weak_value(occupation_operator(
+                pre.structure, {part[-1]: part[:-1] for part in name.split()}),
+                pre, post).scalar
+            for name in (*singles, *joints)
+        })
+    for got in values:
+        assert {n: got[n] for n in singles} == pytest.approx(singles, abs=1e-12)
+        assert {n: got[n] for n in joints} == pytest.approx(joints, abs=1e-12)
+    assert values[1] == pytest.approx(values[0], abs=1e-12)
+
+
 def test_overlap_constant_value():
     assert PRE_POST_OVERLAP == pytest.approx(-1.0 / (2.0 * SQRT3), abs=1e-15)

@@ -8,6 +8,7 @@ from conftest import (
     PRE_POST_OVERLAP,
     arm_structure,
     dark_coincidence_literal,
+    equal_up_to_global_phase,
     expected_final_state,
     photon_structure,
     state_of,
@@ -31,6 +32,10 @@ coeff_pairs = st.tuples(finite, finite)
 def _state_from(structure, coeffs):
     labels = list(structure.product_labels())
     return StateVector(structure, {lab: complex(re, im) for lab, (re, im) in zip(labels, coeffs)})
+
+
+def _nontrivial(coeffs):
+    return sum(re * re + im * im for re, im in coeffs) > 1e-6
 
 
 class TestTensor:
@@ -123,7 +128,43 @@ class TestInner:
             inner(surviving_paths_literal(), StateVector(photon_structure(), {}))
 
 
-class TestPruningAndNormalization:
+class TestGlobalPhaseAndPruning:
+    # equal_up_to_global_phase is the conftest oracle of the optics tests.
+    def test_phase_rotated_state_matches(self):
+        pre = surviving_paths_literal()
+        rotated = pre.scaled(complex(math.cos(1.234), math.sin(1.234)))
+        assert equal_up_to_global_phase(pre, rotated)
+
+    def test_distinct_states_do_not_match(self):
+        assert not equal_up_to_global_phase(
+            surviving_paths_literal(), dark_coincidence_literal()
+        )
+
+    def test_requires_normalized_inputs(self):
+        # |<pre|2 pre>| = 2 clears the overlap bound; only the norm check rejects it.
+        pre = surviving_paths_literal()
+        for factor in (0.5, 2.0):
+            assert not equal_up_to_global_phase(pre, pre.scaled(factor))
+            assert not equal_up_to_global_phase(pre.scaled(factor), pre)
+
+    @given(st.lists(coeff_pairs, min_size=4, max_size=4).filter(_nontrivial))
+    @settings(max_examples=60, deadline=None)
+    def test_outcome_weights_sum_to_one(self, coeffs):
+        s = arm_structure()
+        raw = _state_from(s, coeffs)
+        sv = raw.renormalized()
+        assert sv.normalized
+        total = sum(abs(sv.amplitude(s.label(p, m))) ** 2
+                    for p in ("O", "NO") for m in ("O", "NO"))
+        assert abs(total - 1.0) < 1e-12
+        assert abs(abs(inner(raw, sv)) ** 2 - raw.norm_sq()) < 1e-12
+
+    def test_renormalizing_a_vanishing_state_raises(self):
+        s = arm_structure()
+        for amps in ({}, {s.label("O", "O"): 1e-16}):
+            with pytest.raises(StructureError, match="vanishing norm"):
+                StateVector(s, amps).renormalized()
+
     def test_prune_leaves_reported_numbers_alone(self):
         s = arm_structure()
         dirty = state_of(

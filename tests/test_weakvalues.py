@@ -129,6 +129,20 @@ class TestArrivalTime:
         assert by_label[("V", "H")] == (0.25,)
         assert by_label[("H", "V")] == (1.5,)
 
+    @given(st.floats(-3.0, 3.0, allow_nan=False), st.floats(-3.0, 3.0, allow_nan=False))
+    @settings(max_examples=30, deadline=None)
+    def test_single_photon_value_is_the_weighted_occupation_sum(self, gamma, epsilon):
+        # A post-selection with weight on every label, so both occupations count.
+        pre = entangled_target_literal()
+        post = state_of(photon_structure(), {
+            ("H", "H"): 0.5, ("H", "V"): 0.5j, ("V", "H"): -0.5, ("V", "V"): 0.5})
+        s = pre.structure
+        for photon in ("2", "4"):
+            got = weak_value(arrival_time_operator(s, (photon,), gamma, epsilon), pre, post)
+            h, v = (weak_value(occupation_operator(s, {photon: level}), pre, post).scalar
+                    for level in ("H", "V"))
+            assert abs(got.scalar - (gamma * h + epsilon * v)) < 1e-12 * (1 + abs(gamma) + abs(epsilon))
+
     def test_unknown_photon_rejected(self):
         with pytest.raises(StructureError):
             arrival_time_operator(photon_structure(), ("7",), 0.0, 1.0)

@@ -15,12 +15,18 @@ Both routes to every moment write the terms in the difference basis
 b0 = f_gamma, b1 = f_epsilon - f_gamma and run one loop over pairs of
 terms, which factorises over the axes.  They differ only in the spec's
 table of one-axis integrals of b_p b_q: in closed form, or by the
-trapezoid rule in exact sums on the grid, filled only to the moment
-order the caller prints.  A pointer's means and variances take nine sums
-per spec, a sweep width's means six; equal delays take three and two.
-Near an orthogonal post-selection the delay coefficients nearly cancel:
-the basis adds them before any integral enters, where f_gamma f_epsilon
-products would cancel large integrals.
+trapezoid rule on the grid.  Near an orthogonal post-selection the delay
+coefficients nearly cancel: the basis adds them before any integral
+enters, where f_gamma f_epsilon products would cancel large integrals.
+
+The routes are forked until ROADMAP item 3 centres the moments.  A
+``pointer`` report prints its grid moments, nine exactly rounded sums
+per spec (three at equal delays), because the uncentred closed-form
+variance loses more digits than the grid in the strong regime.  A sweep
+width prints its means from the closed form and checks its grid against
+it: ``_first_order_grid_table`` fills int and int t of each b_p b_q in
+plain sums, and ``_check_grid`` refuses the width (``GridError``) when
+an entry is off its closed form by more than its budget.
 
 The trapezoid rule converges exponentially on a Gaussian, and
 ``grid_error_budget`` bounds its error by aliasing from the step plus
@@ -188,12 +194,9 @@ class PointerSpec:
 
     @cached_property
     def basis_integrals(self) -> dict[tuple[int, int], tuple[float, float, float]]:
-        """The second-order table ``pointer_moments`` reads: int, int t and
-        int t^2 of b_p b_q, nine exact sums, or three when the delays are equal."""
-        return self._basis_table(2)
-
-    def _basis_table(self, order: int) -> dict[tuple[int, int], tuple[float, ...]]:
-        """``_grid_integrals`` to ``order`` of b_p b_q per pair of basis indices.
+        """The table ``pointer_moments`` reads: ``_grid_integrals`` of b_p b_q
+        per pair of basis indices, nine exact sums, or three when the delays
+        are equal.
 
         b0 = f_gamma and, unless the delays are equal, b1 = f_epsilon - f_gamma.
         """
@@ -203,8 +206,7 @@ class PointerSpec:
             basis.append(list(map(sub, f[self.epsilon], f[self.gamma])))
         table = {}
         for p, q in combinations_with_replacement(range(len(basis)), 2):
-            table[p, q] = table[q, p] = _grid_integrals(
-                self, list(map(mul, basis[p], basis[q])), order)
+            table[p, q] = table[q, p] = _grid_integrals(self, list(map(mul, basis[p], basis[q])))
         return table
 
     @cached_property
@@ -270,20 +272,94 @@ def gaussian_amplitude(t: Sequence[float], center: float, sigma: float) -> list[
     return [norm * math.exp((d := x - center) * d / scale) for x in t]
 
 
-def _grid_integrals(spec: PointerSpec, y: list[float], order: int = 2) -> tuple[float, ...]:
-    """Trapezoidal int t^k y for k = 0, ..., ``order`` on the spec's grid.
+def _grid_integrals(spec: PointerSpec, y: list[float]) -> tuple[float, float, float]:
+    """Trapezoidal int y, int t y and int t^2 y on the spec's grid, each an
+    exactly rounded sum.
 
     The weights multiply last: w * t^2 would overflow on grids whose
     squared extent is finite but close to the largest float.
     """
     t, w = spec.quadrature
-    sums = [math.fsum(map(mul, w, y))]
-    for k in range(order):
-        y = map(mul, t, y)
-        if k + 1 < order:  # the next order reads it too
-            y = list(y)
-        sums.append(math.fsum(map(mul, w, y)))
-    return tuple(sums)
+    ty = list(map(mul, t, y))
+    return (math.fsum(map(mul, w, y)), math.fsum(map(mul, w, ty)),
+            math.fsum(map(mul, w, map(mul, t, ty))))
+
+
+def _first_order_grid_table(spec: PointerSpec, mirror: bool = True
+                            ) -> dict[tuple[int, int], tuple[float, float]]:
+    """int b_p b_q and int t b_p b_q on the spec's grid, for ``_check_grid``.
+
+    The trapezoid rule at the uniform step h, h (sum y - (y_0 + y_N) / 2),
+    in plain sums.  On a grid symmetric about the delays' midpoint (every
+    ``PointerSpec.default`` grid, within ``_MIRROR_ULPS`` ulps of its
+    extent) f_epsilon is f_gamma reversed, so the width samples one
+    Gaussian; ``mirror=False`` samples both.
+    """
+    t, h = spec.grid(), spec.step
+    early = gaussian_amplitude(t, spec.gamma, spec.sigma)
+    basis = [early]
+    if spec.epsilon != spec.gamma:
+        late = (early[::-1] if mirror and _is_mirrored(spec)
+                else gaussian_amplitude(t, spec.epsilon, spec.sigma))
+        basis.append(list(map(sub, late, early)))
+    table = {}
+    for p, q in combinations_with_replacement(range(len(basis)), 2):
+        y = list(map(mul, basis[p], basis[q]))
+        table[p, q] = table[q, p] = (
+            h * (sum(y) - (y[0] + y[-1]) / 2.0),
+            h * (sum(map(mul, t, y)) - (t[0] * y[0] + t[-1] * y[-1]) / 2.0))
+    return table
+
+
+# A grid is mirrored when t_min + t_max is the delays' sum within this many
+# ulps of the grid's extent; every default grid is, within three.
+_MIRROR_ULPS = 4.0
+# Ulps per grid point and per sigma of grid extent that ``_check_grid``
+# allows for rounding: summation, and the grid times' and the mirror's
+# position errors, which shift a Gaussian by a fraction of sigma.
+_CHECK_ULPS = 4.0
+
+
+def _extent(spec: PointerSpec) -> float:
+    return max(abs(spec.t_min), abs(spec.t_max))
+
+
+def _is_mirrored(spec: PointerSpec) -> bool:
+    asymmetry = (spec.t_min + spec.t_max) - (spec.gamma + spec.epsilon)
+    return abs(asymmetry) <= _MIRROR_ULPS * sys.float_info.epsilon * _extent(spec)
+
+
+def _grid_rounding(spec: PointerSpec) -> float:
+    """The check's rounding term, relative to the ``grid_error_budget``
+    scale: 4 eps (N + T / sigma) with T = max(|t_min|, |t_max|)."""
+    return _CHECK_ULPS * sys.float_info.epsilon * (spec.n_points + _extent(spec) / spec.sigma)
+
+
+def _grid_check_bounds(spec: PointerSpec) -> dict[tuple[int, int], tuple[float, float]]:
+    """How far each entry J_k(p, q), k = 0, 1, p <= q, of the first-order
+    grid table may lie from its closed form: w (c + sigma)^k, the
+    ``grid_error_budget`` scale, times aliasing + truncation +
+    ``_grid_rounding``."""
+    closed = spec.closed_integrals
+    overlap = 1.0 + closed[0, 1][0] if (0, 1) in closed else 1.0
+    weight = (1.0, 1.0 + overlap, 2.0 + 2.0 * overlap)  # b0 b0, b0 b1, b1 b1
+    allowed = sum(grid_error_budget(spec)) + _grid_rounding(spec)
+    scale = max(abs(spec.gamma), abs(spec.epsilon)) + spec.sigma
+    return {(p, q): (weight[p + q] * allowed, weight[p + q] * scale * allowed)
+            for p, q in closed if p <= q}
+
+
+def _check_grid(spec: PointerSpec) -> None:
+    """Refuse the spec (``GridError``) if an entry of its first-order grid
+    table is off its closed form by more than ``_grid_check_bounds``."""
+    closed, grid = spec.closed_integrals, _first_order_grid_table(spec)
+    for (p, q), bounds in _grid_check_bounds(spec).items():
+        for k, (value, bound) in enumerate(zip(grid[p, q], bounds)):
+            residual = abs(value - closed[p, q][k])
+            if not residual <= bound:
+                raise GridError(
+                    f"grid check failed at sigma {spec.sigma:g}: J{k}({p}, {q}) is "
+                    f"off its closed form by {residual:.3g}, above its bound {bound:.3g}")
 
 
 @dataclass(frozen=True)
@@ -452,9 +528,10 @@ def weak_limit_sweep(
 
     ``sigmas`` must be positive and ascending so the rows read as an
     approach to the weak limit.  Without ``n_points`` every width gets the
-    largest default grid that any of them needs.  A width fills its grid
-    table to first order only, the means ``pointer_moments`` would give bit
-    for bit: no row prints a variance.
+    largest default grid that any of them needs.  A width prints the
+    closed-form means, ``analytic_moments`` bit for bit, and checks its
+    grid against the closed form first (``_check_grid``): the width's
+    grid, at ``n_points``, sets how closely its means are checked.
     """
     if not sigmas:
         raise GridError("sweep needs at least one sigma")
@@ -474,7 +551,9 @@ def weak_limit_sweep(
             profile = build_pointer_profile(pre, post, measured, spec)
             prediction = weak_prediction(profile)
             terms = _basis_terms(profile.terms, spec)  # reads the delays only
-        mean = _means(_pair_sums(terms, spec._basis_table(1)), _EMPTY_ON_GRID)
+        _check_grid(spec)
+        # The checked grid agrees with the closed form, so its message stands.
+        mean = _means(_pair_sums(terms, spec.closed_integrals), _EMPTY_ON_GRID)
         deviation = tuple(abs(m - w) for m, w in zip(mean, prediction))
         rows.append(SweepRow(sigma, spec.weakness_ratio, mean, deviation, n_points))
     return rows

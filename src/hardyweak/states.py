@@ -181,10 +181,17 @@ class StateVector:
     normalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        # Sorting validates: sort_key rejects a label foreign to the structure.
-        key = self.structure.sort_key
-        ordered = {lab: complex(amp) for lab, amp in sorted(
-            self.amplitudes.items(), key=lambda kv: key(kv[0]))}
+        # Product labels are ordered by their canonical positions, and a map
+        # already in that order is kept as it is.  GAMMA and foreign labels
+        # have no position: sort_key sorts GAMMA first and rejects the rest.
+        items = self.amplitudes.items()
+        positions = list(map(self.structure._label_index.get, self.amplitudes))
+        if None in positions:
+            key = self.structure.sort_key
+            items = sorted(items, key=lambda kv: key(kv[0]))
+        elif positions != sorted(positions):
+            items = [kv for _, kv in sorted(zip(positions, items))]  # positions are distinct
+        ordered = {lab: complex(amp) for lab, amp in items}
         object.__setattr__(self, "amplitudes", MappingProxyType(ordered))
         object.__setattr__(
             self, "normalized", abs(self.norm_sq() - 1.0) <= NORM_TOLERANCE

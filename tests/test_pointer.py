@@ -510,7 +510,8 @@ class TestRequestOracles:
             spec = rng.choice(specs)
             n_basis = 1 if spec.gamma == spec.epsilon else 2
             terms = _draw_terms(rng, n_axes, n_basis)
-            tables = [spec._basis_table(1), spec.basis_integrals, spec.closed_integrals,
+            tables = [pointer._first_order_grid_table(spec), spec.basis_integrals,
+                      spec.closed_integrals,
                       _draw_table(rng, 1, n_basis), _draw_table(rng, 2, n_basis)]
             for table in tables:
                 assert _outcome(pointer._pair_sums, terms, table) == _outcome(
@@ -630,8 +631,10 @@ class TestWorkCount:
     @pytest.mark.parametrize("argv,want", [
         (["--scenario=pointer"], 2),
         (["--scenario=pointer", "--gamma=1", "--epsilon=1"], 1),
-        (["--scenario=pointer-sweep"], 2 * 6),
-        (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 2 * 3),
+        # A sweep width samples f_gamma and mirrors it for f_epsilon.
+        (["--scenario=pointer-sweep"], 6),
+        (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 3),
+        (["--scenario=pointer-sweep", "--gamma=1", "--epsilon=1"], 6),
     ])
     def test_one_sampling_per_distinct_delay_and_width(self, monkeypatch, capsys, argv, want):
         centers = []
@@ -740,10 +743,10 @@ class TestWorkCount:
     @pytest.mark.parametrize("argv,want", [
         (["--scenario=pointer"], 9),
         (["--scenario=pointer", "--gamma=1", "--epsilon=1"], 3),
-        # A sweep width sums the norm and first moment only.
-        (["--scenario=pointer-sweep"], 6 * 6),
-        (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 6 * 3),
-        (["--scenario=pointer-sweep", "--gamma=1", "--epsilon=1"], 2 * 6),
+        # A sweep width prints closed-form means; its grid check sums plainly.
+        (["--scenario=pointer-sweep"], 0),
+        (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 0),
+        (["--scenario=pointer-sweep", "--gamma=1", "--epsilon=1"], 0),
     ])
     def test_exact_sums_per_run(self, fsums, capsys, argv, want):
         assert run_cli(["run", *argv, "--grid-points=128"]) == 0
@@ -938,9 +941,8 @@ class TestWeakLimitSweep:
                 assert row.deviation[axis] < 1e-9
 
     @pytest.mark.parametrize("n_points", [64, 1024, 8192])
-    def test_means_are_the_pointer_moments_bit_for_bit(self, n_points):
-        # A width fills its grid table to first order only; its means are
-        # the ones the full table gives.
+    def test_means_are_the_analytic_moments_bit_for_bit(self, n_points):
+        # A width prints the closed-form means of the terms at its width.
         rng = random.Random(f"sweep means {n_points}")
         pre = run_entanglement_swap().conditional_state()
         cases = [(0.0, 1.0, -math.atan(0.5) + 1e-7), (0.7, 0.7, 0.3), (-0.0, -0.0, 1.1)]
@@ -953,12 +955,31 @@ class TestWeakLimitSweep:
             sigmas = sorted({scale * 2.0 ** rng.uniform(-2.0, 4.0) for _ in range(3)})
             for measured in (("2",), ("4",), ("2", "4")):
                 rows = weak_limit_sweep(pre, post, measured, gamma, epsilon, sigmas, n_points)
-                spec = PointerSpec.default(gamma, epsilon, sigmas[0], n_points)
-                profile = build_pointer_profile(pre, post, measured, spec)
+                terms = pointer_terms(pre, post, measured, PointerSpec.default(
+                    gamma, epsilon, sigmas[0], n_points))
                 for row in rows:
                     spec = PointerSpec.default(gamma, epsilon, row.sigma, n_points)
-                    want = pointer_moments(replace(profile, spec=spec)).mean
-                    assert _hex(row.mean) == _hex(want)
+                    assert _hex(row.mean) == _hex(analytic_moments(terms, spec).mean)
+
+    def test_means_match_50_digits_on_benchmark_draws(self):
+        # The independent check of the printed route: a plain delay-keyed
+        # double sum of the overlaps, in 50-digit arithmetic.
+        rng = random.Random("sweep 50 digits")
+        pre = run_entanglement_swap().conditional_state()
+        for _ in range(20):
+            gamma, epsilon, sigma, phi = _draw_pointer(rng)
+            post = analyzer_post_selection(phi)
+            sigmas = sorted({abs(epsilon - gamma) * 2.0 ** rng.uniform(-2.0, 4.0)
+                             for _ in range(6)})
+            spec = PointerSpec.default(gamma, epsilon, sigmas[0])
+            for measured in (("2",), ("4",), ("2", "4")):
+                terms = pointer_terms(pre, post, measured, spec)
+                rows = weak_limit_sweep(pre, post, measured, gamma, epsilon, sigmas, 1024)
+                for row in rows:
+                    _, mean = _mp_moments(terms, row.sigma)
+                    for got, want in zip(row.mean, mean):
+                        scale = 1.0 + abs(gamma) + abs(epsilon) + row.sigma
+                        assert abs(got - want) <= 1e-13 * scale, (measured, row.sigma)
 
     def test_sweep_validation(self):
         pre, post = _pre_post()
@@ -1216,3 +1237,102 @@ class TestGridSizing:
         assert [row.n_points for row in rows] == [5246, 5246]
         rows = weak_limit_sweep(pre, post, ("2",), 0.0, 1.0, [1.0, 2.0], n_points=128)
         assert [row.n_points for row in rows] == [128, 128]
+
+
+def _check_specs():
+    """Default specs as a sweep builds them: benchmark draws at three grid
+    sizes, equal delays, and grids far wider than sigma."""
+    rng = random.Random("grid check")
+    specs = [PointerSpec.default(0.0, 1.0, 1.0, 128), PointerSpec.default(0.7, 0.7, 0.3),
+             PointerSpec.default(1e6, 1e6 + 1.0, 1.0, 1024),
+             PointerSpec.default(-1e12, -1e12 + 3.0, 2.0, 64),
+             PointerSpec.default(-1e150, 1e150, 1e149, 4096),
+             PointerSpec.default(0.0, 1.0, 0.00025)]
+    for n_points in (64, 1024, MAX_N_POINTS):
+        for _ in range(10):
+            gamma, epsilon, sigma, _ = _draw_pointer(rng)
+            specs.append(PointerSpec.default(gamma, epsilon, sigma, n_points))
+    return specs
+
+
+def _rounding_scales(spec: PointerSpec):
+    """(p, q, k) and w (c + sigma)^k times the check's rounding term."""
+    overlap = 1.0 + spec.closed_integrals[0, 1][0] if spec.gamma != spec.epsilon else 1.0
+    weight = (1.0, 1.0 + overlap, 2.0 + 2.0 * overlap)
+    c = max(abs(spec.gamma), abs(spec.epsilon))
+    for p, q in spec.closed_integrals:
+        for k in (0, 1):
+            yield (p, q, k), weight[p + q] * (c + spec.sigma) ** k * pointer._grid_rounding(spec)
+
+
+class TestGridCheck:
+    """A sweep width prints closed-form means and checks its grid's
+    first-order table against the closed form, entry by entry."""
+
+    @pytest.mark.parametrize("entry", [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+                                       (1, 1, 0), (1, 1, 1)])
+    def test_a_shifted_closed_form_entry_exits_2(self, monkeypatch, capsys, entry):
+        p, q, k = entry
+        closed = PointerSpec.closed_integrals.func
+
+        def shifted(spec):
+            table = dict(closed(spec))
+            row = list(table[p, q])
+            row[k] += 1e-6
+            table[p, q] = table[q, p] = tuple(row)
+            return table
+
+        monkeypatch.setattr(PointerSpec, "closed_integrals", property(shifted))
+        assert run_cli(["run", "--scenario=pointer-sweep", "--grid-points=128"]) == 2
+        bound = pointer._grid_check_bounds(PointerSpec.default(0.0, 1.0, 1.0, 128))[p, q][k]
+        assert 0.0 < bound < 1e-9
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: domain: grid check failed at sigma 1: J{k}({p}, {q}) is off "
+                       f"its closed form by 1e-06, above its bound {bound:.3g}\n")
+
+    @pytest.mark.parametrize("spec", _check_specs())
+    def test_mirrored_and_sampled_late_pointers_agree(self, spec):
+        assert pointer._is_mirrored(spec)
+        mirrored = pointer._first_order_grid_table(spec)
+        sampled = pointer._first_order_grid_table(spec, mirror=False)
+        for (p, q, k), bound in _rounding_scales(spec):
+            assert abs(mirrored[p, q][k] - sampled[p, q][k]) <= bound, (p, q, k)
+
+    def test_an_asymmetric_grid_samples_both_delays(self, monkeypatch):
+        spec = PointerSpec(0.0, 1.0, 1.0, -8.0, 10.0, 128)
+        assert not pointer._is_mirrored(spec)
+        centers = []
+        original = pointer.gaussian_amplitude
+        monkeypatch.setattr(pointer, "gaussian_amplitude",
+                            lambda t, center, sigma: centers.append(center) or original(
+                                t, center, sigma))
+        pointer._check_grid(spec)
+        assert centers == [0.0, 1.0]
+
+    @pytest.mark.parametrize("spec", _check_specs())
+    def test_every_sweep_grid_passes_with_room(self, spec):
+        # The bound holds the grid's actual residual with a wide margin, so
+        # rounding does not refuse a grid the budget admits.
+        closed, grid = spec.closed_integrals, pointer._first_order_grid_table(spec)
+        for (p, q), bounds in pointer._grid_check_bounds(spec).items():
+            for k, bound in enumerate(bounds):
+                assert abs(grid[p, q][k] - closed[p, q][k]) <= bound / 4, (p, q, k)
+
+    @given(st.one_of(accepted_specs(), wide_specs()))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_no_accepted_spec_is_refused(self, spec):
+        pointer._check_grid(spec)
+
+    def test_every_width_is_checked_on_its_grid(self, monkeypatch):
+        checked = []
+        original = pointer._check_grid
+        monkeypatch.setattr(pointer, "_check_grid",
+                            lambda spec: checked.append(spec) or original(spec))
+        pre, post = _pre_post()
+        weak_limit_sweep(pre, post, ("2", "4"), 0.0, 1.0, [0.00025, 1.0, 2.0])
+        assert [(s.sigma, s.n_points) for s in checked] == [
+            (0.00025, 5246), (1.0, 5246), (2.0, 5246)]
+        checked.clear()
+        weak_limit_sweep(pre, post, ("2", "4"), 0.0, 1.0, [1.0, 2.0], n_points=96)
+        assert checked == [PointerSpec.default(0.0, 1.0, s, 96) for s in (1.0, 2.0)]

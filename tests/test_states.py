@@ -267,6 +267,35 @@ class TestLabelIndex:
         with pytest.raises(StructureError, match="not in alphabet"):
             StateVector(structure, {relevelled: 1.0})
 
+    @given(structures(), st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_states_keep_the_canonical_order_however_built(self, structure, rng, gamma):
+        # A map already in canonical order is kept, not re-sorted; any other
+        # order, GAMMA included, comes out in the order sort_key gives.
+        canonical = [GAMMA] * gamma + list(structure.product_labels())
+        shuffled = canonical[:]
+        rng.shuffle(shuffled)
+        for labels in (canonical, shuffled, canonical[::-1]):
+            state = StateVector(structure, {label: 1.0 for label in labels})
+            assert list(state.amplitudes) == canonical
+
+    @given(structures(), st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_a_foreign_label_in_a_canonical_map_is_rejected(self, structure, data):
+        # The in-order fast path must not let a label through unchecked,
+        # wherever it stands in an otherwise canonical map.
+        labels = list(structure.product_labels())
+        name, level = labels[-1].pairs[-1]
+        foreign = [BasisLabel(labels[-1].pairs[:-1] + ((name, level + "?"),)),
+                   BasisLabel(labels[-1].pairs + (("extra", "H"),)),
+                   BasisLabel(labels[-1].pairs[:-1])]
+        for label in foreign:
+            at = data.draw(st.integers(0, len(labels)))
+            amplitudes = dict.fromkeys(labels[:at] + [label] + labels[at:], 0.5)
+            with pytest.raises(StructureError) as info:
+                StateVector(structure, amplitudes)
+            assert str(info.value) == _error(structure.validate_label, label)
+
     def test_amplitudes_are_read_only(self):
         s = Structure.of(("x", ("0", "1")))
         source = {s.label("1"): 0.6, s.label("0"): 0.8}

@@ -285,21 +285,19 @@ def _grid_integrals(spec: PointerSpec, y: list[float]) -> tuple[float, float, fl
             math.fsum(map(mul, w, map(mul, t, ty))))
 
 
-def _first_order_grid_table(spec: PointerSpec, mirror: bool = True
-                            ) -> dict[tuple[int, int], tuple[float, float]]:
+def _first_order_grid_table(spec: PointerSpec) -> dict[tuple[int, int], tuple[float, float]]:
     """int b_p b_q and int t b_p b_q on the spec's grid, for ``_check_grid``.
 
     The trapezoid rule at the uniform step h, h (sum y - (y_0 + y_N) / 2),
-    in plain sums.  On a grid symmetric about the delays' midpoint (every
-    ``PointerSpec.default`` grid, within ``_MIRROR_ULPS`` ulps of its
-    extent) f_epsilon is f_gamma reversed, so the width samples one
-    Gaussian; ``mirror=False`` samples both.
+    in plain sums.  On a grid symmetric about the delays' midpoint
+    (``_is_mirrored``: every ``PointerSpec.default`` grid) f_epsilon is
+    f_gamma reversed, so the width samples one Gaussian.
     """
     t, h = spec.grid(), spec.step
     early = gaussian_amplitude(t, spec.gamma, spec.sigma)
     basis = [early]
     if spec.epsilon != spec.gamma:
-        late = (early[::-1] if mirror and _is_mirrored(spec)
+        late = (early[::-1] if _is_mirrored(spec)
                 else gaussian_amplitude(t, spec.epsilon, spec.sigma))
         basis.append(list(map(sub, late, early)))
     table = {}
@@ -311,28 +309,24 @@ def _first_order_grid_table(spec: PointerSpec, mirror: bool = True
     return table
 
 
-# A grid is mirrored when t_min + t_max is the delays' sum within this many
-# ulps of the grid's extent; every default grid is, within three.
-_MIRROR_ULPS = 4.0
-# Ulps per grid point and per sigma of grid extent that ``_check_grid``
-# allows for rounding: summation, and the grid times' and the mirror's
-# position errors, which shift a Gaussian by a fraction of sigma.
-_CHECK_ULPS = 4.0
-
-
 def _extent(spec: PointerSpec) -> float:
     return max(abs(spec.t_min), abs(spec.t_max))
 
 
 def _is_mirrored(spec: PointerSpec) -> bool:
+    """Whether t_min + t_max is the delays' sum within 4 ulps of the grid's
+    extent T = max(|t_min|, |t_max|); every default grid is, within 3."""
     asymmetry = (spec.t_min + spec.t_max) - (spec.gamma + spec.epsilon)
-    return abs(asymmetry) <= _MIRROR_ULPS * sys.float_info.epsilon * _extent(spec)
+    return abs(asymmetry) <= 4.0 * sys.float_info.epsilon * _extent(spec)
 
 
 def _grid_rounding(spec: PointerSpec) -> float:
     """The check's rounding term, relative to the ``grid_error_budget``
-    scale: 4 eps (N + T / sigma) with T = max(|t_min|, |t_max|)."""
-    return _CHECK_ULPS * sys.float_info.epsilon * (spec.n_points + _extent(spec) / spec.sigma)
+    scale: 4 eps (N + T / sigma).  That is 4 ulps per grid point for the
+    plain sums, and per sigma of extent for the position errors of the
+    grid times and of the mirror, which shift a Gaussian by a fraction of
+    sigma."""
+    return 4.0 * sys.float_info.epsilon * (spec.n_points + _extent(spec) / spec.sigma)
 
 
 def _grid_check_bounds(spec: PointerSpec) -> dict[tuple[int, int], tuple[float, float]]:

@@ -181,16 +181,14 @@ class StateVector:
     normalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        # Product labels are ordered by their canonical positions, and a map
-        # already in that order is kept as it is.  GAMMA and foreign labels
-        # have no position: sort_key sorts GAMMA first and rejects the rest.
+        # A map of product labels already in canonical order is kept as it
+        # is.  Any other is sorted, and sorting validates: sort_key rejects
+        # a label foreign to the structure (GAMMA has no position either).
         items = self.amplitudes.items()
         positions = list(map(self.structure._label_index.get, self.amplitudes))
-        if None in positions:
+        if None in positions or positions != sorted(positions):
             key = self.structure.sort_key
             items = sorted(items, key=lambda kv: key(kv[0]))
-        elif positions != sorted(positions):
-            items = [kv for _, kv in sorted(zip(positions, items))]  # positions are distinct
         ordered = {lab: complex(amp) for lab, amp in items}
         object.__setattr__(self, "amplitudes", MappingProxyType(ordered))
         object.__setattr__(

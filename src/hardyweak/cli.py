@@ -45,6 +45,11 @@ FORMATS = ("table", "json", "csv")
 SWAP_MODES = ("coherent", "decohered")
 
 DEFAULT_SWEEP_MULTIPLES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+# The most widths one sweep takes: each costs a grid check of up to
+# MAX_N_POINTS points.
+MAX_SWEEP_WIDTHS = 64
+# The most bytes a config file may hold; a 64-width sweep needs about 2 kB.
+CONFIG_READ_LIMIT = 1 << 20
 
 # Keys a rational annotation is attached to when the value sits within
 # 1e-9 of a small fraction; larger denominators stay purely decimal.
@@ -66,6 +71,7 @@ class Input:
     ``kind`` is float, int, bool, str (a nonempty path), a tuple of the
     allowed words, or "sweep".  Numbers must be finite and within the
     inclusive ``minimum``/``maximum``; ``positive`` also excludes zero.
+    A sweep takes at most ``maximum`` values.
     ``key`` names the flag and config key where it is not the field name.
     """
 
@@ -105,7 +111,8 @@ class RunConfig:
     scenario: str = _input(MISSING, SCENARIOS, "scenario to run")
     parameters: Parameters = Parameters()
     sweep: tuple[float, ...] | None = _input(
-        None, "sweep", "pointer widths, e.g. sigma=1,2,4", ("pointer-sweep",)
+        None, "sweep", "pointer widths, e.g. sigma=1,2,4", ("pointer-sweep",),
+        maximum=MAX_SWEEP_WIDTHS,
     )
     output_format: str = _input("table", FORMATS, "report format", key="format")
     output_path: str | None = _input(
@@ -142,7 +149,7 @@ def _check_number(key: str, value: Any) -> float:
     return number
 
 
-def _check_sweep(value: Any) -> tuple[float, ...]:
+def _check_sweep(value: Any, cap: int) -> tuple[float, ...]:
     if isinstance(value, dict):
         if set(value) != {"sigma"}:
             raise ConfigError("only sigma can be swept")
@@ -151,6 +158,8 @@ def _check_sweep(value: Any) -> tuple[float, ...]:
         raise ConfigError("sweep must be a list of values")
     if not value:
         raise ConfigError("sweep needs at least one value")
+    if len(value) > cap:
+        raise ConfigError(f"sweep takes at most {cap} values, got {len(value)}")
     sigmas = tuple(_check_value("sweep value", SWEEP_VALUE, v) for v in value)
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ConfigError("sweep values must be strictly ascending")
@@ -171,7 +180,7 @@ def _check_value(key: str, spec: Input, value: Any) -> Any:
     elif isinstance(kind, tuple) and value not in kind:
         raise ConfigError(f"unknown {key} {value!r}; {key} must be one of {kind}")
     elif kind == "sweep":
-        return _check_sweep(value)
+        return _check_sweep(value, spec.maximum)
     if spec.positive and value <= 0:
         raise ConfigError(f"{key} must be positive")
     if spec.minimum is not None and value < spec.minimum:
@@ -284,17 +293,27 @@ def _read_flags(argv: list[str]) -> dict[str, str]:
     return texts
 
 
+def _read_config(path: str) -> str:
+    """The config file's text, read as ``Path.read_text`` would, but never
+    more than ``CONFIG_READ_LIMIT`` bytes of it."""
+    try:
+        with Path(path).open("rb") as file:
+            data = file.read(CONFIG_READ_LIMIT + 1)
+        if len(data) > CONFIG_READ_LIMIT:
+            raise ConfigError(f"config file is larger than {CONFIG_READ_LIMIT} bytes")
+        # Universal newlines, as a text-mode read gives them.
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+
+
 def assemble_config(argv: Sequence[str] | None = None) -> RunConfig:
     """``run`` and its flags (default ``sys.argv[1:]``) as a checked RunConfig."""
     texts = _read_flags(sys.argv[1:] if argv is None else list(argv))
     merged: dict[str, Any] = {}
     if "config" in texts:
         path = _check_value("config", FLAGS["--config"][1], texts["config"])
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        merged.update(parse_config(text))
+        merged.update(parse_config(_read_config(path)))
     for key, (_, spec) in INPUTS.items():
         if key in texts:
             merged[key] = _check_value(key, spec, _from_text(key, spec, texts[key]))

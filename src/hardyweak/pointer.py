@@ -24,9 +24,12 @@ The routes are forked until ROADMAP item 3 centres the moments.  A
 per spec (three at equal delays), because the uncentred closed-form
 variance loses more digits than the grid in the strong regime.  A sweep
 width prints its means from the closed form and checks its grid against
-it: ``_first_order_grid_table`` fills int and int t of each b_p b_q in
-plain sums, and ``_check_grid`` refuses the width (``GridError``) when
-an entry is off its closed form by more than its budget.
+it: ``_first_order_grid_table`` samples f_gamma once on a cached index
+ramp and fills int and int t of each b_p b_q in plain sums, by linearity
+from f_gamma^2, f_gamma f_epsilon and f_epsilon^2 and, on every default
+grid, by the mirror f_epsilon(t_i) = f_gamma(t_(N-1-i)).  ``_check_grid``
+refuses the width (``GridError``) when an entry is off its closed form by
+more than its budget plus a rounding term of 4 eps (N + T/sigma).
 
 The trapezoid rule converges exponentially on a Gaussian, and
 ``grid_error_budget`` bounds its error by aliasing from the step plus
@@ -40,7 +43,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, count, islice, product
 from operator import mul, sub
 from typing import Sequence
@@ -285,27 +288,62 @@ def _grid_integrals(spec: PointerSpec, y: list[float]) -> tuple[float, float, fl
             math.fsum(map(mul, w, map(mul, t, ty))))
 
 
+@lru_cache(maxsize=4)  # bounded: a process may meet every size up to MAX_N_POINTS
+def _index_ramp(n_points: int) -> tuple[float, ...]:
+    """0.0, 1.0, ..., n_points - 1: float indices, exact below 2**53."""
+    return tuple(map(float, range(n_points)))
+
+
+def _ramp_gaussian(spec: PointerSpec, center: float) -> list[float]:
+    """exp(-(t_i - center)^2 / (4 sigma^2)) at t_i = t_min + i h: the
+    pointer at ``center`` on the spec's grid, without its norm."""
+    h, a, k = spec.step, spec.t_min - center, -0.25 / (spec.sigma * spec.sigma)
+    return [math.exp(k * (x := i * h + a) * x) for i in _index_ramp(spec.n_points)]
+
+
+def _trapezoid_sums(y: list[float], ramp: tuple[float, ...]) -> tuple[float, float]:
+    """sum w_i y_i and sum w_i i y_i, with the trapezoid's half end weights."""
+    return (sum(y) - (y[0] + y[-1]) / 2.0,
+            sum(map(mul, ramp, y)) - ramp[-1] / 2.0 * y[-1])
+
+
 def _first_order_grid_table(spec: PointerSpec) -> dict[tuple[int, int], tuple[float, float]]:
     """int b_p b_q and int t b_p b_q on the spec's grid, for ``_check_grid``.
 
-    The trapezoid rule at the uniform step h, h (sum y - (y_0 + y_N) / 2),
-    in plain sums.  On a grid symmetric about the delays' midpoint
-    (``_is_mirrored``: every ``PointerSpec.default`` grid) f_epsilon is
-    f_gamma reversed, so the width samples one Gaussian.
+    One sampling of f_gamma on the index ramp fills all six entries.  The
+    trapezoid rule at the uniform step h takes, for each product y of
+    f_gamma and f_epsilon, S = sum w y and I = sum w i y in plain sums,
+    with int y = H S and int t y = H (t_min S + h I), H = h (2 pi
+    sigma^2)^(-1/2) applied once.  The difference basis follows by
+    linearity: b0 b1 = f_gamma f_epsilon - f_gamma^2 and b1 b1 = f_epsilon^2
+    - 2 f_gamma f_epsilon + f_gamma^2.  On a grid symmetric about the
+    delays' midpoint (``_is_mirrored``: every ``PointerSpec.default`` grid)
+    f_epsilon is f_gamma reversed: f_epsilon^2 has the sums S and (N - 1) S
+    - I of f_gamma^2, and f_gamma f_epsilon, itself symmetric, is summed
+    over half the grid with I = (N - 1) S / 2.  Other grids sample
+    f_epsilon too.
     """
-    t, h = spec.grid(), spec.step
-    early = gaussian_amplitude(t, spec.gamma, spec.sigma)
-    basis = [early]
+    ramp, h, t_min = _index_ramp(spec.n_points), spec.step, spec.t_min
+    early = _ramp_gaussian(spec, spec.gamma)
+    s00, i00 = _trapezoid_sums(list(map(mul, early, early)), ramp)
+    sums = {(0, 0): (s00, i00)}
     if spec.epsilon != spec.gamma:
-        late = (early[::-1] if _is_mirrored(spec)
-                else gaussian_amplitude(t, spec.epsilon, spec.sigma))
-        basis.append(list(map(sub, late, early)))
+        if _is_mirrored(spec):
+            half = len(early) // 2
+            middle = early[half] * early[half] if len(early) % 2 else 0.0
+            cross = (2.0 * sum(map(mul, islice(early, half), reversed(early))) + middle
+                     - early[0] * early[-1])
+            i_cross, s_late, i_late = ramp[-1] / 2.0 * cross, s00, ramp[-1] * s00 - i00
+        else:
+            late = _ramp_gaussian(spec, spec.epsilon)
+            cross, i_cross = _trapezoid_sums(list(map(mul, early, late)), ramp)
+            s_late, i_late = _trapezoid_sums(list(map(mul, late, late)), ramp)
+        sums[0, 1] = (cross - s00, i_cross - i00)
+        sums[1, 1] = (s_late - 2.0 * cross + s00, i_late - 2.0 * i_cross + i00)
+    scale = h / (math.sqrt(2.0 * math.pi) * spec.sigma)
     table = {}
-    for p, q in combinations_with_replacement(range(len(basis)), 2):
-        y = list(map(mul, basis[p], basis[q]))
-        table[p, q] = table[q, p] = (
-            h * (sum(y) - (y[0] + y[-1]) / 2.0),
-            h * (sum(map(mul, t, y)) - (t[0] * y[0] + t[-1] * y[-1]) / 2.0))
+    for (p, q), (s, i) in sums.items():
+        table[p, q] = table[q, p] = (scale * s, scale * (t_min * s + h * i))
     return table
 
 
@@ -322,10 +360,15 @@ def _is_mirrored(spec: PointerSpec) -> bool:
 
 def _grid_rounding(spec: PointerSpec) -> float:
     """The check's rounding term, relative to the ``grid_error_budget``
-    scale: 4 eps (N + T / sigma).  That is 4 ulps per grid point for the
-    plain sums, and per sigma of extent for the position errors of the
-    grid times and of the mirror, which shift a Gaussian by a fraction of
-    sigma."""
+    scale: 4 eps (N + T / sigma).
+
+    4 eps N covers the plain sums: at most N ulps for each sum of a
+    unit-mass Gaussian product, and b1 b1 combines four of them (f_epsilon^2
+    - 2 f_gamma f_epsilon + f_gamma^2), which cancel in the weak regime but
+    fit under its weight 2 + 2u.  4 eps T / sigma covers, per sigma of
+    extent, the position errors of the ramp times t_min + i h, of t_min S
+    + h I, and of the mirror, each of which shifts a Gaussian by a
+    fraction of sigma."""
     return 4.0 * sys.float_info.epsilon * (spec.n_points + _extent(spec) / spec.sigma)
 
 
@@ -528,11 +571,11 @@ def weak_limit_sweep(
     grid, at ``n_points``, sets how closely its means are checked.
     """
     if not sigmas:
-        raise GridError("sweep needs at least one sigma")
+        raise GridError("sweep needs at least one value")
     if any(s <= 0 for s in sigmas):
-        raise GridError("sweep sigmas must be positive")
+        raise GridError("sweep value must be positive")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-        raise GridError("sweep sigmas must be strictly ascending")
+        raise GridError("sweep values must be strictly ascending")
     sized = [None] * len(sigmas)
     if n_points is None:
         sized = [PointerSpec.default(gamma, epsilon, s) for s in sigmas]

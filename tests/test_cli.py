@@ -1,9 +1,11 @@
 """CLI behavior: parsing, exit codes, deterministic report formats."""
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
+import time
 import random
 import subprocess
 import sys
@@ -16,7 +18,9 @@ import pytest
 import hardyweak
 from hardyweak import __version__, scenarios
 from hardyweak.cli import (
+    CONFIG_READ_LIMIT,
     INPUTS,
+    MAX_SWEEP_WIDTHS,
     REPORTS,
     SCENARIOS,
     ConfigError,
@@ -311,6 +315,56 @@ def test_config_directory_exits_one(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_config_read_stops_at_its_limit(tmp_path, capsys):
+    # Padding to the limit is still a config; one byte more is refused.
+    config = tmp_path / "run.json"
+    document = '{"scenario": "hardy"}'
+    config.write_text(document + " " * (CONFIG_READ_LIMIT - len(document)))
+    assert run(["run", "--config", str(config)], capsys)[0] == 0
+    config.write_text(document + " " * (CONFIG_READ_LIMIT + 1 - len(document)))
+    code, out, err = run(["run", "--config", str(config)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: config: config file is larger than 1048576 bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_config_exits_one_in_under_a_second(capsys):
+    start = time.perf_counter()
+    code, out, err = run(["run", "--config=/dev/zero"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: config: config file is larger than 1048576 bytes\n"
+
+
+def test_config_newlines_read_as_in_text_mode(tmp_path, capsys):
+    # A parse error names the same line for \n, \r\n and \r line ends.
+    config = tmp_path / "run.json"
+    for end in ("\n", "\r\n", "\r"):
+        config.write_bytes(end.join(['{"scenario": "hardy",', '', '}']).encode())
+        code, _, err = run(["run", "--config", str(config)], capsys)
+        assert (code, err) == (1, "error: config: parse error at line 3 column 1\n")
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_sweep_width_count_is_capped(tmp_path, capsys, form):
+    def argv(count):
+        widths = [float(k) for k in range(1, count + 1)]
+        if form == "flag":
+            return ["--sweep", "sigma=" + ",".join(map(repr, widths))]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"sweep": {"sigma": widths}}))
+        return ["--config", str(config)]
+
+    base = ["run", "--scenario=pointer-sweep", "--grid-points=64"]
+    code, out, err = run([*base, *argv(MAX_SWEEP_WIDTHS)], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) > MAX_SWEEP_WIDTHS
+    code, out, err = run([*base, *argv(MAX_SWEEP_WIDTHS + 1)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: config: sweep takes at most 64 values, got 65\n"
+    assert INPUTS["sweep"][1].maximum == MAX_SWEEP_WIDTHS == 64
+
+
 def test_config_file_cannot_name_another_config(tmp_path, capsys):
     # --config is a flag only; a file does not chain to a second file.
     config = tmp_path / "run.json"
@@ -563,14 +617,19 @@ def test_module_entry_point_runs_a_scenario():
 
 
 def test_closed_stdout_pipe_exits_one_without_traceback():
-    # About 240 kB of json, more than a pipe holds: the child is still
-    # writing when the reader closes the pipe after one line.
-    widths = ",".join(str(w) for w in range(1, 1001))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "hardyweak.cli", "run", "--scenario=pointer-sweep",
-         "--format=json", f"--sweep=sigma={widths}"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
-    )
+    # About 15 kB of json, more than the pipe (shrunk to one page) holds:
+    # the child is still writing when the reader closes the pipe after
+    # one line.
+    widths = ",".join(str(w) for w in range(1, MAX_SWEEP_WIDTHS + 1))
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    with os.fdopen(write_end, "wb") as stdout:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "hardyweak.cli", "run", "--scenario=pointer-sweep",
+             "--format=json", f"--sweep=sigma={widths}"],
+            stdout=stdout, stderr=subprocess.PIPE, env=_child_env(),
+        )
+    child.stdout = os.fdopen(read_end, "rb", buffering=0)  # reads only the line
     assert child.stdout.readline() == b"{\n"
     child.stdout.close()
     err = child.stderr.read().decode()

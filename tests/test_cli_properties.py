@@ -2,7 +2,7 @@
 
 The values come from ``cli.INPUTS``: each input's kind, bounds,
 ``positive`` flag, choices and scenarios decide what is drawn for it and
-which scenarios it is passed to, so a new run input is fuzzed with no edit
+which scenarios it is passed to (a sweep's ``maximum`` caps its length), so a new run input is fuzzed with no edit
 here.  Values are drawn in range, on and past the bounds, and malformed;
 each is passed as ``--flag=value``, as ``--flag value`` or in a JSON
 config file.  Some argvs also carry a key of another scenario, or an
@@ -75,7 +75,13 @@ def _value(data, spec, tmp_path) -> tuple[str, object]:
         choice = data.draw(st.sampled_from(kind))
         return choice, choice
     if kind == "sweep":
-        pairs = [_number(data, SWEEP_VALUE) for _ in range(data.draw(st.integers(1, 3)))]
+        cap = spec.maximum
+        count = data.draw(st.sampled_from([1, 2, 3, 1, 2, 3, cap, cap + 1]))
+        if count <= 3:
+            pairs = [_number(data, SWEEP_VALUE) for _ in range(count)]
+        else:  # ascending, so that a sweep at the cap can run
+            width = data.draw(st.floats(0.5, 2.0))
+            pairs = [(repr(width * k), width * k) for k in range(1, count + 1)]
         values = [value for _, value in pairs]
         config = data.draw(st.sampled_from([values, {"sigma": values}]))
         return "sigma=" + ",".join(text for text, _ in pairs), config

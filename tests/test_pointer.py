@@ -4,7 +4,8 @@ import re
 import sys
 from bisect import bisect_left
 from dataclasses import replace
-from itertools import product
+from itertools import combinations_with_replacement, product
+from operator import mul, sub
 
 import mpmath
 import numpy as np
@@ -631,22 +632,28 @@ class TestWorkCount:
     @pytest.mark.parametrize("argv,want", [
         (["--scenario=pointer"], 2),
         (["--scenario=pointer", "--gamma=1", "--epsilon=1"], 1),
-        # A sweep width samples f_gamma and mirrors it for f_epsilon.
+        # A sweep width's check samples f_gamma on the index ramp and
+        # mirrors it for f_epsilon.
         (["--scenario=pointer-sweep"], 6),
         (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 3),
         (["--scenario=pointer-sweep", "--gamma=1", "--epsilon=1"], 6),
     ])
     def test_one_sampling_per_distinct_delay_and_width(self, monkeypatch, capsys, argv, want):
-        centers = []
-        original = pointer.gaussian_amplitude
+        # A pointer samples through gaussian_amplitude, a sweep's check
+        # through _ramp_gaussian; each request runs only its own.
+        calls = {"gaussian_amplitude": [], "_ramp_gaussian": []}
+        for name, centers in calls.items():
+            original = getattr(pointer, name)
 
-        def counting(t, center, sigma):
-            centers.append(center)
-            return original(t, center, sigma)
+            def counting(*args, centers=centers, original=original):
+                centers.append(args[1])
+                return original(*args)
 
-        monkeypatch.setattr(pointer, "gaussian_amplitude", counting)
+            monkeypatch.setattr(pointer, name, counting)
         assert run_cli(["run", *argv, "--grid-points=128"]) == 0
-        assert len(centers) == want
+        sweep = argv[0] == "--scenario=pointer-sweep"
+        assert len(calls["_ramp_gaussian" if sweep else "gaussian_amplitude"]) == want
+        assert len(calls["gaussian_amplitude" if sweep else "_ramp_gaussian"]) == 0
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv,walks", [
@@ -1255,6 +1262,25 @@ def _check_specs():
     return specs
 
 
+def _difference_basis_table(spec: PointerSpec):
+    """The check's first-order table as it was first written: b1 =
+    f_epsilon - f_gamma formed on the grid, then each product summed."""
+    t, h = spec.grid(), spec.step
+    early = gaussian_amplitude(t, spec.gamma, spec.sigma)
+    basis = [early]
+    if spec.epsilon != spec.gamma:
+        late = (early[::-1] if pointer._is_mirrored(spec)
+                else gaussian_amplitude(t, spec.epsilon, spec.sigma))
+        basis.append(list(map(sub, late, early)))
+    table = {}
+    for p, q in combinations_with_replacement(range(len(basis)), 2):
+        y = list(map(mul, basis[p], basis[q]))
+        table[p, q] = table[q, p] = (
+            h * (sum(y) - (y[0] + y[-1]) / 2.0),
+            h * (sum(map(mul, t, y)) - (t[0] * y[0] + t[-1] * y[-1]) / 2.0))
+    return table
+
+
 def _rounding_scales(spec: PointerSpec):
     """(p, q, k) and w (c + sigma)^k times the check's rounding term."""
     overlap = 1.0 + spec.closed_integrals[0, 1][0] if spec.gamma != spec.epsilon else 1.0
@@ -1269,10 +1295,18 @@ class TestGridCheck:
     """A sweep width prints closed-form means and checks its grid's
     first-order table against the closed form, entry by entry."""
 
-    @pytest.mark.parametrize("entry", [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-                                       (1, 1, 0), (1, 1, 1)])
-    def test_a_shifted_closed_form_entry_exits_2(self, monkeypatch, capsys, entry):
+    @pytest.mark.parametrize("entry,sigma", [
+        *(((p, q, k), 1.0) for p, q, k in [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+                                           (1, 1, 0), (1, 1, 1)]),
+        # The weak regime, where b1 b1 cancels most in f_gamma and f_epsilon.
+        ((1, 1, 0), 1e4), ((1, 1, 1), 1e4)])
+    def test_a_shifted_closed_form_entry_exits_2(self, monkeypatch, capsys, entry, sigma):
         p, q, k = entry
+        argv = ["run", "--scenario=pointer-sweep", "--grid-points=128"]
+        if sigma != 1.0:
+            argv.append(f"--sweep=sigma={sigma:g}")
+            assert run_cli(argv) == 0
+            capsys.readouterr()
         closed = PointerSpec.closed_integrals.func
 
         def shifted(spec):
@@ -1283,13 +1317,13 @@ class TestGridCheck:
             return table
 
         monkeypatch.setattr(PointerSpec, "closed_integrals", property(shifted))
-        assert run_cli(["run", "--scenario=pointer-sweep", "--grid-points=128"]) == 2
-        bound = pointer._grid_check_bounds(PointerSpec.default(0.0, 1.0, 1.0, 128))[p, q][k]
-        assert 0.0 < bound < 1e-9
+        assert run_cli(argv) == 2
+        bound = pointer._grid_check_bounds(PointerSpec.default(0.0, 1.0, sigma, 128))[p, q][k]
+        assert 0.0 < bound < 1e-9 * sigma**k
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"error: domain: grid check failed at sigma 1: J{k}({p}, {q}) is off "
-                       f"its closed form by 1e-06, above its bound {bound:.3g}\n")
+        assert err == (f"error: domain: grid check failed at sigma {sigma:g}: J{k}({p}, {q}) "
+                       f"is off its closed form by 1e-06, above its bound {bound:.3g}\n")
 
     @pytest.mark.parametrize("spec", _check_specs())
     def test_mirrored_and_sampled_late_pointers_agree(self, monkeypatch, spec):
@@ -1304,12 +1338,27 @@ class TestGridCheck:
         spec = PointerSpec(0.0, 1.0, 1.0, -8.0, 10.0, 128)
         assert not pointer._is_mirrored(spec)
         centers = []
-        original = pointer.gaussian_amplitude
-        monkeypatch.setattr(pointer, "gaussian_amplitude",
-                            lambda t, center, sigma: centers.append(center) or original(
-                                t, center, sigma))
+        original = pointer._ramp_gaussian
+        monkeypatch.setattr(pointer, "_ramp_gaussian",
+                            lambda spec, center: centers.append(center) or original(spec, center))
         pointer._check_grid(spec)
         assert centers == [0.0, 1.0]
+
+    @staticmethod
+    def assert_matches_the_difference_basis(spec):
+        got, want = pointer._first_order_grid_table(spec), _difference_basis_table(spec)
+        assert set(got) == set(want)
+        for (p, q, k), bound in _rounding_scales(spec):
+            assert abs(got[p, q][k] - want[p, q][k]) <= bound, (p, q, k)
+
+    @pytest.mark.parametrize("spec", _check_specs())
+    def test_sweep_grids_match_the_difference_basis(self, spec):
+        self.assert_matches_the_difference_basis(spec)
+
+    @given(st.one_of(accepted_specs(), wide_specs()))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_accepted_grids_match_the_difference_basis(self, spec):
+        self.assert_matches_the_difference_basis(spec)
 
     @pytest.mark.parametrize("spec", _check_specs())
     def test_every_sweep_grid_passes_with_room(self, spec):

@@ -1263,8 +1263,9 @@ def _check_specs():
 
 
 def _difference_basis_table(spec: PointerSpec):
-    """The check's first-order table as it was first written: b1 =
-    f_epsilon - f_gamma formed on the grid, then each product summed."""
+    """The reference for ``_first_order_grid_table``: b1 = f_epsilon -
+    f_gamma formed from normalised samples at the grid times, then each
+    product of basis functions summed over t."""
     t, h = spec.grid(), spec.step
     early = gaussian_amplitude(t, spec.gamma, spec.sigma)
     basis = [early]
@@ -1298,7 +1299,7 @@ class TestGridCheck:
     @pytest.mark.parametrize("entry,sigma", [
         *(((p, q, k), 1.0) for p, q, k in [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
                                            (1, 1, 0), (1, 1, 1)]),
-        # The weak regime, where b1 b1 cancels most in f_gamma and f_epsilon.
+        # The weak regime, where the four sums that make up b1 b1 cancel most.
         ((1, 1, 0), 1e4), ((1, 1, 1), 1e4)])
     def test_a_shifted_closed_form_entry_exits_2(self, monkeypatch, capsys, entry, sigma):
         p, q, k = entry
@@ -1351,8 +1352,14 @@ class TestGridCheck:
         for (p, q, k), bound in _rounding_scales(spec):
             assert abs(got[p, q][k] - want[p, q][k]) <= bound, (p, q, k)
 
-    @pytest.mark.parametrize("spec", _check_specs())
+    @pytest.mark.parametrize("spec", [
+        *_check_specs(),
+        # Odd sizes put the mirror's middle point on the grid; gamma > epsilon;
+        # the minimum padding, where the end points still weigh.
+        PointerSpec.default(0.0, 1.0, 1.0, 129), PointerSpec.default(1e6, 1e6 - 3.0, 2.0, 1025),
+        PointerSpec(0.0, 1.0, 1.0, -MIN_PADDING, 1.0 + MIN_PADDING, 65)])
     def test_sweep_grids_match_the_difference_basis(self, spec):
+        assert pointer._is_mirrored(spec)
         self.assert_matches_the_difference_basis(spec)
 
     @given(st.one_of(accepted_specs(), wide_specs()))

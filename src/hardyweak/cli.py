@@ -380,9 +380,9 @@ def _clean_float(x: float) -> float:
     p/q with q <= 64 is pinned to p/q (0 included, so every ``|x| <= 1e-9``
     reports as 0): splitter cascades build provably rational probabilities
     out of repeated 1/sqrt(2) factors, so they arrive a few ulps off.
-    Every payload float comes through here, the pointer's grid-route and
-    the sweep's closed-form means and deviations included, so a deviation
-    of 2.75e-14 reports as 0; ROADMAP item 12 is to exempt such measured
+    Every payload float comes through here, the pointer's and the sweep's
+    closed-form moments and deviations included, so a deviation of
+    2.75e-14 reports as 0; ROADMAP item 12 is to exempt such measured
     fields.
     """
     value = float(x)

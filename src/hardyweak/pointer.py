@@ -11,31 +11,27 @@ coefficient per tuple of measured delays, summing to <post|pre>; a ``pointer``
 request walks once for photon 2, photon 4 and the pair.  The weak values
 are read off the same sigma-free terms (``weak_prediction``).
 
-Both routes to every moment write the terms in the difference basis
-b0 = f_gamma, b1 = f_epsilon - f_gamma and run one loop over pairs of
-terms, which factorises over the axes.  They differ only in the spec's
-table of one-axis integrals of b_p b_q: in closed form, or by the
-trapezoid rule on the grid.  Near an orthogonal post-selection the delay
-coefficients nearly cancel: the basis adds them before any integral
-enters, where f_gamma f_epsilon products would cancel large integrals.
+Every moment writes the terms in a difference basis, b0 = f at one delay
+and b1 = f at the other minus b0, which adds nearly cancelling delay
+coefficients before any integral enters, and sums pairs of terms against
+a closed-form table of one-axis integrals of b_p b_q (``_closed_table``;
+Kofman, Ashhab & Nori, Phys. Rep. 520, 43 (2012)).  The norm and the
+means read the table about 0 with b0 = f_gamma (``closed_integrals``);
+each variance reads the table about its mean c with b0 at the delay
+nearer c, so E[(t - c)^2] - E[t - c]^2 subtracts no large squares.
 
-The routes are forked until ROADMAP item 3 centres the moments.  A
-``pointer`` report prints its grid moments, nine exactly rounded sums
-per spec (three at equal delays), because the uncentred closed-form
-variance loses more digits than the grid in the strong regime.  A sweep
-width prints its means from the closed form and checks its grid against
-it: ``_first_order_grid_table`` samples f_gamma once on a cached index
-ramp and fills int and int t of each b_p b_q in plain sums, by linearity
-from f_gamma^2, f_gamma f_epsilon and f_epsilon^2 and, on every default
-grid, by the mirror f_epsilon(t_i) = f_gamma(t_(N-1-i)).  ``_check_grid``
-refuses the width (``GridError``) when an entry is off its closed form by
-more than its budget plus a rounding term of 4 eps (N + T/sigma).
-
-The trapezoid rule converges exponentially on a Gaussian, and
-``grid_error_budget`` bounds its error by aliasing from the step plus
-truncation at the padding.  A spec that aliases more than
-``ALIASING_TOLERANCE`` is refused, and a default grid is the smallest
-that aliases no more than it truncates.
+The grid prints nothing; it checks the closed form (``_GridCheck``).  One
+sampling of f_gamma per spec on a cached index ramp gives plain trapezoid
+sums of f_gamma^2, f_gamma f_epsilon and f_epsilon^2 (on every default
+grid by the mirror f_epsilon(t_i) = f_gamma(t_(N-1-i))), which make up
+every table, about any centre and with either anchor.  A sweep width
+checks the first-order table its means read, a ``pointer`` spec that and
+the second-order table about each mean.  An entry off its closed form by
+more than ``grid_error_budget`` (aliasing from the step plus truncation
+at the padding) plus 4 eps (N + T/sigma) of rounding refuses the spec
+(``GridError``), as does a grid that aliases more than
+``ALIASING_TOLERANCE``; a default grid is the smallest that aliases no
+more than it truncates.
 """
 from __future__ import annotations
 
@@ -43,9 +39,9 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, count, islice, product
-from operator import mul, sub
+from functools import cached_property, lru_cache, partial
+from itertools import islice, product
+from operator import getitem, mul
 from typing import Sequence
 
 from .states import StateVector
@@ -58,6 +54,7 @@ MIN_PADDING = 6.0
 # The most aliasing any grid may carry: the accuracy PointerProfile promises.
 ALIASING_TOLERANCE = 1e-9
 _EMPTY_ON_GRID = "post-selected pointer norm vanishes on grid"
+_Table = dict[tuple[int, int], tuple[float, ...]]  # (p, q): int t^k b_p b_q, k = 0, ...
 
 
 class GridError(ValueError):
@@ -117,13 +114,8 @@ class PointerSpec:
                             "its squared extent overflows")
 
     @classmethod
-    def default(
-        cls,
-        gamma: float = 0.0,
-        epsilon: float = 1.0,
-        sigma: float = 8.0,
-        n_points: int | None = None,
-    ) -> PointerSpec:
+    def default(cls, gamma: float = 0.0, epsilon: float = 1.0, sigma: float = 8.0,
+                n_points: int | None = None) -> PointerSpec:
         """The grid padded by ``DEFAULT_PADDING`` sigma beyond both delays.
 
         Without ``n_points`` it has the fewest points, at least
@@ -173,61 +165,39 @@ class PointerSpec:
         return min(min(self.gamma, self.epsilon) - self.t_min,
                    self.t_max - max(self.gamma, self.epsilon))
 
-    def grid(self) -> list[float]:
-        """``numpy.linspace(t_min, t_max, n_points)`` bit for bit."""
-        step, t_min = self.step, self.t_min
-        # Float indices (exact below 2**53) multiply as the ints would.
-        indices = islice(count(0.0, 1.0), self.n_points - 1)
-        return [i * step + t_min for i in indices] + [self.t_max]
+    @cached_property
+    def closed_integrals(self) -> _Table:
+        """``_closed_table`` about 0 with b0 = f_gamma, read by norm and means."""
+        return _closed_table(self, 0.0, 0)
 
     @cached_property
-    def quadrature(self) -> tuple[list[float], list[float]]:
-        """The grid t and its trapezoid weights w: fsum(w * y) integrates y."""
-        t = self.grid()
-        w = [(t[1] - t[0]) * 0.5, *[(b - a) * 0.5 for a, b in zip(t, t[2:])],
-             (t[-1] - t[-2]) * 0.5]
-        return t, w
+    def grid_check(self) -> _GridCheck:
+        """The ``_GridCheck`` every ``pointer_moments`` of the spec reads."""
+        return _GridCheck(self, 2)
 
-    @cached_property
-    def samples(self) -> dict[float, list[float]]:
-        """The pointer amplitude on the grid, once per distinct delay."""
-        t = self.quadrature[0]
-        return {d: gaussian_amplitude(t, d, self.sigma)
-                for d in dict.fromkeys((self.gamma, self.epsilon))}
 
-    @cached_property
-    def basis_integrals(self) -> dict[tuple[int, int], tuple[float, float, float]]:
-        """The table ``pointer_moments`` reads: ``_grid_integrals`` of b_p b_q
-        per pair of basis indices, nine exact sums, or three when the delays
-        are equal.
+def _closed_table(spec: PointerSpec, centre: float, anchor: int) -> _Table:
+    """J_k(p, q) = int (t - centre)^k b_p b_q over the line, k = 0, 1, 2, free
+    of cancellation: b0 = f_a at the ``anchor`` delay (0 for gamma, 1 for
+    epsilon), b1 = f_o - f_a.  With a and o the delays less the centre,
+    D = o - a, midpoint m and e = expm1(-D^2/(8 sigma^2)): J(0,0) = (1, a,
+    sigma^2 + a^2), J(0,1) = (e, e m + D/2, e (sigma^2 + m^2) + (m - a)(m + a))
+    and J(1,1) = (-2e, -2e m, -2e (sigma^2 + m^2) + D^2/2)."""
+    delays = (spec.gamma - centre, spec.epsilon - centre)
+    a, o, s2 = delays[anchor], delays[1 - anchor], spec.sigma * spec.sigma
+    table = {(0, 0): (1.0, a, s2 + a * a)}
+    if spec.epsilon != spec.gamma:
+        d, m = o - a, (a + o) / 2.0
+        e = math.expm1(-(d * d) / (8.0 * s2))
+        table[0, 1] = table[1, 0] = (e, e * m + d / 2.0, e * (s2 + m * m) + (m - a) * (m + a))
+        table[1, 1] = (-2.0 * e, -2.0 * e * m, -2.0 * e * (s2 + m * m) + d * d / 2.0)
+    return table
 
-        b0 = f_gamma and, unless the delays are equal, b1 = f_epsilon - f_gamma.
-        """
-        f = self.samples
-        basis = [f[self.gamma]]
-        if self.epsilon != self.gamma:
-            basis.append(list(map(sub, f[self.epsilon], f[self.gamma])))
-        table = {}
-        for p, q in combinations_with_replacement(range(len(basis)), 2):
-            table[p, q] = table[q, p] = _grid_integrals(self, list(map(mul, basis[p], basis[q])))
-        return table
 
-    @cached_property
-    def closed_integrals(self) -> dict[tuple[int, int], tuple[float, float, float]]:
-        """``basis_integrals`` over the whole line, in closed form free of
-        cancellation.  With D = epsilon - gamma, midpoint m and
-        e = expm1(-D^2/(8 sigma^2)), J(0,1) = (e, e m + D/2, e (sigma^2 + m^2)
-        + (m - gamma)(m + gamma)) and J(1,1) = (-2e, -2e m, -2e (sigma^2 + m^2)
-        + D^2/2)."""
-        g, s2 = self.gamma, self.sigma * self.sigma
-        table = {(0, 0): (1.0, g, s2 + g * g)}
-        if self.epsilon != g:
-            d, m = self.epsilon - g, (g + self.epsilon) / 2.0
-            e = math.expm1(-(d * d) / (8.0 * s2))
-            table[0, 1] = table[1, 0] = (e, e * m + d / 2.0,
-                                         e * (s2 + m * m) + (m - g) * (m + g))
-            table[1, 1] = (-2.0 * e, -2.0 * e * m, -2.0 * e * (s2 + m * m) + d * d / 2.0)
-        return table
+def _about(spec: PointerSpec, centre: float) -> tuple[int, _Table]:
+    """The delay nearer ``centre``, and ``_closed_table`` about it with b0 there."""
+    anchor = int(abs(spec.epsilon - centre) < abs(spec.gamma - centre))
+    return anchor, _closed_table(spec, centre, anchor)
 
 
 def _require_finite(spec: PointerSpec, name: str) -> None:
@@ -253,45 +223,40 @@ def _aliasing(step_ratio: float) -> float:
 def grid_error_budget(spec: PointerSpec) -> tuple[float, float]:
     """The trapezoid error of the spec's grid: (aliasing, truncation).
 
-    Each ``basis_integrals`` entry J_k(p, q), k = 0, 1, 2, integrates t^k
-    against w unit normal densities of width sigma centred between the
-    delays: w = 1 for b0 b0, 1 + u for b0 b1 and 2 + 2u for b1 b1, with u
-    the overlap.  Its grid value lies within w (c + sigma)^k (aliasing +
-    truncation) of the exact one, c = max(|gamma|, |epsilon|), rounding
-    aside.  At step h and a = 2 pi sigma / h, aliasing is the leading
-    Poisson-summation term 2 exp(-a^2/2) times the 1 + a^2 that t^2 brings
-    to it.  Truncation is what the grid leaves out beyond its padding
-    p sigma: the two tails of t^2 under the density, erfc(p/sqrt 2) +
-    2 p phi(p), and the half-weighted end points, (h/sigma) p^2 phi(p),
-    with phi the standard normal density.  See Trefethen & Weideman, SIAM
-    Review 56, 385 (2014).
+    Each entry J_k(p, q), k = 0, 1, 2, of a table about a centre integrates
+    (t - centre)^k against w unit normal densities of width sigma centred
+    between the delays: w = 1 for b0 b0, 1 + u for b0 b1 and 2 + 2u for
+    b1 b1, with u the overlap.  Its grid value lies within w (c + sigma)^k
+    (aliasing + truncation) of the exact one, c the farther delay from the
+    centre, rounding aside.  At step h and a = 2 pi sigma / h, aliasing is
+    the leading Poisson-summation term 2 exp(-a^2/2) times the 1 + a^2
+    that t^2 brings to it.  Truncation is what the grid leaves out beyond
+    its padding p sigma: the two tails of t^2 under the density,
+    erfc(p/sqrt 2) + 2 p phi(p), and the half-weighted end points,
+    (h/sigma) p^2 phi(p), with phi the standard normal density.  See
+    Trefethen & Weideman, SIAM Review 56, 385 (2014).
     """
     return _budget(spec.step / spec.sigma, spec.padding / spec.sigma)
-
-
-def gaussian_amplitude(t: Sequence[float], center: float, sigma: float) -> list[float]:
-    norm = (2.0 * math.pi * sigma * sigma) ** (-0.25)
-    scale = -4.0 * sigma * sigma  # d * d / scale rounds as -(d * d) / (4 sigma^2)
-    return [norm * math.exp((d := x - center) * d / scale) for x in t]
-
-
-def _grid_integrals(spec: PointerSpec, y: list[float]) -> tuple[float, float, float]:
-    """Trapezoidal int y, int t y and int t^2 y on the spec's grid, each an
-    exactly rounded sum.
-
-    The weights multiply last: w * t^2 would overflow on grids whose
-    squared extent is finite but close to the largest float.
-    """
-    t, w = spec.quadrature
-    ty = list(map(mul, t, y))
-    return (math.fsum(map(mul, w, y)), math.fsum(map(mul, w, ty)),
-            math.fsum(map(mul, w, map(mul, t, ty))))
 
 
 @lru_cache(maxsize=4)  # bounded: a process may meet every size up to MAX_N_POINTS
 def _index_ramp(n_points: int) -> tuple[float, ...]:
     """0.0, 1.0, ..., n_points - 1: float indices, exact below 2**53."""
     return tuple(map(float, range(n_points)))
+
+
+@lru_cache(maxsize=4)
+def _index_squares(n_points: int, middle: float) -> tuple[float, ...]:
+    """(i - middle)^2 per index i, ``middle`` a half-integer: exact."""
+    return tuple((i - middle) ** 2 for i in _index_ramp(n_points))
+
+
+def _ramp_middle(spec: PointerSpec) -> float:
+    """The half-index M nearest the delays' midpoint, (N - 1)/2 on a mirrored
+    grid: second-order sums weigh by (i - M)^2, which no padding inflates."""
+    if _is_mirrored(spec):
+        return (spec.n_points - 1) / 2.0
+    return round((spec.gamma + spec.epsilon - 2.0 * spec.t_min) / spec.step) / 2.0
 
 
 def _ramp_gaussian(spec: PointerSpec, center: float) -> list[float]:
@@ -301,50 +266,67 @@ def _ramp_gaussian(spec: PointerSpec, center: float) -> list[float]:
     return [math.exp(k * (x := i * h + a) * x) for i in _index_ramp(spec.n_points)]
 
 
-def _trapezoid_sums(y: list[float], ramp: tuple[float, ...]) -> tuple[float, float]:
-    """sum w_i y_i and sum w_i i y_i, with the trapezoid's half end weights."""
-    return (sum(y) - (y[0] + y[-1]) / 2.0,
-            sum(map(mul, ramp, y)) - ramp[-1] / 2.0 * y[-1])
+def _trapezoid_sums(y: list[float], squares: tuple[float, ...] | None) -> tuple[float, ...]:
+    """sum w_i y_i, sum w_i i y_i and, given them, sum w_i squares_i y_i,
+    with the trapezoid's half end weights."""
+    ramp = _index_ramp(len(y))
+    sums = (sum(y) - (y[0] + y[-1]) / 2.0, sum(map(mul, ramp, y)) - ramp[-1] / 2.0 * y[-1])
+    return sums if squares is None else (
+        *sums, sum(map(mul, squares, y)) - (squares[0] * y[0] + squares[-1] * y[-1]) / 2.0)
 
 
-def _first_order_grid_table(spec: PointerSpec) -> dict[tuple[int, int], tuple[float, float]]:
-    """int b_p b_q and int t b_p b_q on the spec's grid, for ``_check_grid``.
-
-    One sampling of f_gamma on the index ramp fills all six entries.  The
-    trapezoid rule at the uniform step h takes, for each product y of
-    f_gamma and f_epsilon, S = sum w y and I = sum w i y in plain sums,
-    with int y = H S and int t y = H (t_min S + h I), H = h (2 pi
-    sigma^2)^(-1/2) applied once.  The difference basis follows by
-    linearity: b0 b1 = f_gamma f_epsilon - f_gamma^2 and b1 b1 = f_epsilon^2
-    - 2 f_gamma f_epsilon + f_gamma^2.  On a grid symmetric about the
-    delays' midpoint (``_is_mirrored``: every ``PointerSpec.default`` grid)
-    f_epsilon is f_gamma reversed: f_epsilon^2 has the sums S and (N - 1) S
-    - I of f_gamma^2, and f_gamma f_epsilon, itself symmetric, is summed
-    over half the grid with I = (N - 1) S / 2.  Other grids sample
-    f_epsilon too.
-    """
-    ramp, h, t_min = _index_ramp(spec.n_points), spec.step, spec.t_min
+def _grid_sums(spec: PointerSpec, order: int) -> _Table:
+    """``_trapezoid_sums`` S, I and, at order 2, J about ``_ramp_middle`` of
+    each product f_d f_d' of the unnormalised pointers at the delays (0 for
+    gamma, 1 for epsilon).  On a mirrored grid f_epsilon is f_gamma
+    reversed: f_epsilon^2 has the sums S, (N - 1) S - I and J of f_gamma^2,
+    and f_gamma f_epsilon, symmetric, is summed over half the grid."""
+    squares = _index_squares(spec.n_points, _ramp_middle(spec)) if order == 2 else None
     early = _ramp_gaussian(spec, spec.gamma)
-    s00, i00 = _trapezoid_sums(list(map(mul, early, early)), ramp)
-    sums = {(0, 0): (s00, i00)}
-    if spec.epsilon != spec.gamma:
-        if _is_mirrored(spec):
-            half = len(early) // 2
-            middle = early[half] * early[half] if len(early) % 2 else 0.0
-            cross = (2.0 * sum(map(mul, islice(early, half), reversed(early))) + middle
-                     - early[0] * early[-1])
-            i_cross, s_late, i_late = ramp[-1] / 2.0 * cross, s00, ramp[-1] * s00 - i00
-        else:
-            late = _ramp_gaussian(spec, spec.epsilon)
-            cross, i_cross = _trapezoid_sums(list(map(mul, early, late)), ramp)
-            s_late, i_late = _trapezoid_sums(list(map(mul, late, late)), ramp)
-        sums[0, 1] = (cross - s00, i_cross - i00)
-        sums[1, 1] = (s_late - 2.0 * cross + s00, i_late - 2.0 * i_cross + i00)
+    sums = {(0, 0): _trapezoid_sums(list(map(mul, early, early)), squares)}
+    if spec.epsilon == spec.gamma:
+        return sums
+    if _is_mirrored(spec):
+        n, half = len(early), len(early) // 2
+        pairs = map(mul, islice(early, half), reversed(early))
+        pairs = list(pairs) if squares else pairs  # summed twice
+        middle = early[half] * early[half] if n % 2 else 0.0
+        cross = 2.0 * sum(pairs) + middle - early[0] * early[-1]
+        s, i, *j = sums[0, 0]
+        sums[0, 1] = (cross, (n - 1) / 2.0 * cross)
+        sums[1, 1] = (s, (n - 1) * s - i, *j)
+        if squares:  # the middle point, if any, sits at j = 0
+            sums[0, 1] += (2.0 * sum(map(mul, squares, pairs)) - squares[0] * pairs[0],)
+    else:
+        late = _ramp_gaussian(spec, spec.epsilon)
+        sums[0, 1] = _trapezoid_sums(list(map(mul, early, late)), squares)
+        sums[1, 1] = _trapezoid_sums(list(map(mul, late, late)), squares)
+    return sums
+
+
+def _grid_table(spec: PointerSpec, sums: _Table, centre: float, anchor: int) -> _Table:
+    """``_closed_table``'s entries, p <= q, on the spec's grid to the order
+    of ``sums``.  By linearity b0 b0 = f_a^2, b0 b1 = f_a f_o - f_a^2 and
+    b1 b1 = f_o^2 - 2 f_a f_o + f_a^2.  With t_i - centre = l + (i - M) h,
+    M = ``_ramp_middle``, a product's sums give int y = H S, int (t -
+    centre) y = H ((t_min - centre) S + h I) and int (t - centre)^2 y =
+    H (l^2 S + 2 l h (I - M S) + h^2 J), H = h (2 pi sigma^2)^(-1/2), with
+    no (8 sigma)^2 of padding to cancel."""
+    aa = sums[anchor, anchor]
+    basis = {(0, 0): aa}
+    if (0, 1) in sums:
+        ao, oo = sums[0, 1], sums[1 - anchor, 1 - anchor]
+        basis[0, 1] = [x - y for x, y in zip(ao, aa)]
+        basis[1, 1] = [x - 2.0 * y + z for x, y, z in zip(oo, ao, aa)]
+    h, start = spec.step, spec.t_min - centre
     scale = h / (math.sqrt(2.0 * math.pi) * spec.sigma)
-    table = {}
-    for (p, q), (s, i) in sums.items():
-        table[p, q] = table[q, p] = (scale * s, scale * (t_min * s + h * i))
-    return table
+    if len(aa) == 2:
+        return {key: (scale * s, scale * (start * s + h * i)) for key, (s, i) in basis.items()}
+    middle = _ramp_middle(spec)
+    lead = start + middle * h
+    return {key: (scale * s, scale * (start * s + h * i),
+                  scale * (lead * lead * s + 2.0 * lead * h * (i - middle * s) + h * h * j))
+            for key, (s, i, j) in basis.items()}
 
 
 def _extent(spec: PointerSpec) -> float:
@@ -372,31 +354,46 @@ def _grid_rounding(spec: PointerSpec) -> float:
     return 4.0 * sys.float_info.epsilon * (spec.n_points + _extent(spec) / spec.sigma)
 
 
-def _grid_check_bounds(spec: PointerSpec) -> dict[tuple[int, int], tuple[float, float]]:
-    """How far each entry J_k(p, q), k = 0, 1, p <= q, of the first-order
-    grid table may lie from its closed form: w (c + sigma)^k, the
-    ``grid_error_budget`` scale, times aliasing + truncation +
-    ``_grid_rounding``."""
-    closed = spec.closed_integrals
-    overlap = 1.0 + closed[0, 1][0] if (0, 1) in closed else 1.0
-    weight = (1.0, 1.0 + overlap, 2.0 + 2.0 * overlap)  # b0 b0, b0 b1, b1 b1
-    allowed = sum(grid_error_budget(spec)) + _grid_rounding(spec)
-    scale = max(abs(spec.gamma), abs(spec.epsilon)) + spec.sigma
-    return {(p, q): (weight[p + q] * allowed, weight[p + q] * scale * allowed)
-            for p, q in closed if p <= q}
+class _GridCheck:
+    """A spec's closed-form tables checked on one sampling, ``_grid_sums`` to
+    ``order``: ``closed_integrals`` when made, a table ``about`` a centre
+    when first read."""
 
+    def __init__(self, spec: PointerSpec, order: int) -> None:
+        self.spec, self.sums, self.tables = spec, _grid_sums(spec, order), {}
+        self.tolerance = sum(grid_error_budget(spec)) + _grid_rounding(spec)
+        closed = spec.closed_integrals
+        overlap = 1.0 + closed[0, 1][0] if (0, 1) in closed else 1.0
+        weights = {(0, 0): 1.0, (0, 1): 1.0 + overlap, (1, 1): 2.0 + 2.0 * overlap}
+        self.weights = {key: w for key, w in weights.items() if key in closed}
+        self.check(closed)
 
-def _check_grid(spec: PointerSpec) -> None:
-    """Refuse the spec (``GridError``) if an entry of its first-order grid
-    table is off its closed form by more than ``_grid_check_bounds``."""
-    closed, grid = spec.closed_integrals, _first_order_grid_table(spec)
-    for (p, q), bounds in _grid_check_bounds(spec).items():
-        for k, (value, bound) in enumerate(zip(grid[p, q], bounds)):
-            residual = abs(value - closed[p, q][k])
-            if not residual <= bound:
-                raise GridError(
-                    f"grid check failed at sigma {spec.sigma:g}: J{k}({p}, {q}) is "
-                    f"off its closed form by {residual:.3g}, above its bound {bound:.3g}")
+    def check(self, closed: _Table, centre: float | None = None, anchor: int = 0) -> None:
+        """Refuse the spec (``GridError``) if an entry J_k(p, q) of ``closed``
+        is off its ``_grid_table`` value by more than w (c + sigma)^k, the
+        ``grid_error_budget`` scale with c the farther delay from the centre,
+        times aliasing + truncation + ``_grid_rounding``: to k = 1 without a
+        centre, else to k = 2 about the centre with b0 at the ``anchor``."""
+        spec = self.spec
+        order, about = (1, 0.0) if centre is None else (2, centre)
+        grid = _grid_table(spec, self.sums, about, anchor)
+        scale = max(abs(spec.gamma - about), abs(spec.epsilon - about)) + spec.sigma
+        for (p, q), weight in self.weights.items():
+            for k, (value, exact) in enumerate(zip(grid[p, q], closed[p, q][:order + 1])):
+                residual, bound = abs(value - exact), weight * scale ** k * self.tolerance
+                if not residual <= bound:
+                    where = "" if centre is None else f" about {centre:g}"
+                    raise GridError(
+                        f"grid check failed at sigma {spec.sigma:g}: J{k}({p}, {q}){where}"
+                        f" is off its closed form by {residual:.3g}, above its bound {bound:.3g}")
+
+    def about(self, centre: float) -> tuple[int, _Table]:
+        """``_about`` the centre, checked."""
+        if centre not in self.tables:
+            anchor, table = _about(self.spec, centre)
+            self.check(table, centre, anchor)
+            self.tables[centre] = anchor, table
+        return self.tables[centre]
 
 
 @dataclass(frozen=True)
@@ -406,8 +403,7 @@ class PointerProfile:
     ``terms`` holds per measured axis a delay, with a complex coefficient
     each; they do not depend on sigma, so any width of the same delays may
     share them.  ``success_probability`` is the closed-form squared norm,
-    summed when first read.  Every grid integral lies within the spec's
-    ``grid_error_budget`` of its closed form.
+    summed when first read.
     """
 
     spec: PointerSpec
@@ -435,22 +431,15 @@ class SweepRow:
     n_points: int
 
 
-def pointer_terms(
-    pre: StateVector,
-    post: StateVector,
-    measured: Sequence[str],
-    spec: PointerSpec,
-) -> tuple[tuple[tuple[float, ...], complex], ...]:
+def pointer_terms(pre: StateVector, post: StateVector, measured: Sequence[str],
+                  spec: PointerSpec) -> tuple[tuple[tuple[float, ...], complex], ...]:
     """Collapse unmeasured photons: coefficient per measured-delay tuple."""
     return pointer_profiles(pre, post, (measured,), spec)[0].terms
 
 
-def pointer_profiles(
-    pre: StateVector,
-    post: StateVector,
-    measured_sets: Sequence[Sequence[str]],
-    spec: PointerSpec,
-) -> list[PointerProfile]:
+def pointer_profiles(pre: StateVector, post: StateVector,
+                     measured_sets: Sequence[Sequence[str]], spec: PointerSpec
+                     ) -> list[PointerProfile]:
     """``build_pointer_profile`` for each measured tuple, from one walk over
     the labels (``level_coefficients``): each level becomes its delay."""
     tables = level_coefficients(pre, post, measured_sets)
@@ -461,47 +450,51 @@ def pointer_profiles(
             for measured, delay, table in zip(measured_sets, delays, tables)]
 
 
-def _pair_sums(terms, table) -> tuple[float, list[list[float]]]:
-    """Norm and, per order k >= 1 of the table, the k-th moment sums of the
-    basis terms' mixture per axis.
-
-    ``table[p, q]`` gives int t^k b_p b_q from k = 0 to the table's order.
-    A pair of terms contributes the product over axes of the k = 0
-    integrals, with the k-th on the axis whose sums are taken.  Terms have
-    one axis or two.
-    """
+def _pair_sums(terms, table, second=None, order=None) -> tuple[float, list[list[float]]]:
+    """Norm and, per order 1 <= k <= ``order`` (default: the table's), the
+    k-th moment sums of the basis terms' mixture per axis.  ``table[p, q]``
+    (``second[p, q]`` on a second axis, if given) gives int t^k b_p b_q
+    from k = 0; a pair of terms contributes the product over its one or two
+    axes of the k = 0 integrals, with the k-th on the axis summed."""
     n_axes = len(terms[0][0]) if terms else 0
-    norm = 0.0
-    moments = [[0.0] * n_axes for _ in table[0, 0][1:]]
+    second = second or table
+    norm, moments = 0.0, [[0.0] * n_axes for _ in table[0, 0][1:][:order]]
+    orders = list(enumerate(moments, 1))
     for keys_i, ci in terms:
         bra = ci.conjugate()
-        for keys_j, cj in terms:
-            cross = (bra * cj).real
-            if cross == 0.0:
-                continue
-            if n_axes == 1:
-                (a,), (b,) = keys_i, keys_j
-                first = table[a, b]
-                norm += cross * first[0]
-                for moment, integral in zip(moments, first[1:]):
-                    moment[0] += cross * integral
-            else:
-                (a, c), (b, d) = keys_i, keys_j
-                first, second = table[a, b], table[c, d]
-                norm += cross * (first[0] * second[0])
-                rest_first, rest_second = cross * second[0], cross * first[0]
-                for moment, f, s in zip(moments, first[1:], second[1:]):
-                    moment[0] += rest_first * f
-                    moment[1] += rest_second * s
+        if n_axes == 1:
+            (a,) = keys_i
+            for (b,), cj in terms:
+                cross = (bra * cj).real
+                if cross != 0.0:
+                    first = table[a, b]
+                    norm += cross * first[0]
+                    for k, moment in orders:
+                        moment[0] += cross * first[k]
+        else:
+            a, c = keys_i
+            for (b, d), cj in terms:
+                cross = (bra * cj).real
+                if cross != 0.0:
+                    first, other = table[a, b], second[c, d]
+                    norm += cross * (first[0] * other[0])
+                    rest_first, rest_second = cross * other[0], cross * first[0]
+                    for k, moment in orders:
+                        moment[0] += rest_first * first[k]
+                        moment[1] += rest_second * other[k]
     return norm, moments
 
 
-def _basis_terms(terms, spec: PointerSpec) -> tuple[tuple[tuple[int, ...], complex], ...]:
-    """The terms over basis indices: f_gamma = b0, f_epsilon = b0 + b1."""
-    feeds = {spec.epsilon: (0, 1), spec.gamma: (0,)}  # equal delays: b0 only
+def _basis_terms(terms, spec: PointerSpec,
+                 anchors: Sequence[int] = (0, 0)) -> tuple[tuple[tuple[int, ...], complex], ...]:
+    """The terms over basis indices: on each axis the pointer at the
+    axis's anchor delay (0 for gamma, 1 for epsilon) is b0, the other
+    b0 + b1."""
+    delays = (spec.gamma, spec.epsilon)
+    feeds = [{delays[1 - a]: (0, 1), delays[a]: (0,)} for a in anchors]  # equal delays: b0 only
     coeffs: dict[tuple[int, ...], complex] = {}
-    for delays, coeff in terms:
-        for key in product(*(feeds[d] for d in delays)):
+    for term_delays, coeff in terms:
+        for key in product(*map(getitem, feeds, term_delays)):
             coeffs[key] = coeffs.get(key, 0j) + coeff
     return tuple(coeffs.items())
 
@@ -513,35 +506,40 @@ def _means(sums: tuple[float, list[list[float]]], empty: str) -> tuple[float, ..
     return tuple(f / norm for f in first)
 
 
-def _moments(sums: tuple[float, list[list[float]]], empty: str) -> PointerMoments:
-    mean = _means(sums, empty)
-    norm, (_, second) = sums
-    return PointerMoments(mean, tuple(s / norm - m * m for s, m in zip(second, mean)), norm)
+def _moments(terms, spec: PointerSpec, empty: str, about=None) -> PointerMoments:
+    """The norm and means from ``closed_integrals``, then in one more pass
+    each axis's variance E[(t - c)^2] - E[t - c]^2 about its mean c, from
+    the table ``_about`` c, or ``about`` c: no square of a delay or of the
+    mean is subtracted, however narrow the pointer."""
+    basis = _basis_terms(terms, spec)
+    norm, first = _pair_sums(basis, spec.closed_integrals, order=1)
+    mean = _means((norm, first), empty)
+    anchors, tables = zip(*map(about or partial(_about, spec), mean))
+    if any(anchors):
+        basis = _basis_terms(terms, spec, anchors)
+    total, (shift, spread) = _pair_sums(basis, *tables)
+    variance = tuple(s / total - (f / total) ** 2 for f, s in zip(shift, spread))
+    return PointerMoments(mean, variance, norm)
 
 
-def analytic_moments(
-    terms: Sequence[tuple[tuple[float, ...], complex]], spec: PointerSpec
-) -> PointerMoments:
-    """Closed-form moments of the Gaussian mixture, no grid involved."""
-    sums = _pair_sums(_basis_terms(terms, spec), spec.closed_integrals)
-    return _moments(sums, "post-selected pointer norm vanishes")
+def analytic_moments(terms: Sequence[tuple[tuple[float, ...], complex]],
+                     spec: PointerSpec) -> PointerMoments:
+    """Closed-form moments of the Gaussian mixture (``_moments``), no grid."""
+    return _moments(terms, spec, "post-selected pointer norm vanishes")
 
 
-def build_pointer_profile(
-    pre: StateVector,
-    post: StateVector,
-    measured: Sequence[str],
-    spec: PointerSpec,
-) -> PointerProfile:
+def build_pointer_profile(pre: StateVector, post: StateVector, measured: Sequence[str],
+                          spec: PointerSpec) -> PointerProfile:
     """The post-selected pointer's terms and closed-form success probability."""
     return PointerProfile(spec, tuple(measured), pointer_terms(pre, post, measured, spec))
 
 
 def pointer_moments(profile: PointerProfile) -> PointerMoments:
-    """Trapezoidal mean and variance per axis, normalized on the grid."""
-    sums = _pair_sums(_basis_terms(profile.terms, profile.spec),
-                      profile.spec.basis_integrals)
-    return _moments(sums, _EMPTY_ON_GRID)
+    """``analytic_moments`` of the profile, checked on its spec's grid
+    (``PointerSpec.grid_check``): the first-order table before the means,
+    then the second-order table about each mean before its variance."""
+    # The checked grid agrees with the closed form, so its message stands.
+    return _moments(profile.terms, profile.spec, _EMPTY_ON_GRID, profile.spec.grid_check.about)
 
 
 def weak_prediction(profile: PointerProfile) -> tuple[float, ...]:
@@ -552,22 +550,16 @@ def weak_prediction(profile: PointerProfile) -> tuple[float, ...]:
     return tuple(w.real for w in coefficient_weak_value(profile.terms).value)
 
 
-def weak_limit_sweep(
-    pre: StateVector,
-    post: StateVector,
-    measured: Sequence[str],
-    gamma: float,
-    epsilon: float,
-    sigmas: Sequence[float],
-    n_points: int | None = None,
-) -> list[SweepRow]:
+def weak_limit_sweep(pre: StateVector, post: StateVector, measured: Sequence[str],
+                     gamma: float, epsilon: float, sigmas: Sequence[float],
+                     n_points: int | None = None) -> list[SweepRow]:
     """Pointer means against the weak-value prediction across widths.
 
     ``sigmas`` must be positive and ascending so the rows read as an
     approach to the weak limit.  Without ``n_points`` every width gets the
     largest default grid that any of them needs.  A width prints the
     closed-form means, ``analytic_moments`` bit for bit, and checks its
-    grid against the closed form first (``_check_grid``): the width's
+    grid against the closed form first (``_GridCheck``): the width's
     grid, at ``n_points``, sets how closely its means are checked.
     """
     if not sigmas:
@@ -588,7 +580,7 @@ def weak_limit_sweep(
             profile = build_pointer_profile(pre, post, measured, spec)
             prediction = weak_prediction(profile)
             terms = _basis_terms(profile.terms, spec)  # reads the delays only
-        _check_grid(spec)
+        _GridCheck(spec, 1)
         # The checked grid agrees with the closed form, so its message stands.
         mean = _means(_pair_sums(terms, spec.closed_integrals), _EMPTY_ON_GRID)
         deviation = tuple(abs(m - w) for m, w in zip(mean, prediction))

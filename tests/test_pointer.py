@@ -7,6 +7,7 @@ from dataclasses import replace
 from itertools import combinations_with_replacement, product
 from operator import mul, sub
 
+import fsum_table
 import mpmath
 import numpy as np
 import pytest
@@ -24,10 +25,8 @@ from hardyweak.pointer import (
     MIN_N_POINTS,
     MIN_PADDING,
     PointerSpec,
-    _grid_integrals,
     analytic_moments,
     build_pointer_profile,
-    gaussian_amplitude,
     grid_error_budget,
     pointer_moments,
     pointer_terms,
@@ -194,6 +193,9 @@ class TestProfileConstruction:
             PointerSpec(*args)
 
     def test_grid_is_numpy_linspace(self):
+        # The reference table's grid is linspace bit for bit; the check's
+        # ramp times t_min + i h are too, but for the end point, which the
+        # ramp reaches within a few ulps.
         rng = random.Random("grid")
         for _ in range(300):
             t_min = rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-3, 3)
@@ -201,9 +203,13 @@ class TestProfileConstruction:
             n_points = rng.randint(64, 4096)
             mid, sigma = (t_min + t_max) / 2.0, (t_max - t_min) / 13.0
             spec = PointerSpec(mid, mid, sigma, t_min, t_max, n_points)
-            grid = spec.grid()
-            assert grid == np.linspace(spec.t_min, spec.t_max, n_points).tolist()
+            grid = fsum_table.grid(spec)
+            linspace = np.linspace(spec.t_min, spec.t_max, n_points).tolist()
+            assert grid == linspace
             assert grid[-1] == spec.t_max
+            ramp = [i * spec.step + spec.t_min for i in pointer._index_ramp(n_points)]
+            assert ramp[:-1] == linspace[:-1]
+            assert abs(ramp[-1] - spec.t_max) <= 4 * math.ulp(pointer._extent(spec))
 
     def test_grid_moments_match_a_dense_trapezoid_oracle(self):
         rng = random.Random("dense oracle")
@@ -277,11 +283,12 @@ class TestGridIntegrals:
             except GridError:
                 continue
         for spec in specs:
-            t = spec.grid()
+            t = fsum_table.grid(spec)
             c = complex(rng.gauss(0, 1), rng.gauss(0, 1))
-            early, late = spec.samples[spec.gamma], spec.samples[spec.epsilon]
+            samples = fsum_table.samples(spec)
+            early, late = samples[spec.gamma], samples[spec.epsilon]
             y = [abs(a + c * b) ** 2 for a, b in zip(early, late)]
-            norm, first, second = _grid_integrals(spec, y)
+            norm, first, second = fsum_table.grid_integrals(spec, y)
             assert norm == pytest.approx(_trapezoid(y, t), rel=1e-14, abs=0.0)
             scale = _trapezoid([abs(x) * m for x, m in zip(t, y)], t)
             assert abs(first - _trapezoid([x * m for x, m in zip(t, y)], t)) <= 1e-14 * scale
@@ -336,12 +343,12 @@ def _kernel_specs():
 class TestSamplingKernel:
     @pytest.mark.parametrize("spec", _kernel_specs())
     def test_grid_weights_and_samples_are_the_old_expressions_bit_for_bit(self, spec):
-        t, w = spec.quadrature
+        t, w = fsum_table.quadrature(spec)
         want_t, want_w = _old_quadrature(spec)
-        assert _hex(spec.grid()) == _hex(t) == _hex(want_t)
+        assert _hex(fsum_table.grid(spec)) == _hex(t) == _hex(want_t)
         assert _hex(w) == _hex(want_w)
         for center in (spec.gamma, spec.epsilon):
-            assert _hex(gaussian_amplitude(t, center, spec.sigma)) == _hex(
+            assert _hex(fsum_table.gaussian_amplitude(t, center, spec.sigma)) == _hex(
                 _old_gaussian_amplitude(t, center, spec.sigma))
 
     def test_samples_off_the_grid_are_the_old_expression_bit_for_bit(self):
@@ -355,7 +362,7 @@ class TestSamplingKernel:
                  (0.0, 1e300), (2.5, 1e-3)]
         cases += [(rng.uniform(-5.0, 5.0), 2.0 ** rng.uniform(-10.0, 10.0)) for _ in range(60)]
         for center, sigma in cases:
-            assert _hex(gaussian_amplitude(t, center, sigma)) == _hex(
+            assert _hex(fsum_table.gaussian_amplitude(t, center, sigma)) == _hex(
                 _old_gaussian_amplitude(t, center, sigma)), (center, sigma)
 
 
@@ -364,16 +371,16 @@ class TestSamplingKernel:
 # measured tuple over every product label, the post-selection built and
 # then pruned, and grid sizing by a plain bisection.
 
-def _old_pair_sums(terms, table):
-    n_axes = len(terms[0][0]) if terms else 0
+def _old_pair_sums(terms, tables):
+    n_axes = len(tables)
     norm = 0.0
-    moments = [[0.0] * n_axes for _ in table[0, 0][1:]]
+    moments = [[0.0] * n_axes for _ in tables[0][0, 0][1:]]
     for keys_i, ci in terms:
         for keys_j, cj in terms:
             cross = (ci.conjugate() * cj).real
             if cross == 0.0:
                 continue
-            sums = [table[a, b] for a, b in zip(keys_i, keys_j)]
+            sums = [table[a, b] for table, a, b in zip(tables, keys_i, keys_j)]
             norm += cross * math.prod(s[0] for s in sums)
             for ax, integrals in enumerate(sums):
                 rest = cross * math.prod(s[0] for s in sums[:ax] + sums[ax + 1:])
@@ -511,12 +518,16 @@ class TestRequestOracles:
             spec = rng.choice(specs)
             n_basis = 1 if spec.gamma == spec.epsilon else 2
             terms = _draw_terms(rng, n_axes, n_basis)
-            tables = [pointer._first_order_grid_table(spec), spec.basis_integrals,
-                      spec.closed_integrals,
+            centre = rng.uniform(-3.0, 3.0)
+            tables = [fsum_table.basis_integrals(spec), spec.closed_integrals,
+                      pointer._about(spec, centre)[1],
                       _draw_table(rng, 1, n_basis), _draw_table(rng, 2, n_basis)]
             for table in tables:
-                assert _outcome(pointer._pair_sums, terms, table) == _outcome(
-                    _old_pair_sums, terms, table), (terms, table)
+                # One table on every axis, or another of its order on the second.
+                other = _draw_table(rng, len(table[0, 0]) - 1, n_basis)
+                for per_axis in ((table,) * n_axes, (table, other)[:n_axes]):
+                    assert _outcome(pointer._pair_sums, terms, *per_axis) == _outcome(
+                        _old_pair_sums, terms, per_axis), (terms, per_axis)
 
     def test_pair_sums_of_walked_terms_are_the_generic_loop_bit_for_bit(self):
         pre = run_entanglement_swap().conditional_state()
@@ -526,9 +537,10 @@ class TestRequestOracles:
                 for profile in pointer.pointer_profiles(
                         pre, analyzer_post_selection(phi), MEASURED_SETS, spec):
                     terms = pointer._basis_terms(profile.terms, spec)
-                    for table in (spec.basis_integrals, spec.closed_integrals):
-                        assert _outcome(pointer._pair_sums, terms, table) == _outcome(
-                            _old_pair_sums, terms, table)
+                    for table in (fsum_table.basis_integrals(spec), spec.closed_integrals):
+                        tables = (table,) * len(profile.measured)
+                        assert _outcome(pointer._pair_sums, terms, *tables) == _outcome(
+                            _old_pair_sums, terms, tables)
 
     def test_post_selection_is_the_pruned_state_bit_for_bit(self):
         rng = random.Random("analyzer")
@@ -629,31 +641,28 @@ class TestRequestOracles:
 
 
 class TestWorkCount:
+    @staticmethod
+    def count_samplings(monkeypatch) -> list[float]:
+        centers = []
+        original = pointer._ramp_gaussian
+        monkeypatch.setattr(pointer, "_ramp_gaussian",
+                            lambda spec, center: centers.append(center) or original(spec, center))
+        return centers
+
     @pytest.mark.parametrize("argv,want", [
-        (["--scenario=pointer"], 2),
+        # A pointer's three profiles are checked against one sampling of
+        # their spec's grid, a sweep width against its own: each samples
+        # f_gamma on the index ramp and mirrors it for f_epsilon.
+        (["--scenario=pointer"], 1),
         (["--scenario=pointer", "--gamma=1", "--epsilon=1"], 1),
-        # A sweep width's check samples f_gamma on the index ramp and
-        # mirrors it for f_epsilon.
         (["--scenario=pointer-sweep"], 6),
         (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 3),
         (["--scenario=pointer-sweep", "--gamma=1", "--epsilon=1"], 6),
     ])
-    def test_one_sampling_per_distinct_delay_and_width(self, monkeypatch, capsys, argv, want):
-        # A pointer samples through gaussian_amplitude, a sweep's check
-        # through _ramp_gaussian; each request runs only its own.
-        calls = {"gaussian_amplitude": [], "_ramp_gaussian": []}
-        for name, centers in calls.items():
-            original = getattr(pointer, name)
-
-            def counting(*args, centers=centers, original=original):
-                centers.append(args[1])
-                return original(*args)
-
-            monkeypatch.setattr(pointer, name, counting)
+    def test_one_sampling_per_spec(self, monkeypatch, capsys, argv, want):
+        centers = self.count_samplings(monkeypatch)
         assert run_cli(["run", *argv, "--grid-points=128"]) == 0
-        sweep = argv[0] == "--scenario=pointer-sweep"
-        assert len(calls["_ramp_gaussian" if sweep else "gaussian_amplitude"]) == want
-        assert len(calls["gaussian_amplitude" if sweep else "_ramp_gaussian"]) == 0
+        assert len(centers) == want
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv,walks", [
@@ -686,7 +695,8 @@ class TestWorkCount:
         assert calls.count("walk") == walks
         assert calls.count("sum") == 0
 
-    def test_a_64_point_default_grid_evaluates_its_budget_once(self, monkeypatch, capsys):
+    def test_a_64_point_default_grid_evaluates_its_budget_once_to_size_and_once_to_check(
+            self, monkeypatch, capsys):
         budgets = []
         original = pointer._budget
 
@@ -697,34 +707,36 @@ class TestWorkCount:
         monkeypatch.setattr(pointer, "_budget", counting)
         assert run_cli(["run", "--scenario=pointer"]) == 0
         assert "grid_points=64\n" in capsys.readouterr().out
-        assert len(budgets) == 1
+        # The sizing's, then the tolerance every table of the spec is checked to.
+        assert len(budgets) == 2 and budgets[0] == budgets[1]
 
     def test_closed_form_norm_is_summed_when_read(self, monkeypatch, capsys):
-        # No report prints the closed-form norm: a pointer request sums
-        # only its three grid moments.
-        tables = []
+        # No report prints the closed-form norm: a pointer request sums only
+        # its three profiles' moments, the means and then the variances.
+        calls = []
         original = pointer._pair_sums
 
-        def counting(terms, table):
-            tables.append(table)
-            return original(terms, table)
+        def counting(terms, *tables, **order):
+            calls.append(tables)
+            return original(terms, *tables, **order)
 
         monkeypatch.setattr(pointer, "_pair_sums", counting)
         assert run_cli(["run", "--scenario=pointer", "--grid-points=128"]) == 0
         capsys.readouterr()
-        assert len(tables) == 3
+        assert len(calls) == 6
         pre, post = _pre_post()
         spec = PointerSpec.default(0.0, 1.0, 1.0, 128)
         profile = build_pointer_profile(pre, post, ("2", "4"), spec)
-        assert len(tables) == 3
+        assert len(calls) == 6
         want = analytic_moments(profile.terms, spec).success_probability
+        assert len(calls) == 8
         assert profile.success_probability == want
         assert profile.success_probability == want
-        assert tables[3:] == [spec.closed_integrals] * 2
+        assert calls[8:] == [(spec.closed_integrals,)]
 
     @pytest.fixture
     def fsums(self, monkeypatch):
-        # Every exactly summed pass over the grid goes through math.fsum.
+        # An exactly summed pass over the grid would go through math.fsum.
         calls = []
         original = math.fsum
 
@@ -735,29 +747,30 @@ class TestWorkCount:
         monkeypatch.setattr(math, "fsum", counting)
         return calls
 
-    def test_one_integral_table_per_spec(self, fsums):
-        # Three sums per pair of basis functions, on the spec's first moments.
+    def test_one_sampling_per_spec_on_its_first_moments(self, monkeypatch, fsums):
+        centers = self.count_samplings(monkeypatch)
         pre, post = _pre_post()
-        for gamma, want in ((0.0, 9), (1.0, 3)):
+        for gamma in (0.0, 1.0):
             spec = PointerSpec.default(gamma, 1.0, 8.0, 128)
             for first, measured in zip((True, False, False), (("2",), ("4",), ("2", "4"))):
-                fsums.clear()
+                centers.clear()
                 profile = build_pointer_profile(pre, post, measured, spec)
-                assert len(fsums) == 0
+                assert centers == []
                 pointer_moments(profile)
-                assert len(fsums) == (want if first else 0)
+                assert centers == ([gamma] if first else [])
+        assert fsums == []
 
-    @pytest.mark.parametrize("argv,want", [
-        (["--scenario=pointer"], 9),
-        (["--scenario=pointer", "--gamma=1", "--epsilon=1"], 3),
-        # A sweep width prints closed-form means; its grid check sums plainly.
-        (["--scenario=pointer-sweep"], 0),
-        (["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"], 0),
-        (["--scenario=pointer-sweep", "--gamma=1", "--epsilon=1"], 0),
+    @pytest.mark.parametrize("argv", [
+        ["--scenario=pointer"],
+        ["--scenario=pointer", "--gamma=1", "--epsilon=1"],
+        ["--scenario=pointer", "--sigma=0.00025", "--format=json"],
+        ["--scenario=pointer-sweep"],
+        ["--scenario=pointer-sweep", "--sweep", "sigma=1,2,3"],
+        ["--scenario=pointer-sweep", "--gamma=1", "--epsilon=1"],
     ])
-    def test_exact_sums_per_run(self, fsums, capsys, argv, want):
-        assert run_cli(["run", *argv, "--grid-points=128"]) == 0
-        assert len(fsums) == want
+    def test_no_exact_sums_on_any_run(self, fsums, capsys, argv):
+        assert run_cli(["run", *argv]) == 0
+        assert fsums == []
         capsys.readouterr()
 
 
@@ -983,7 +996,7 @@ class TestWeakLimitSweep:
                 terms = pointer_terms(pre, post, measured, spec)
                 rows = weak_limit_sweep(pre, post, measured, gamma, epsilon, sigmas, 1024)
                 for row in rows:
-                    _, mean = _mp_moments(terms, row.sigma)
+                    _, mean, _ = _mp_moments(terms, row.sigma)
                     for got, want in zip(row.mean, mean):
                         scale = 1.0 + abs(gamma) + abs(epsilon) + row.sigma
                         assert abs(got - want) <= 1e-13 * scale, (measured, row.sigma)
@@ -998,12 +1011,16 @@ class TestWeakLimitSweep:
             weak_limit_sweep(pre, post, ("2",), 0.0, 1.0, [-1.0, 2.0])
 
 
-def _mp_moments(terms, sigma: float) -> tuple[mpmath.mpf, list[mpmath.mpf]]:
-    """Norm and means of the terms' Gaussian mixture in 50-digit arithmetic."""
+def _mp_moments(terms, sigma: float):
+    """Norm, means and variances of the terms' Gaussian mixture in 50-digit
+    arithmetic: a pair of delay tuples a, b overlaps by the product over
+    axes of exp(-(a - b)^2 / (8 sigma^2)), and its product of pointers is
+    that overlap times a normal density of width sigma at (a + b) / 2."""
     with mpmath.workdps(50):
         s = mpmath.mpf(sigma)
         norm = mpmath.mpf(0)
         first = [mpmath.mpf(0)] * len(terms[0][0])
+        second = list(first)
         for di, ci in terms:
             for dj, cj in terms:
                 cross = mpmath.re(mpmath.conj(mpmath.mpc(ci)) * mpmath.mpc(cj))
@@ -1012,7 +1029,10 @@ def _mp_moments(terms, sigma: float) -> tuple[mpmath.mpf, list[mpmath.mpf]]:
                     mpmath.exp(-((x - y) ** 2) / (8 * s * s)) for x, y in zip(a, b))
                 norm += weight
                 first = [f + weight * (x + y) / 2 for f, x, y in zip(first, a, b)]
-        return norm, [f / norm for f in first]
+                second = [f + weight * (s * s + ((x + y) / 2) ** 2)
+                          for f, x, y in zip(second, a, b)]
+        mean = [f / norm for f in first]
+        return norm, mean, [f / norm - m * m for f, m in zip(second, mean)]
 
 
 class TestNearOrthogonalAnalyzer:
@@ -1028,7 +1048,7 @@ class TestNearOrthogonalAnalyzer:
         for measured in (("2",), ("4",), ("2", "4")):
             profile = build_pointer_profile(pre, post, measured, spec)
             moments = pointer_moments(profile)
-            norm, mean = _mp_moments(profile.terms, sigma)
+            norm, mean, _ = _mp_moments(profile.terms, sigma)
             assert abs(moments.success_probability - norm) <= 1e-10 * norm, measured
             for got, want in zip(moments.mean, mean):
                 assert abs(got - want) <= 1e-11 * sigma, measured
@@ -1041,7 +1061,7 @@ class TestNearOrthogonalAnalyzer:
         spec = PointerSpec.default(0.0, 1.0, sigma)
         for measured in (("2",), ("4",), ("2", "4")):
             profile = build_pointer_profile(pre, post, measured, spec)
-            norm, mean = _mp_moments(profile.terms, sigma)
+            norm, mean, _ = _mp_moments(profile.terms, sigma)
             assert abs(profile.success_probability - norm) <= 1e-14 * norm, measured
             if norm <= 1e-12:  # the fixed floor of ``_moments`` (ROADMAP item 4)
                 assert (offset, sigma) == (1e-7, 1e6)
@@ -1052,21 +1072,23 @@ class TestNearOrthogonalAnalyzer:
                 assert abs(got - want) <= 1e-14 * sigma, measured
 
 
-def _mp_table(gamma: float, epsilon: float, sigma: float):
-    """J_k(p, q) = int t^k b_p b_q dt over the line, k = 0, 1, 2, in 50-digit
-    arithmetic, and the overlap u.  With D = epsilon - gamma, m the
-    midpoint and e = u - 1:
-    J(0,0) = (1, gamma, sigma^2 + gamma^2),
-    J(0,1) = (e, e m + D/2, e (sigma^2 + m^2) + (m - gamma)(m + gamma)),
+def _mp_table(spec: PointerSpec, centre: float = 0.0, anchor: int = 0):
+    """J_k(p, q) = int (t - centre)^k b_p b_q dt over the line, k = 0, 1, 2,
+    with b0 at the ``anchor`` delay, in 50-digit arithmetic, and the overlap
+    u.  With a and o the delays less the centre, D = o - a, m the midpoint
+    and e = u - 1:
+    J(0,0) = (1, a, sigma^2 + a^2),
+    J(0,1) = (e, e m + D/2, e (sigma^2 + m^2) + (m - a)(m + a)),
     J(1,1) = (-2e, -2e m, -2e (sigma^2 + m^2) + D^2/2)."""
     with mpmath.workdps(50):
-        g, s = mpmath.mpf(gamma), mpmath.mpf(sigma)
-        d = mpmath.mpf(epsilon) - g
-        m = g + d / 2
+        delays = [mpmath.mpf(d) - mpmath.mpf(centre) for d in (spec.gamma, spec.epsilon)]
+        a, o, s = delays[anchor], delays[1 - anchor], mpmath.mpf(spec.sigma)
+        d = o - a
+        m = a + d / 2
         e = mpmath.expm1(-d * d / (8 * s * s))
-        mixed = (e, e * m + d / 2, e * (s * s + m * m) + (m - g) * (m + g))
+        mixed = (e, e * m + d / 2, e * (s * s + m * m) + (m - a) * (m + a))
         table = {
-            (0, 0): (mpmath.mpf(1), g, s * s + g * g),
+            (0, 0): (mpmath.mpf(1), a, s * s + a * a),
             (0, 1): mixed,
             (1, 0): mixed,
             (1, 1): (-2 * e, -2 * e * m, -2 * e * (s * s + m * m) + d * d / 2),
@@ -1074,12 +1096,13 @@ def _mp_table(gamma: float, epsilon: float, sigma: float):
         return table, float(e + 1)
 
 
-def _table_errors(spec: PointerSpec, table):
-    """Each entry's distance from its line integral, with the scale
-    w (c + sigma)^k that ``grid_error_budget`` is relative to."""
-    exact, u = _mp_table(spec.gamma, spec.epsilon, spec.sigma)
+def _table_errors(spec: PointerSpec, table, centre: float = 0.0, anchor: int = 0):
+    """Each entry's distance from its line integral about ``centre`` with b0
+    at the ``anchor`` delay, with the scale w (c + sigma)^k that
+    ``grid_error_budget`` is relative to, c the farther delay from the centre."""
+    exact, u = _mp_table(spec, centre, anchor)
     weight = (1.0, 1.0 + u, 2.0 + 2.0 * u)  # unit densities in b0 b0, b0 b1, b1 b1
-    c = max(abs(spec.gamma), abs(spec.epsilon))
+    c = max(abs(spec.gamma - centre), abs(spec.epsilon - centre))
     for (p, q), sums in table.items():
         for k, value in enumerate(sums):
             yield abs(value - float(exact[p, q][k])), weight[p + q] * (c + spec.sigma) ** k
@@ -1131,6 +1154,25 @@ class TestClosedIntegrals:
         for error, scale in _table_errors(spec, table):
             assert error <= 4 * math.ulp(scale)
 
+    @given(st.one_of(accepted_specs(), wide_specs()), st.floats(-2.0, 2.0))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_entry_about_a_centre_is_within_4_ulp_of_its_scale(self, spec, offset):
+        # About a centre near or beyond the delays, with b0 at either one.
+        middle, spread = (spec.gamma + spec.epsilon) / 2.0, spec.epsilon - spec.gamma
+        centre = middle + offset * (spread + spec.sigma)
+        for anchor in ((0, 1) if spec.gamma != spec.epsilon else (0,)):
+            table = pointer._closed_table(spec, centre, anchor)
+            for error, scale in _table_errors(spec, table, centre, anchor):
+                assert error <= 4 * math.ulp(scale), (centre, anchor)
+
+    def test_about_picks_the_nearer_delay(self):
+        spec = PointerSpec.default(0.0, 1.0, 1.0)
+        assert [pointer._about(spec, c)[0] for c in (-1.0, 0.0, 0.5, 0.75, 1.0, 2.0)] == [
+            0, 0, 0, 1, 1, 1]
+        assert pointer._about(spec, 0.0)[1] == spec.closed_integrals
+        assert pointer._about(PointerSpec.default(2.0, 2.0, 3.0), 5.0) == (
+            0, {(0, 0): (1.0, -3.0, 18.0)})
+
     def test_half_overlap_displacement(self):
         sigma = 1.7
         spec = PointerSpec.default(0.0, sigma * math.sqrt(8.0 * math.log(2.0)), sigma)
@@ -1145,7 +1187,7 @@ class TestGridErrorBudget:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_budget_bounds_every_table_entry(self, spec):
         aliasing, truncation = grid_error_budget(spec)
-        for error, scale in _table_errors(spec, spec.basis_integrals):
+        for error, scale in _table_errors(spec, fsum_table.basis_integrals(spec)):
             assert error <= scale * (aliasing + truncation + 32 * sys.float_info.epsilon)
 
     @given(accepted_specs(ratios=(0.8, STEP_LIMIT), spread=False))
@@ -1155,7 +1197,8 @@ class TestGridErrorBudget:
         # rounding, the budget overstates the worst entry at most 100-fold.
         budget = sum(grid_error_budget(spec))
         assert budget > 1e-12
-        assert max(error / scale for error, scale in _table_errors(spec, spec.basis_integrals)) >= budget / 100
+        errors = _table_errors(spec, fsum_table.basis_integrals(spec))
+        assert max(error / scale for error, scale in errors) >= budget / 100
 
     def test_step_limit_is_the_aliasing_tolerance(self):
         PointerSpec(0.0, 0.0, 1.0, -6.0, -6.0 + 0.8821 * 99, 100)
@@ -1169,7 +1212,7 @@ class TestGridErrorBudget:
         spec = PointerSpec(0.0, 0.0, 1.0, -6.0, 6.0, 256)
         aliasing, truncation = grid_error_budget(spec)
         assert aliasing < 1e-300 and 2e-9 < truncation < 1e-7
-        error = max(error for error, _ in _table_errors(spec, spec.basis_integrals))
+        error = max(error for error, _ in _table_errors(spec, fsum_table.basis_integrals(spec)))
         assert truncation / 100 < error <= truncation
 
 
@@ -1207,21 +1250,25 @@ class TestGridSizing:
         with pytest.raises(GridError, match="grid error budget needs more than 8192 points"):
             PointerSpec.default(0.0, 1.0, 0.00014)
 
-    @pytest.mark.parametrize("sigma", [0.00025, 0.0002])
+    @pytest.mark.parametrize("sigma", [0.00025, 0.0002, 0.00016])
     def test_strong_regime_moments_match_50_digits(self, sigma):
+        # One displaced Gaussian per photon (variance sigma^2) and the
+        # resolved branches of the pair: narrow pointers far from 0 and from
+        # each other, where an uncentred variance loses ulp (1/sigma)^2.
         pre = run_entanglement_swap().conditional_state()
         post = analyzer_post_selection(-math.pi / 4.0)
         spec = PointerSpec.default(0.0, 1.0, sigma)
         for measured in (("2",), ("4",), ("2", "4")):
             profile = build_pointer_profile(pre, post, measured, spec)
             moments = pointer_moments(profile)
-            norm, mean = _mp_moments(profile.terms, sigma)
+            norm, mean, variance = _mp_moments(profile.terms, sigma)
             assert abs(moments.success_probability - norm) <= 1e-13 * norm, measured
             for got, want in zip(moments.mean, mean):
                 assert abs(got - want) <= 1e-13 * (2.0 + sigma), measured
-            if sigma == 0.00025 and len(measured) == 1:
-                # One displaced Gaussian: its variance is sigma^2.
-                assert abs(moments.variance[0] - sigma**2) <= 2e-9 * sigma**2
+            for got, want in zip(moments.variance, variance):
+                assert abs(got - want) <= 1e-12 * want, measured
+        assert pointer_moments(build_pointer_profile(pre, post, ("2",), spec)).variance[0] == (
+            pytest.approx(sigma**2, rel=1e-12, abs=0.0))
 
     def test_benchmark_pointers_match_50_digits(self):
         rng = random.Random(11)
@@ -1233,10 +1280,12 @@ class TestGridSizing:
             for measured in (("2",), ("4",), ("2", "4")):
                 profile = build_pointer_profile(pre, post, measured, spec)
                 moments = pointer_moments(profile)
-                norm, mean = _mp_moments(profile.terms, sigma)
+                norm, mean, variance = _mp_moments(profile.terms, sigma)
                 assert abs(moments.success_probability - norm) <= 1e-13 * norm
                 for got, want in zip(moments.mean, mean):
                     assert abs(got - want) <= 1e-13 * (1.0 + abs(gamma) + abs(epsilon) + sigma)
+                for got, want in zip(moments.variance, variance):
+                    assert abs(got - want) <= 1e-12 * want
 
     def test_sweep_shares_the_largest_grid(self):
         pre, post = _pre_post()
@@ -1263,15 +1312,15 @@ def _check_specs():
 
 
 def _difference_basis_table(spec: PointerSpec):
-    """The reference for ``_first_order_grid_table``: b1 = f_epsilon -
+    """The reference for the first-order grid table: b1 = f_epsilon -
     f_gamma formed from normalised samples at the grid times, then each
     product of basis functions summed over t."""
-    t, h = spec.grid(), spec.step
-    early = gaussian_amplitude(t, spec.gamma, spec.sigma)
+    t, h = fsum_table.grid(spec), spec.step
+    early = fsum_table.gaussian_amplitude(t, spec.gamma, spec.sigma)
     basis = [early]
     if spec.epsilon != spec.gamma:
         late = (early[::-1] if pointer._is_mirrored(spec)
-                else gaussian_amplitude(t, spec.epsilon, spec.sigma))
+                else fsum_table.gaussian_amplitude(t, spec.epsilon, spec.sigma))
         basis.append(list(map(sub, late, early)))
     table = {}
     for p, q in combinations_with_replacement(range(len(basis)), 2):
@@ -1282,75 +1331,153 @@ def _difference_basis_table(spec: PointerSpec):
     return table
 
 
-def _rounding_scales(spec: PointerSpec):
-    """(p, q, k) and w (c + sigma)^k times the check's rounding term."""
+def _fsum_reference(spec: PointerSpec, centre: float, anchor: int):
+    """The exactly summed table (``fsum_table``) about ``centre`` with b0 at
+    the ``anchor`` delay: that of the spec shifted by the centre, its
+    delays swapped when b0 is at epsilon."""
+    delays = (spec.gamma - centre, spec.epsilon - centre)
+    return fsum_table.basis_integrals(PointerSpec(
+        delays[anchor], delays[1 - anchor], spec.sigma,
+        spec.t_min - centre, spec.t_max - centre, spec.n_points))
+
+
+def _frames(spec: PointerSpec):
+    """Centres and anchors to check a table about: 0 with b0 at gamma, as
+    the means read it, and the delays' midpoint with b0 at either delay."""
+    middle = (spec.gamma + spec.epsilon) / 2.0
+    return [(0.0, 0), (middle, 0)] + ([(middle, 1)] if spec.gamma != spec.epsilon else [])
+
+
+def _scales(spec: PointerSpec, centre: float = 0.0, order: int = 1):
+    """(p, q, k) and the ``grid_error_budget`` scale w (c + sigma)^k of the
+    entry about ``centre``, c the farther delay from the centre."""
     overlap = 1.0 + spec.closed_integrals[0, 1][0] if spec.gamma != spec.epsilon else 1.0
     weight = (1.0, 1.0 + overlap, 2.0 + 2.0 * overlap)
-    c = max(abs(spec.gamma), abs(spec.epsilon))
+    c = max(abs(spec.gamma - centre), abs(spec.epsilon - centre)) + spec.sigma
     for p, q in spec.closed_integrals:
-        for k in (0, 1):
-            yield (p, q, k), weight[p + q] * (c + spec.sigma) ** k * pointer._grid_rounding(spec)
+        for k in range(order + 1):
+            yield (p, q, k), weight[p + q] * c ** k
+
+
+def _rounding_scales(spec: PointerSpec, centre: float = 0.0, order: int = 1):
+    """(p, q, k) and the entry's scale times the check's rounding term."""
+    for key, scale in _scales(spec, centre, order):
+        yield key, scale * pointer._grid_rounding(spec)
+
+
+def _check_bounds(spec: PointerSpec, centre: float = 0.0, order: int = 1):
+    """(p, q, k) -> how far the grid check lets the entry about ``centre``
+    lie from its closed form: its scale times aliasing + truncation +
+    rounding."""
+    tolerance = sum(grid_error_budget(spec)) + pointer._grid_rounding(spec)
+    return {key: scale * tolerance for key, scale in _scales(spec, centre, order)}
+
+
+def _shifted_entry(monkeypatch, p: int, q: int, k: int, shift: float) -> None:
+    """Add ``shift`` to entry J_k(p, q) of every closed-form table."""
+    closed = pointer._closed_table
+
+    def shifted(spec, centre, anchor):
+        table = dict(closed(spec, centre, anchor))
+        row = list(table[p, q])
+        row[k] += shift
+        table[p, q] = table[q, p] = tuple(row)
+        return table
+
+    monkeypatch.setattr(pointer, "_closed_table", shifted)
 
 
 class TestGridCheck:
-    """A sweep width prints closed-form means and checks its grid's
-    first-order table against the closed form, entry by entry."""
+    """Every printed pointer and sweep moment reads closed-form tables,
+    which the spec's grid checks entry by entry: a sweep width the
+    first-order table its means read, a pointer that and, about each
+    mean, the second-order table its variance reads."""
 
-    @pytest.mark.parametrize("entry,sigma", [
-        *(((p, q, k), 1.0) for p, q, k in [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-                                           (1, 1, 0), (1, 1, 1)]),
+    @pytest.mark.parametrize("scenario,entry,sigma", [
+        *(("pointer-sweep", entry, 1.0) for entry in [
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]),
+        *(("pointer", entry, 1.0) for entry in [
+            (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2),
+            (1, 1, 0), (1, 1, 1), (1, 1, 2)]),
         # The weak regime, where the four sums that make up b1 b1 cancel most.
-        ((1, 1, 0), 1e4), ((1, 1, 1), 1e4)])
-    def test_a_shifted_closed_form_entry_exits_2(self, monkeypatch, capsys, entry, sigma):
+        ("pointer-sweep", (1, 1, 0), 1e4), ("pointer-sweep", (1, 1, 1), 1e4),
+        ("pointer", (1, 1, 0), 1e4), ("pointer", (1, 1, 1), 1e4), ("pointer", (1, 1, 2), 1e4)])
+    def test_a_shifted_closed_form_entry_exits_2(self, monkeypatch, capsys, scenario, entry,
+                                                 sigma):
         p, q, k = entry
-        argv = ["run", "--scenario=pointer-sweep", "--grid-points=128"]
+        argv = ["run", f"--scenario={scenario}", "--grid-points=128"]
         if sigma != 1.0:
-            argv.append(f"--sweep=sigma={sigma:g}")
-            assert run_cli(argv) == 0
-            capsys.readouterr()
-        closed = PointerSpec.closed_integrals.func
-
-        def shifted(spec):
-            table = dict(closed(spec))
-            row = list(table[p, q])
-            row[k] += 1e-6
-            table[p, q] = table[q, p] = tuple(row)
-            return table
-
-        monkeypatch.setattr(PointerSpec, "closed_integrals", property(shifted))
+            argv.append(f"--sweep=sigma={sigma:g}" if scenario == "pointer-sweep"
+                        else f"--sigma={sigma:g}")
+        elif scenario == "pointer":
+            argv.append("--sigma=1")
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        spec = PointerSpec.default(0.0, 1.0, sigma, 128)
+        where, bounds = "", _check_bounds(spec)
+        if k == 2:  # checked about photon 2's mean, the first variance read
+            pre, post = _pre_post()
+            centre = analytic_moments(pointer_terms(pre, post, ("2",), spec), spec).mean[0]
+            where, bounds = f" about {centre:g}", _check_bounds(spec, centre, 2)
+        shift = 1e-6 * sigma**k if k == 2 else 1e-6
+        _shifted_entry(monkeypatch, p, q, k, shift)
         assert run_cli(argv) == 2
-        bound = pointer._grid_check_bounds(PointerSpec.default(0.0, 1.0, sigma, 128))[p, q][k]
+        bound = bounds[p, q, k]
         assert 0.0 < bound < 1e-9 * sigma**k
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"error: domain: grid check failed at sigma {sigma:g}: J{k}({p}, {q}) "
-                       f"is off its closed form by 1e-06, above its bound {bound:.3g}\n")
+        assert err == (f"error: domain: grid check failed at sigma {sigma:g}: J{k}({p}, {q})"
+                       f"{where} is off its closed form by {shift:.3g}, above its bound "
+                       f"{bound:.3g}\n")
+
+    def test_a_refused_table_stays_refused(self, monkeypatch):
+        # The spec keeps its check, so a table it refused is refused again.
+        spec = PointerSpec.default(0.0, 1.0, 1.0, 128)
+        check = spec.grid_check
+        _shifted_entry(monkeypatch, 1, 1, 2, 1e-6)
+        for _ in range(2):
+            with pytest.raises(GridError, match=r"J2\(1, 1\) about 0.9 is off"):
+                check.about(0.9)
+        assert check.tables == {}
 
     @pytest.mark.parametrize("spec", _check_specs())
     def test_mirrored_and_sampled_late_pointers_agree(self, monkeypatch, spec):
         assert pointer._is_mirrored(spec)
-        mirrored = pointer._first_order_grid_table(spec)
+        mirrored = pointer._grid_sums(spec, 2)
         monkeypatch.setattr(pointer, "_is_mirrored", lambda spec: False)
-        sampled = pointer._first_order_grid_table(spec)
-        for (p, q, k), bound in _rounding_scales(spec):
-            assert abs(mirrored[p, q][k] - sampled[p, q][k]) <= bound, (p, q, k)
+        sampled = pointer._grid_sums(spec, 2)
+        for centre, anchor in _frames(spec):
+            got = pointer._grid_table(spec, mirrored, centre, anchor)
+            want = pointer._grid_table(spec, sampled, centre, anchor)
+            for (p, q, k), bound in _rounding_scales(spec, centre, 2):
+                if p <= q:
+                    assert abs(got[p, q][k] - want[p, q][k]) <= bound, (centre, anchor, p, q, k)
 
     def test_an_asymmetric_grid_samples_both_delays(self, monkeypatch):
         spec = PointerSpec(0.0, 1.0, 1.0, -8.0, 10.0, 128)
         assert not pointer._is_mirrored(spec)
-        centers = []
-        original = pointer._ramp_gaussian
-        monkeypatch.setattr(pointer, "_ramp_gaussian",
-                            lambda spec, center: centers.append(center) or original(spec, center))
-        pointer._check_grid(spec)
+        centers = TestWorkCount.count_samplings(monkeypatch)
+        spec.grid_check.about(0.5)
         assert centers == [0.0, 1.0]
 
     @staticmethod
     def assert_matches_the_difference_basis(spec):
-        got, want = pointer._first_order_grid_table(spec), _difference_basis_table(spec)
-        assert set(got) == set(want)
+        got = pointer._grid_table(spec, pointer._grid_sums(spec, 1), 0.0, 0)
+        want = _difference_basis_table(spec)
+        assert set(got) == {key for key in want if key[0] <= key[1]}
         for (p, q, k), bound in _rounding_scales(spec):
-            assert abs(got[p, q][k] - want[p, q][k]) <= bound, (p, q, k)
+            if p <= q:
+                assert abs(got[p, q][k] - want[p, q][k]) <= bound, (p, q, k)
+
+    @staticmethod
+    def assert_matches_the_fsum_table(spec):
+        sums = pointer._grid_sums(spec, 2)
+        for centre, anchor in _frames(spec):
+            got = pointer._grid_table(spec, sums, centre, anchor)
+            want = _fsum_reference(spec, centre, anchor)
+            for (p, q, k), bound in _rounding_scales(spec, centre, 2):
+                if p <= q:
+                    assert abs(got[p, q][k] - want[p, q][k]) <= bound, (centre, anchor, p, q, k)
 
     @pytest.mark.parametrize("spec", [
         *_check_specs(),
@@ -1367,29 +1494,73 @@ class TestGridCheck:
     def test_accepted_grids_match_the_difference_basis(self, spec):
         self.assert_matches_the_difference_basis(spec)
 
-    @pytest.mark.parametrize("spec", _check_specs())
-    def test_every_sweep_grid_passes_with_room(self, spec):
-        # The bound holds the grid's actual residual with a wide margin, so
-        # rounding does not refuse a grid the budget admits.
-        closed, grid = spec.closed_integrals, pointer._first_order_grid_table(spec)
-        for (p, q), bounds in pointer._grid_check_bounds(spec).items():
-            for k, bound in enumerate(bounds):
-                assert abs(grid[p, q][k] - closed[p, q][k]) <= bound / 4, (p, q, k)
+    @pytest.mark.parametrize("spec", [
+        *_check_specs(), PointerSpec.default(0.0, 1.0, 1.0, 129),
+        PointerSpec.default(1e6, 1e6 - 3.0, 2.0, 1025),
+        PointerSpec(0.0, 1.0, 1.0, -MIN_PADDING, 1.0 + MIN_PADDING, 65)])
+    def test_second_order_grids_match_the_fsum_table(self, spec):
+        self.assert_matches_the_fsum_table(spec)
 
     @given(st.one_of(accepted_specs(), wide_specs()))
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_no_accepted_spec_is_refused(self, spec):
-        pointer._check_grid(spec)
+    def test_accepted_second_order_grids_match_the_fsum_table(self, spec):
+        self.assert_matches_the_fsum_table(spec)
+
+    @pytest.mark.parametrize("spec", _check_specs())
+    def test_every_sweep_grid_passes_with_room(self, spec):
+        # The bound holds the grid's actual residual with a wide margin, so
+        # rounding does not refuse a grid the budget admits.  At second
+        # order the padding's truncation takes up to half of it.
+        sums = pointer._grid_sums(spec, 2)
+        for centre, anchor in _frames(spec):
+            closed = pointer._closed_table(spec, centre, anchor)
+            grid = pointer._grid_table(spec, sums, centre, anchor)
+            for (p, q, k), bound in _check_bounds(spec, centre, 2).items():
+                if p <= q:
+                    room = 4 if k < 2 else 2
+                    assert abs(grid[p, q][k] - closed[p, q][k]) <= bound / room, (p, q, k)
+
+    @given(st.one_of(accepted_specs(), wide_specs()), st.floats(-1.0, 2.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_no_accepted_spec_is_refused(self, spec, offset):
+        pointer._GridCheck(spec, 1)  # a sweep width's check
+        check = pointer._GridCheck(spec, 2)  # a pointer's, the first-order table too
+        centre = spec.gamma + offset * (spec.epsilon - spec.gamma + spec.sigma)
+        for c in (spec.gamma, spec.epsilon, centre):
+            check.about(c)
+
+    @staticmethod
+    def record_checks(monkeypatch) -> list[tuple[PointerSpec, float | None]]:
+        checked = []
+        original = pointer._GridCheck.check
+
+        def check(self, closed, centre=None, anchor=0):
+            checked.append((self.spec, centre))
+            return original(self, closed, centre, anchor)
+
+        monkeypatch.setattr(pointer._GridCheck, "check", check)
+        return checked
 
     def test_every_width_is_checked_on_its_grid(self, monkeypatch):
-        checked = []
-        original = pointer._check_grid
-        monkeypatch.setattr(pointer, "_check_grid",
-                            lambda spec: checked.append(spec) or original(spec))
+        checked = self.record_checks(monkeypatch)
         pre, post = _pre_post()
         weak_limit_sweep(pre, post, ("2", "4"), 0.0, 1.0, [0.00025, 1.0, 2.0])
-        assert [(s.sigma, s.n_points) for s in checked] == [
-            (0.00025, 5246), (1.0, 5246), (2.0, 5246)]
+        assert [(s.sigma, s.n_points, c) for s, c in checked] == [
+            (0.00025, 5246, None), (1.0, 5246, None), (2.0, 5246, None)]
         checked.clear()
         weak_limit_sweep(pre, post, ("2", "4"), 0.0, 1.0, [1.0, 2.0], n_points=96)
-        assert checked == [PointerSpec.default(0.0, 1.0, s, 96) for s in (1.0, 2.0)]
+        assert checked == [(PointerSpec.default(0.0, 1.0, s, 96), None) for s in (1.0, 2.0)]
+
+    def test_every_pointer_table_is_checked_on_its_grid(self, monkeypatch, capsys):
+        checked = self.record_checks(monkeypatch)
+        assert run_cli(["run", "--scenario=pointer", "--grid-points=96"]) == 0
+        capsys.readouterr()
+        # The means' table, then one about each distinct mean, on one spec.
+        spec = PointerSpec.default(0.0, 1.0, 8.0, 96)
+        pre = run_entanglement_swap().conditional_state()
+        means = [m for profile in pointer.pointer_profiles(
+                     pre, analyzer_post_selection(-math.pi / 4.0), MEASURED_SETS, spec)
+                 for m in analytic_moments(profile.terms, spec).mean]
+        assert len(set(means)) > 1
+        assert [c for _, c in checked] == [None, *dict.fromkeys(means)]
+        assert {s for s, _ in checked} == {spec}

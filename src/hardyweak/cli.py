@@ -254,14 +254,16 @@ METAVARS = {float: "NUMBER", int: "INT", bool: "BOOL", str: "PATH", "sweep": "si
 
 
 def usage() -> str:
-    """The -h text: the flag grammar, then each flag with its help."""
+    """The -h text: the flag grammar, then each flag with its help (and a
+    sweep's cap on its values)."""
     lines = ["usage: hardyweak run --scenario=NAME [--flag=value | --flag value] ...",
              "Each flag at most once, by its full name; a bare BOOL flag means true."]
     for flag, (_, spec) in FLAGS.items():
         kind, takers = spec.kind, spec.scenarios
         metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else METAVARS[kind]
         only = "" if takers == SCENARIOS else f" ({', '.join(takers)})"
-        lines.append(f"  {flag}={metavar}\n      {spec.help}{only}")
+        cap = f"; at most {spec.maximum} values" if kind == "sweep" else ""
+        lines.append(f"  {flag}={metavar}\n      {spec.help}{cap}{only}")
     return "\n".join(lines)
 
 

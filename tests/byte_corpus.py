@@ -20,10 +20,9 @@ Every argv runs from the root of the checkout, so a config path in it is
 relative to that root.
 
 The digests are of this program's output under the platform's libm.  A
-libm that rounds ``exp`` differently moves the bytes of ``pointer``
-reports, which print grid moments, and one that rounds ``expm1``
-differently moves those of ``pointer-sweep`` reports, which print
-closed-form means; the sweep's grid only checks them and prints nothing.
+libm that rounds ``expm1`` differently moves the bytes of ``pointer`` and
+``pointer-sweep`` reports, which print closed-form moments; their grid
+only checks them and prints nothing.
 An intended output change regenerates the file in its own commit:
 
     PYTHONPATH=src python tests/byte_corpus.py

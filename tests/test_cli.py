@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import hardyweak
-from hardyweak import __version__, scenarios
+from hardyweak import __version__, cli, scenarios
 from hardyweak.cli import (
     CONFIG_READ_LIMIT,
     INPUTS,
@@ -285,6 +285,9 @@ def test_help_prints_usage_and_exits_zero(capsys, argv):
         assert spec.help in out
     assert "  --config=PATH\n" in out
     assert "--swap-mode={coherent,decohered}\n      swap preparation (swap)\n" in out
+    cap = INPUTS["sweep"][1].maximum
+    assert cap == cli.MAX_SWEEP_WIDTHS == 64
+    assert f"e.g. sigma=1,2,4; at most {cap} values (pointer-sweep)\n" in out
 
 
 def test_bad_sigma_exits_one(capsys):

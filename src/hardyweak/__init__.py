@@ -34,11 +34,6 @@ from .weakvalues import (
     OrthogonalPostSelectionError,
     ProjectorWeakValue,
     WeakValueReport,
-    WeightedProjectorSum,
-    arrival_time_operator,
-    occupation_operator,
-    projector_weak_decomposition,
-    weak_value,
 )
 from .pointer import (
     EmptyPostSelectionError,

@@ -434,7 +434,7 @@ class SweepRow:
 def pointer_terms(pre: StateVector, post: StateVector, measured: Sequence[str],
                   spec: PointerSpec) -> tuple[tuple[tuple[float, ...], complex], ...]:
     """Collapse unmeasured photons: coefficient per measured-delay tuple."""
-    return pointer_profiles(pre, post, (measured,), spec)[0].terms
+    return build_pointer_profile(pre, post, measured, spec).terms
 
 
 def pointer_profiles(pre: StateVector, post: StateVector,
@@ -531,7 +531,7 @@ def analytic_moments(terms: Sequence[tuple[tuple[float, ...], complex]],
 def build_pointer_profile(pre: StateVector, post: StateVector, measured: Sequence[str],
                           spec: PointerSpec) -> PointerProfile:
     """The post-selected pointer's terms and closed-form success probability."""
-    return PointerProfile(spec, tuple(measured), pointer_terms(pre, post, measured, spec))
+    return pointer_profiles(pre, post, (measured,), spec)[0]
 
 
 def pointer_moments(profile: PointerProfile) -> PointerMoments:
@@ -545,8 +545,7 @@ def pointer_moments(profile: PointerProfile) -> PointerMoments:
 def weak_prediction(profile: PointerProfile) -> tuple[float, ...]:
     """Where the pointer means go in the weak limit, one per measured photon:
     the real part of ``coefficient_weak_value`` of the terms, the arrival-time
-    weak value that ``photonic-weak`` prints.  For a pair this is ``weak_value``
-    of ``arrival_time_operator`` bit for bit."""
+    weak value that ``photonic-weak`` prints, from the same walk."""
     return tuple(w.real for w in coefficient_weak_value(profile.terms).value)
 
 

@@ -344,7 +344,7 @@ def run_photonic_weak(gamma: float = 0.0, epsilon: float = 1.0) -> PhotonicWeakR
     delays = polarization_delays(pre.structure, ("2", "4"), gamma, epsilon)
     terms = [(tuple(delays[lv] for _, lv in label.pairs), c) for label, c in pair]
     joint = coefficient_weak_value(terms)
-    # A photon's own operator would give its joint component bit for bit.
+    # A photon's own operator (the tests' oracle) gives its joint component bit for bit.
     photon2, photon4 = (replace(joint, value=(w,)) for w in joint.value)
     return PhotonicWeakReport(
         gamma=gamma,

@@ -20,7 +20,6 @@ from hardyweak.optics import (
     splitter_map,
 )
 from hardyweak.states import GAMMA, StateVector, Structure, inner
-from hardyweak.weakvalues import WeightedProjectorSum
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -97,11 +96,6 @@ def dark_port_coincidence_state() -> StateVector:
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
     return a.normalized and b.normalized and abs(inner(a, b)) >= 1.0 - 1e-9
-
-
-def identity_operator(structure: Structure) -> WeightedProjectorSum:
-    return WeightedProjectorSum(
-        structure, tuple((lab, (1.0,)) for lab in structure.product_labels()))
 
 
 def rotate_polarization(state: StateVector, photon: str, phi: float) -> StateVector:

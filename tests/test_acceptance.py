@@ -32,21 +32,21 @@ from hardyweak.scenarios import (
     run_photonic_weak,
 )
 from hardyweak.states import StateVector, Structure
-from hardyweak.weakvalues import (
-    arrival_time_operator,
-    occupation_operator,
-    projector_weak_decomposition,
-    weak_value,
-)
 from hardyweak.cli import run_cli
 
 from conftest import (
     dark_coincidence_literal,
     dark_port_coincidence_state,
     expected_final_state,
-    identity_operator,
     surviving_paths_literal,
     surviving_paths_state,
+)
+from oracle import (
+    arrival_time_operator,
+    identity_operator,
+    occupation_operator,
+    projector_weak_decomposition,
+    weak_value,
 )
 
 SQRT3 = math.sqrt(3.0)

@@ -35,11 +35,8 @@ from hardyweak.pointer import (
 )
 from hardyweak.optics import apply_level_map
 from hardyweak.states import GAMMA, PRUNE_THRESHOLD, StateVector, Structure, StructureError
-from hardyweak.weakvalues import (
-    OrthogonalPostSelectionError,
-    arrival_time_operator,
-    weak_value,
-)
+from hardyweak.weakvalues import OrthogonalPostSelectionError
+from oracle import WeightedProjectorSum, arrival_time_operator, weak_value
 
 
 def _trapezoid(y: list[float], t: list[float]) -> float:
@@ -665,6 +662,20 @@ class TestWorkCount:
         assert len(centers) == want
         capsys.readouterr()
 
+    def test_one_profile_per_profile_build(self, monkeypatch):
+        # build_pointer_profile and pointer_terms each build the one profile
+        # their walk gives, and the terms are that profile's.
+        pre, post = _pre_post()
+        spec = PointerSpec.default(0.3, 1.7, 2.0)
+        built = []
+        original = pointer.PointerProfile
+        monkeypatch.setattr(pointer, "PointerProfile",
+                            lambda *args: built.append(args) or original(*args))
+        profile = build_pointer_profile(pre, post, ("2", "4"), spec)
+        assert len(built) == 1 and type(profile) is original
+        assert pointer_terms(pre, post, ("2", "4"), spec) == profile.terms
+        assert len(built) == 2
+
     @pytest.mark.parametrize("argv,walks", [
         (["--scenario=pointer"], 1),  # photon 2, photon 4 and the pair
         (["--scenario=pointer-sweep"], 1),  # six default widths
@@ -684,7 +695,7 @@ class TestWorkCount:
                 return original(*args, **kwargs)
             return wrapper
 
-        projector_sum = weakvalues.WeightedProjectorSum
+        projector_sum = WeightedProjectorSum
         walk = counting("walk", weakvalues.level_coefficients)
         for module in (pointer, scenarios):
             monkeypatch.setattr(module, "level_coefficients", walk)

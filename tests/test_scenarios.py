@@ -27,12 +27,6 @@ from hardyweak.scenarios import (
     run_photonic_weak,
 )
 from hardyweak.states import GAMMA, StateVector, inner
-from hardyweak.weakvalues import (
-    arrival_time_operator,
-    occupation_operator,
-    projector_weak_decomposition,
-    weak_value,
-)
 
 from conftest import (
     PRE_POST_OVERLAP,
@@ -46,6 +40,12 @@ from conftest import (
     rotate_polarization,
     surviving_paths_literal,
     surviving_paths_state,
+)
+from oracle import (
+    arrival_time_operator,
+    occupation_operator,
+    projector_weak_decomposition,
+    weak_value,
 )
 
 SQRT2 = math.sqrt(2.0)

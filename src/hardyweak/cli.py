@@ -382,10 +382,9 @@ def _clean_float(x: float) -> float:
     p/q with q <= 64 is pinned to p/q (0 included, so every ``|x| <= 1e-9``
     reports as 0): splitter cascades build provably rational probabilities
     out of repeated 1/sqrt(2) factors, so they arrive a few ulps off.
-    Every payload float comes through here, the pointer's and the sweep's
-    closed-form moments and deviations included, so a deviation of
-    2.75e-14 reports as 0; ROADMAP item 12 is to exempt such measured
-    fields.
+    Every float of the four label scenarios comes through here, the echoed
+    inputs and A2_w included (ROADMAP item 12). No pointer or sweep value
+    does: those are measured, and print raw (``_finite``).
     """
     value = float(x)
     if not math.isfinite(value):  # a builder overflowed; no report prints inf or nan
@@ -404,6 +403,20 @@ def _with_rational(key: str, value: float) -> dict[str, Any]:
         return {key: value}
     p, q = approx
     return {key: value, f"{key}_rational": f"{p}/{q}" if q != 1 else str(p)}
+
+
+def _finite(value: Any) -> Any:
+    """``value``, whose floats are final report values, once each is finite."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value}, not a finite number")
+    elif isinstance(value, list):
+        for v in value:
+            _finite(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            _finite(v)
+    return value
 
 
 def _clean(value: Any) -> Any:
@@ -497,18 +510,24 @@ def _photonic_weak_payload(config: RunConfig) -> dict[str, Any]:
     }
 
 
+def _raw(values: Iterable[float]) -> list[float]:
+    """Measured floats as the library computed them; ``+ 0.0`` moves only a
+    signed zero, so ``-0.0`` prints as 0."""
+    return [v + 0.0 for v in values]
+
+
 def _pointer_block(profile: PointerProfile, prediction: tuple[float, ...]) -> dict[str, Any]:
     moments = pointer_moments(profile)
-    deviation = tuple(abs(m - w) for m, w in zip(moments.mean, prediction))
+    deviation = [abs(m - w) for m, w in zip(moments.mean, prediction)]
 
-    def per_photon(values: tuple[float, ...]) -> float | tuple[float, ...]:
+    def per_photon(values: list[float]) -> float | list[float]:
         return values[0] if len(prediction) == 1 else values
 
     return {
-        "mean": per_photon(moments.mean),
-        "variance": per_photon(moments.variance),
-        "success_probability": moments.success_probability,
-        "weak_value": per_photon(prediction),
+        "mean": per_photon(_raw(moments.mean)),
+        "variance": per_photon(_raw(moments.variance)),
+        "success_probability": moments.success_probability + 0.0,
+        "weak_value": per_photon(_raw(prediction)),
         "deviation": per_photon(deviation),
     }
 
@@ -522,10 +541,10 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
     # The joint weak value holds each photon's, bit for bit.
     a2, a4 = weak_prediction(joint)
     return {
-        "gamma": p.gamma,
-        "epsilon": p.epsilon,
+        "gamma": p.gamma + 0.0,
+        "epsilon": p.epsilon + 0.0,
         "sigma": p.sigma,
-        "phi": p.phi,
+        "phi": p.phi + 0.0,
         "grid_points": spec.n_points,
         "weakness_ratio": spec.weakness_ratio,
         "photon2": _pointer_block(photon2, (a2,)),
@@ -549,17 +568,17 @@ def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
         pre, post, ("2", "4"), p.gamma, p.epsilon, sigmas, n_points=p.grid_points
     )
     return {
-        "gamma": p.gamma,
-        "epsilon": p.epsilon,
-        "phi": p.phi,
+        "gamma": p.gamma + 0.0,
+        "epsilon": p.epsilon + 0.0,
+        "phi": p.phi + 0.0,
         "grid_points": rows[0].n_points,
         "measured": ["2", "4"],
         "rows": [
             {
                 "sigma": row.sigma,
                 "r": row.weakness_ratio,
-                "mean": row.mean,
-                "deviation": row.deviation,
+                "mean": _raw(row.mean),
+                "deviation": list(row.deviation),
             }
             for row in rows
         ],
@@ -696,11 +715,13 @@ def build_payload(config: RunConfig) -> dict[str, Any]:
         "scenario": config.scenario,
         **build(config),
     }
+    # A pointer or sweep builder returns final values, measured and raw.
+    finish = _finite if config.scenario in POINTER_SCENARIOS else _clean
     payload = {}
     for key, value in raw.items():
         try:
-            payload[key] = _clean(value)
-        except ValueError as exc:  # _clean_float met an inf or nan
+            payload[key] = finish(value)
+        except ValueError as exc:  # an inf or nan
             raise ValueError(f"{key} is {exc}") from None
     return payload
 

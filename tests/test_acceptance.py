@@ -31,7 +31,7 @@ from hardyweak.scenarios import (
     run_hardy_gedanken,
     run_photonic_weak,
 )
-from hardyweak.states import StateVector, Structure
+from hardyweak.states import StateVector
 from hardyweak.cli import run_cli
 
 from conftest import (

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import hardyweak
-from hardyweak import __version__, cli, scenarios
+from hardyweak import __version__, cli, pointer, scenarios
 from hardyweak.cli import (
     CONFIG_READ_LIMIT,
     INPUTS,
@@ -812,16 +812,104 @@ def test_grid_over_the_error_budget_exits_two(capsys):
     assert err.count("\n") == 1
 
 
+def _library_pointer(argv):
+    """The parsed inputs, each profile's moments and the joint weak
+    prediction, as the library computes them for a ``pointer`` argv."""
+    p = assemble_config(["run", "--scenario=pointer", *argv]).parameters
+    pre = scenarios.run_entanglement_swap().conditional_state()
+    post = scenarios.analyzer_post_selection(p.phi)
+    spec = pointer.PointerSpec.default(p.gamma, p.epsilon, p.sigma, p.grid_points)
+    profiles = pointer.pointer_profiles(pre, post, (("2",), ("4",), ("2", "4")), spec)
+    joint = profiles[-1]
+    return p, spec, [pointer.pointer_moments(x) for x in profiles], joint
+
+
 def test_pointer_single_photon_mean_is_exact(capsys):
-    _, out, _ = run(
-        ["run", "--scenario", "pointer", "--grid-points", "512",
-         "--format", "json"],
-        capsys,
-    )
+    # The weak value prints as the library computes it, 1 ulp above 1 here:
+    # within the route's rounding bound ulp * sum|d c| / |sum c| (ROADMAP
+    # item 13), not snapped to 1.
+    argv = ["--grid-points", "512"]
+    _, out, _ = run(["run", "--scenario", "pointer", *argv, "--format", "json"], capsys)
     payload = json.loads(out)
+    *_, joint = _library_pointer(argv)
+    a2 = pointer.weak_prediction(joint)[0]
+    bound = math.ulp(1.0) * sum(abs(d[0] * c) for d, c in joint.terms) / abs(
+        sum(c for _, c in joint.terms))
+    assert payload["photon2"]["weak_value"].hex() == a2.hex()
+    assert 0 < abs(a2 - 1.0) <= bound
     assert payload["photon2"]["mean"] == pytest.approx(1.0, abs=1e-9)
-    assert payload["photon2"]["weak_value"] == 1.0
     assert payload["photon2"]["deviation"] == pytest.approx(0.0, abs=1e-9)
+
+
+def _hex(value):
+    """A report value with every float as its hex, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return [_hex(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _hex(v) for key, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grid-points=128"],
+    ["--gamma=0.3", "--epsilon=1.7", "--sigma=2.5", "--phi=0.3"],
+    ["--gamma=-2e-05", "--epsilon=3e-06", "--sigma=0.7", "--phi=-1.1"],
+    ["--gamma=1", "--epsilon=1", "--grid-points=128"],
+])
+def test_pointer_json_prints_the_library_values_bit_for_bit(capsys, argv):
+    code, out, _ = run(["run", "--scenario=pointer", *argv, "--format=json"], capsys)
+    assert code == 0
+    p, spec, moments, joint = _library_pointer(argv)
+    prediction = pointer.weak_prediction(joint)
+    want = {
+        "meta": {"tool": "hardyweak", "version": __version__}, "scenario": "pointer",
+        "gamma": p.gamma, "epsilon": p.epsilon, "sigma": p.sigma, "phi": p.phi,
+        "grid_points": spec.n_points, "weakness_ratio": spec.weakness_ratio,
+    }
+    for name, m, axes in zip(("photon2", "photon4", "joint"), moments, ((0,), (1,), (0, 1))):
+        w = [prediction[axis] for axis in axes]
+        block = {
+            "mean": list(m.mean), "variance": list(m.variance),
+            "success_probability": m.success_probability, "weak_value": w,
+            "deviation": [abs(mean - x) for mean, x in zip(m.mean, w)],
+        }
+        want[name] = {key: v[0] if isinstance(v, list) and len(axes) == 1 else v
+                      for key, v in block.items()}
+    assert _hex(json.loads(out)) == _hex(want)
+
+
+def test_pointer_prints_a_signed_zero_as_zero(capsys):
+    # With both delays 0 the library's weak value is -0.0; the report
+    # prints 0, as it did when every float was cleaned.
+    argv = ["--gamma=0", "--epsilon=0"]
+    *_, joint = _library_pointer(argv)
+    assert [math.copysign(1.0, w) for w in pointer.weak_prediction(joint)] == [-1.0, -1.0]
+    code, out, _ = run(["run", "--scenario=pointer", *argv], capsys)
+    assert code == 0
+    assert "weak_value=0\n" in out and "weak_value=(0, 0)\n" in out
+    assert "-0" not in out.replace("phi=-0.785398", "")
+    _, out, _ = run(["run", "--scenario=pointer", *argv, "--format=json"], capsys)
+    assert "-0.0" not in out
+
+
+@pytest.mark.parametrize("argv,pins", [
+    (["--scenario=pointer", "--grid-points=128"], False),
+    (["--scenario=pointer", "--grid-points=128", "--format=json"], False),
+    (["--scenario=pointer-sweep", "--grid-points=128", "--format=csv"], False),
+    (["--scenario=pointer-sweep", "--grid-points=128", "--format=json"], False),
+    (["--scenario=pointer-sweep", "--grid-points=128"], False),
+    (["--scenario=photonic-weak"], True),
+])
+def test_only_label_reports_pin_small_fractions(monkeypatch, capsys, argv, pins):
+    # A pointer or sweep number is measured and prints raw; only the label
+    # scenarios' floats go through the continued fraction.
+    calls = []
+    original = cli._small_fraction
+    monkeypatch.setattr(cli, "_small_fraction", lambda x: calls.append(x) or original(x))
+    assert run(["run", *argv], capsys)[0] == 0
+    assert bool(calls) == pins
 
 
 # ------------------------------------------------------------------ sweep

@@ -3,9 +3,11 @@ supported Python and import only the standard library."""
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 import types
 from pathlib import Path
+from typing import Iterable
 
 import hardyweak
 
@@ -88,3 +90,46 @@ def test_every_source_definition_is_named_by_the_program():
     unnamed = [f"{module}: {node.name}" for module, node in definitions
                if node.name not in named and not node.name.startswith("__")]
     assert unnamed == []
+
+
+def _unused_imports(tree: ast.Module, exported: Iterable[str] = ()) -> list[str]:
+    """The names a module imports and never loads.  A name ``exported``
+    (the module's ``__all__``) counts as used; a string does not."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds a; "import a.b as c" and "from a import b" bind c or b.
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(exported)
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py builds __all__ from what it imports, so read it at run time.
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "hardyweak").glob("*.py"))
+    paths = [*package, *sorted((root / "tests").glob("*.py"))]
+    assert len(package) == 7 and len(paths) > len(package)
+    unused = {}
+    for path in paths:
+        exported = ()
+        if path in package:
+            name = "hardyweak" if path.stem == "__init__" else f"hardyweak.{path.stem}"
+            exported = getattr(importlib.import_module(name), "__all__", ())
+        names = _unused_imports(ast.parse(path.read_text(), filename=str(path)), exported)
+        if names:
+            unused[path.name] = names
+    assert unused == {}
+
+
+def test_the_unused_import_scan_counts_exports_and_not_strings():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\nimport a.b\nfrom c import d as e, f, g\n"
+        "print(a, g.h, 'os', 'e')\n"
+    )
+    assert _unused_imports(tree, ["f"]) == ["os (line 2)", "e (line 4)"]

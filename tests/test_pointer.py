@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import analyzer_literal, entangled_target_literal, state_of, photon_structure
-from hardyweak import cli, pointer, scenarios, weakvalues
+from hardyweak import pointer, scenarios, weakvalues
 from hardyweak.cli import DEFAULT_SWEEP_MULTIPLES, run_cli
 from hardyweak.scenarios import analyzer_post_selection, run_entanglement_swap
 from hardyweak.pointer import (

@@ -16,7 +16,6 @@ from hardyweak.scenarios import (
     CONSTRAINT_NAMES,
     DEFAULT_SWAP_CALIBRATION,
     HARDY_OUTCOMES,
-    CounterfactualAssignment,
     HardyConfig,
     analyzer_post_selection,
     bell_pair,

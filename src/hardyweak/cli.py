@@ -589,7 +589,7 @@ def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
 
 
 def _fmt(value: Any) -> str:
-    """One payload value as table text; payload floats are already clean."""
+    """One payload value as table text; payload floats are final values."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

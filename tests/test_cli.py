@@ -1,12 +1,14 @@
 """CLI behavior: parsing, exit codes, deterministic report formats."""
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import json
 import math
 import os
 import time
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -697,6 +699,28 @@ def test_weak_value_past_the_float_range_exits_two(capsys):
     assert err == "error: domain: A2_w is inf, not a finite number\n"
 
 
+@pytest.mark.parametrize("scenario,target,key", [
+    ("pointer", "pointer_moments", "photon2"),
+    ("pointer-sweep", "weak_limit_sweep", "rows"),
+])
+def test_raw_pointer_numbers_are_checked_for_finiteness(monkeypatch, capsys, scenario,
+                                                        target, key):
+    # The grid refuses inputs large enough to overflow, so a library value
+    # is made inf here; the report names its key, as a cleaned one does.
+    original = getattr(cli, target)
+
+    def overflowing(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if target == "pointer_moments":
+            return dataclasses.replace(result, variance=(math.inf,) * len(result.variance))
+        return [dataclasses.replace(row, mean=(math.inf,) * len(row.mean)) for row in result]
+
+    monkeypatch.setattr(cli, target, overflowing)
+    code, out, err = run(["run", f"--scenario={scenario}", "--grid-points=128"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: domain: {key} is inf, not a finite number\n"
+
+
 def test_photonic_weak_json_schema(capsys):
     _, out, _ = run(
         ["run", "--scenario", "photonic-weak", "--gamma", "0.3",
@@ -889,7 +913,7 @@ def test_pointer_prints_a_signed_zero_as_zero(capsys):
     code, out, _ = run(["run", "--scenario=pointer", *argv], capsys)
     assert code == 0
     assert "weak_value=0\n" in out and "weak_value=(0, 0)\n" in out
-    assert "-0" not in out.replace("phi=-0.785398", "")
+    assert re.findall(r"-0(?![.\d])", out) == []  # phi=-0.785398 is no zero
     _, out, _ = run(["run", "--scenario=pointer", *argv, "--format=json"], capsys)
     assert "-0.0" not in out
 
@@ -902,14 +926,15 @@ def test_pointer_prints_a_signed_zero_as_zero(capsys):
     (["--scenario=pointer-sweep", "--grid-points=128"], False),
     (["--scenario=photonic-weak"], True),
 ])
-def test_only_label_reports_pin_small_fractions(monkeypatch, capsys, argv, pins):
+def test_only_label_reports_clean_their_floats(monkeypatch, capsys, argv, pins):
     # A pointer or sweep number is measured and prints raw; only the label
-    # scenarios' floats go through the continued fraction.
+    # scenarios' floats go through _clean_float and the continued fraction.
     calls = []
-    original = cli._small_fraction
-    monkeypatch.setattr(cli, "_small_fraction", lambda x: calls.append(x) or original(x))
+    for name in ("_clean_float", "_small_fraction"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda x, f=original, n=name: calls.append(n) or f(x))
     assert run(["run", *argv], capsys)[0] == 0
-    assert bool(calls) == pins
+    assert sorted(set(calls)) == (["_clean_float", "_small_fraction"] if pins else [])
 
 
 # ------------------------------------------------------------------ sweep

@@ -45,8 +45,8 @@ FORMATS = ("table", "json", "csv")
 SWAP_MODES = ("coherent", "decohered")
 
 DEFAULT_SWEEP_MULTIPLES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-# The most widths one sweep takes: each costs a grid check of up to
-# MAX_N_POINTS points.
+# The most widths one sweep takes: with --grid-points each costs a grid
+# check of up to MAX_N_POINTS points.
 MAX_SWEEP_WIDTHS = 64
 # The most bytes a config file may hold; a 64-width sweep needs about 2 kB.
 CONFIG_READ_LIMIT = 1 << 20
@@ -101,7 +101,8 @@ class Parameters:
     swap_mode: str = _input("coherent", SWAP_MODES, "swap preparation", ("swap",))
     grid_points: int | None = _input(
         None, int,
-        "grid points per axis (default: the smallest grid within the error budget)",
+        "check the closed form on a grid of this many points per axis, and "
+        "print grid_points (default: no grid)",
         POINTER_SCENARIOS, minimum=MIN_N_POINTS, maximum=MAX_N_POINTS,
     )
 
@@ -297,9 +298,18 @@ def _read_flags(argv: list[str]) -> dict[str, str]:
 
 def _read_config(path: str) -> str:
     """The config file's text, read as ``Path.read_text`` would, but never
-    more than ``CONFIG_READ_LIMIT`` bytes of it."""
+    more than ``CONFIG_READ_LIMIT`` bytes of it, and only from a regular
+    file: a FIFO would block the open until a writer came, and a device
+    or a directory holds no config."""
+    import stat
+
     try:
-        with Path(path).open("rb") as file:
+        # Without O_NONBLOCK, opening a FIFO waits for a writer, forever if none comes.
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            os.close(fd)
+            raise ConfigError(f"cannot read config file: {path} is not a regular file")
+        with open(fd, "rb") as file:
             data = file.read(CONFIG_READ_LIMIT + 1)
         if len(data) > CONFIG_READ_LIMIT:
             raise ConfigError(f"config file is larger than {CONFIG_READ_LIMIT} bytes")
@@ -532,6 +542,11 @@ def _pointer_block(profile: PointerProfile, prediction: tuple[float, ...]) -> di
     }
 
 
+def _grid(grid_points: int | None) -> dict[str, int]:
+    """The report's ``grid_points``, if a grid checked its numbers."""
+    return {} if grid_points is None else {"grid_points": grid_points}
+
+
 def _pointer_payload(config: RunConfig) -> dict[str, Any]:
     p = config.parameters
     pre = run_entanglement_swap().conditional_state()
@@ -545,7 +560,7 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
         "epsilon": p.epsilon + 0.0,
         "sigma": p.sigma,
         "phi": p.phi + 0.0,
-        "grid_points": spec.n_points,
+        **_grid(p.grid_points),
         "weakness_ratio": spec.weakness_ratio,
         "photon2": _pointer_block(photon2, (a2,)),
         "photon4": _pointer_block(photon4, (a4,)),
@@ -571,7 +586,7 @@ def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
         "gamma": p.gamma + 0.0,
         "epsilon": p.epsilon + 0.0,
         "phi": p.phi + 0.0,
-        "grid_points": rows[0].n_points,
+        **_grid(p.grid_points),
         "measured": ["2", "4"],
         "rows": [
             {
@@ -602,10 +617,10 @@ def _fmt(value: Any) -> str:
 
 
 def _fields(payload: dict[str, Any], keys: Iterable[str], indent: str = "") -> list[str]:
-    """``key=value`` lines, each followed by `` (p/q)`` where the payload
-    holds ``key_rational``."""
+    """``key=value`` lines of the keys the payload holds, each followed by
+    `` (p/q)`` where the payload holds ``key_rational``."""
     lines = []
-    for key in keys:
+    for key in filter(payload.__contains__, keys):
         rational = payload.get(f"{key}_rational")
         suffix = "" if rational is None else f" ({rational})"
         lines.append(f"{indent}{key}={_fmt(payload[key])}{suffix}")
@@ -638,10 +653,9 @@ def _counterfactual_table(payload: dict[str, Any]) -> list[str]:
 
 
 def _swap_table(payload: dict[str, Any]) -> list[str]:
-    keys = ["scenario", "mode", "phase_calibration", "success_probability"]
-    if "fidelity_to_target" in payload:
-        keys.append("fidelity_to_target")
-    lines = _fields(payload, keys) + ["branches:"]
+    lines = _fields(payload, (
+        "scenario", "mode", "phase_calibration", "success_probability", "fidelity_to_target",
+    )) + ["branches:"]
     for branch in payload["branches"]:
         lines += _fields(branch, ("weight",), f"  {branch['label']}  ")
         for label, amp in branch["amplitudes"].items():

@@ -20,7 +20,9 @@ means read the table about 0 with b0 = f_gamma (``closed_integrals``);
 each variance reads the table about its mean c with b0 at the delay
 nearer c, so E[(t - c)^2] - E[t - c]^2 subtracts no large squares.
 
-The grid prints nothing; it checks the closed form (``_GridCheck``).  One
+The grid prints nothing; it checks the closed form (``_GridCheck``), and
+only on a spec that has one: ``PointerSpec.default`` gives a grid only
+for ``n_points``, so a run without ``--grid-points`` samples nothing.  One
 sampling of f_gamma per spec on a cached index ramp gives plain trapezoid
 sums of f_gamma^2, f_gamma f_epsilon and f_epsilon^2 (on every default
 grid by the mirror f_epsilon(t_i) = f_gamma(t_(N-1-i))), which make up
@@ -30,15 +32,13 @@ the second-order table about each mean.  An entry off its closed form by
 more than ``grid_error_budget`` (aliasing from the step plus truncation
 at the padding) plus 4 eps (N + T/sigma) of rounding refuses the spec
 (``GridError``), as does a grid that aliases more than
-``ALIASING_TOLERANCE``; a default grid is the smallest that aliases no
-more than it truncates.
+``ALIASING_TOLERANCE``.
 """
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import islice, product
 from operator import getitem, mul
@@ -53,7 +53,8 @@ MAX_N_POINTS = 8192
 MIN_PADDING = 6.0
 # The most aliasing any grid may carry: the accuracy PointerProfile promises.
 ALIASING_TOLERANCE = 1e-9
-_EMPTY_ON_GRID = "post-selected pointer norm vanishes on grid"
+_EMPTY = "post-selected pointer norm vanishes"
+_EMPTY_ON_GRID = _EMPTY + " on grid"
 _Table = dict[tuple[int, int], tuple[float, ...]]  # (p, q): int t^k b_p b_q, k = 0, ...
 
 
@@ -67,20 +68,36 @@ class EmptyPostSelectionError(ValueError):
 
 @dataclass(frozen=True)
 class PointerSpec:
-    """Delays, pointer width, and the sampling grid used per time axis."""
+    """Delays, pointer width and, if the closed form is to be checked, the
+    sampling grid per time axis: its ends and its number of points."""
 
     gamma: float
     epsilon: float
     sigma: float
-    t_min: float
-    t_max: float
-    n_points: int
+    t_min: float | None = None
+    t_max: float | None = None
+    n_points: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("gamma", "epsilon", "sigma"):
             _require_finite(self, name)
         if self.sigma <= 0.0:
             raise GridError("sigma must be positive")
+        grid = (self.t_min, self.t_max, self.n_points)
+        if None in grid:
+            if grid != (None, None, None):
+                raise GridError("a grid needs t_min, t_max and n_points")
+            # The closed form reads sigma**2 and second moments out to the
+            # padded window, which must neither underflow nor overflow.
+            tiny = sys.float_info.min
+            if self.sigma * self.sigma < tiny:
+                raise GridError(f"sigma {self.sigma:g} is too small: sigma**2 "
+                                f"underflows below {tiny:g}")
+            lo, hi = _window(self.gamma, self.epsilon, self.sigma)
+            if not math.isfinite(2.0 * max(lo * lo, hi * hi)):
+                raise GridError(f"pointer window [{lo:g}, {hi:g}], {DEFAULT_PADDING:g} sigma "
+                                "beyond the delays, is too wide: its squared extent overflows")
+            return
         if self.n_points < MIN_N_POINTS:
             raise GridError(f"need at least {MIN_N_POINTS} grid points")
         if self.n_points > MAX_N_POINTS:
@@ -116,40 +133,11 @@ class PointerSpec:
     @classmethod
     def default(cls, gamma: float = 0.0, epsilon: float = 1.0, sigma: float = 8.0,
                 n_points: int | None = None) -> PointerSpec:
-        """The grid padded by ``DEFAULT_PADDING`` sigma beyond both delays.
-
-        Without ``n_points`` it has the fewest points, at least
-        ``MIN_N_POINTS``, whose aliasing is no larger than its truncation.
-        """
-        lo = min(gamma, epsilon) - DEFAULT_PADDING * sigma
-        hi = max(gamma, epsilon) + DEFAULT_PADDING * sigma
-        if n_points is not None:
-            return cls(gamma, epsilon, sigma, lo, hi, n_points)
-        try:  # names a bad input before any budget is evaluated
-            spec = cls(gamma, epsilon, sigma, lo, hi, MIN_N_POINTS)
-        except GridError:  # a bad input, or a step that aliases at 64 points
-            spec = cls(gamma, epsilon, sigma, lo, hi, MAX_N_POINTS)
-        padding = spec.padding / sigma
-
-        def budget(n: int) -> tuple[float, float]:
-            return _budget((hi - lo) / (n - 1) / sigma, padding)
-
-        def within(n: int) -> bool:
-            aliasing, truncation = budget(n)
-            return aliasing <= truncation
-
-        if spec.n_points == MIN_N_POINTS and within(MIN_N_POINTS):
-            return spec
-        sizes = range(MIN_N_POINTS, MAX_N_POINTS + 1)
-        index = bisect_left(sizes, True, key=within)
-        if index == len(sizes):
-            aliasing, truncation = budget(MAX_N_POINTS)
-            raise GridError(
-                f"grid error budget needs more than {MAX_N_POINTS} points for "
-                f"sigma {sigma:g}: at {MAX_N_POINTS} the aliasing {aliasing:.3g} "
-                f"exceeds the truncation {truncation:.3g} of the padding"
-            )
-        return replace(spec, n_points=sizes[index])
+        """The spec without a grid, or with ``n_points`` on the grid padded
+        by ``DEFAULT_PADDING`` sigma beyond both delays."""
+        if n_points is None:
+            return cls(gamma, epsilon, sigma)
+        return cls(gamma, epsilon, sigma, *_window(gamma, epsilon, sigma), n_points)
 
     @property
     def weakness_ratio(self) -> float:
@@ -198,6 +186,12 @@ def _about(spec: PointerSpec, centre: float) -> tuple[int, _Table]:
     """The delay nearer ``centre``, and ``_closed_table`` about it with b0 there."""
     anchor = int(abs(spec.epsilon - centre) < abs(spec.gamma - centre))
     return anchor, _closed_table(spec, centre, anchor)
+
+
+def _window(gamma: float, epsilon: float, sigma: float) -> tuple[float, float]:
+    """``DEFAULT_PADDING`` sigma beyond both delays: every default grid's ends."""
+    return (min(gamma, epsilon) - DEFAULT_PADDING * sigma,
+            max(gamma, epsilon) + DEFAULT_PADDING * sigma)
 
 
 def _require_finite(spec: PointerSpec, name: str) -> None:
@@ -428,7 +422,6 @@ class SweepRow:
     weakness_ratio: float
     mean: tuple[float, ...]
     deviation: tuple[float, ...]
-    n_points: int
 
 
 def pointer_terms(pre: StateVector, post: StateVector, measured: Sequence[str],
@@ -525,7 +518,7 @@ def _moments(terms, spec: PointerSpec, empty: str, about=None) -> PointerMoments
 def analytic_moments(terms: Sequence[tuple[tuple[float, ...], complex]],
                      spec: PointerSpec) -> PointerMoments:
     """Closed-form moments of the Gaussian mixture (``_moments``), no grid."""
-    return _moments(terms, spec, "post-selected pointer norm vanishes")
+    return _moments(terms, spec, _EMPTY)
 
 
 def build_pointer_profile(pre: StateVector, post: StateVector, measured: Sequence[str],
@@ -535,11 +528,15 @@ def build_pointer_profile(pre: StateVector, post: StateVector, measured: Sequenc
 
 
 def pointer_moments(profile: PointerProfile) -> PointerMoments:
-    """``analytic_moments`` of the profile, checked on its spec's grid
-    (``PointerSpec.grid_check``): the first-order table before the means,
-    then the second-order table about each mean before its variance."""
+    """``analytic_moments`` of the profile, checked on its spec's grid if
+    it has one (``PointerSpec.grid_check``): the first-order table before
+    the means, then the second-order table about each mean before its
+    variance."""
+    spec = profile.spec
+    if spec.n_points is None:
+        return _moments(profile.terms, spec, _EMPTY)
     # The checked grid agrees with the closed form, so its message stands.
-    return _moments(profile.terms, profile.spec, _EMPTY_ON_GRID, profile.spec.grid_check.about)
+    return _moments(profile.terms, spec, _EMPTY_ON_GRID, spec.grid_check.about)
 
 
 def weak_prediction(profile: PointerProfile) -> tuple[float, ...]:
@@ -555,11 +552,10 @@ def weak_limit_sweep(pre: StateVector, post: StateVector, measured: Sequence[str
     """Pointer means against the weak-value prediction across widths.
 
     ``sigmas`` must be positive and ascending so the rows read as an
-    approach to the weak limit.  Without ``n_points`` every width gets the
-    largest default grid that any of them needs.  A width prints the
-    closed-form means, ``analytic_moments`` bit for bit, and checks its
-    grid against the closed form first (``_GridCheck``): the width's
-    grid, at ``n_points``, sets how closely its means are checked.
+    approach to the weak limit.  A width prints the closed-form means,
+    ``analytic_moments`` bit for bit.  With ``n_points`` each width first
+    checks them on its grid of that many points (``_GridCheck``), which
+    sets how closely they are checked; without, no grid is sampled.
     """
     if not sigmas:
         raise GridError("sweep needs at least one value")
@@ -567,21 +563,18 @@ def weak_limit_sweep(pre: StateVector, post: StateVector, measured: Sequence[str
         raise GridError("sweep value must be positive")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise GridError("sweep values must be strictly ascending")
-    sized = [None] * len(sigmas)
-    if n_points is None:
-        sized = [PointerSpec.default(gamma, epsilon, s) for s in sigmas]
-        n_points = max(spec.n_points for spec in sized)
+    # A checked grid agrees with the closed form, so its message stands.
+    empty = _EMPTY if n_points is None else _EMPTY_ON_GRID
     rows: list[SweepRow] = []
-    for sigma, spec in zip(sigmas, sized):
-        if spec is None or spec.n_points != n_points:
-            spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
+    for sigma in sigmas:
+        spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
         if not rows:  # terms and prediction are sigma-free: one walk, before any grid
             profile = build_pointer_profile(pre, post, measured, spec)
             prediction = weak_prediction(profile)
             terms = _basis_terms(profile.terms, spec)  # reads the delays only
-        _GridCheck(spec, 1)
-        # The checked grid agrees with the closed form, so its message stands.
-        mean = _means(_pair_sums(terms, spec.closed_integrals), _EMPTY_ON_GRID)
+        if n_points is not None:
+            _GridCheck(spec, 1)
+        mean = _means(_pair_sums(terms, spec.closed_integrals), empty)
         deviation = tuple(abs(m - w) for m, w in zip(mean, prediction))
-        rows.append(SweepRow(sigma, spec.weakness_ratio, mean, deviation, n_points))
+        rows.append(SweepRow(sigma, spec.weakness_ratio, mean, deviation))
     return rows

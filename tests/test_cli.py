@@ -316,8 +316,22 @@ def test_non_utf8_config_file_exits_one(tmp_path, capsys):
 def test_config_directory_exits_one(tmp_path, capsys):
     code, out, err = run(["run", "--scenario=hardy", f"--config={tmp_path}"], capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("error: config: cannot read config file: ")
-    assert err.count("\n") == 1
+    assert err == f"error: config: cannot read config file: {tmp_path} is not a regular file\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_fifo_config_exits_one_without_waiting_for_a_writer(tmp_path):
+    # Opening a FIFO for reading blocks until a writer opens it; no writer
+    # ever does here, so a blocking open would hit the timeout.
+    fifo = tmp_path / "run.json"
+    os.mkfifo(fifo)
+    done = subprocess.run(
+        [sys.executable, "-m", "hardyweak.cli", "run", f"--config={fifo}"],
+        capture_output=True, env=_child_env(), timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.decode() == (
+        f"error: config: cannot read config file: {fifo} is not a regular file\n")
 
 
 def test_config_read_stops_at_its_limit(tmp_path, capsys):
@@ -338,7 +352,7 @@ def test_endless_config_exits_one_in_under_a_second(capsys):
     code, out, err = run(["run", "--config=/dev/zero"], capsys)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
-    assert err == "error: config: config file is larger than 1048576 bytes\n"
+    assert err == "error: config: cannot read config file: /dev/zero is not a regular file\n"
 
 
 def test_config_newlines_read_as_in_text_mode(tmp_path, capsys):
@@ -402,9 +416,26 @@ def test_orthogonal_analyzer_exits_two(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--scenario", "pointer", "--sigma", "1e-300"],
+     "sigma 1e-300 is too small: sigma**2 underflows below 2.22507e-308"),
+    (["--scenario", "pointer-sweep", "--sweep", "sigma=1e-300"],
+     "sigma 1e-300 is too small: sigma**2 underflows below 2.22507e-308"),
+    (["--scenario", "pointer", "--sigma", "1e200"],
+     "pointer window [-8e+200, 8e+200], 8 sigma beyond the delays, is too wide: "
+     "its squared extent overflows"),
+    (["--scenario=pointer-sweep", "--epsilon=1e154", "--format=csv"],
+     "pointer window [-8e+154, 9e+154], 8 sigma beyond the delays, is too wide: "
+     "its squared extent overflows"),
+])
+def test_a_run_without_a_grid_names_what_overflows(capsys, argv, message):
+    # Refused for the closed form's own squares, which no grid sets.
+    code, out, err = run(["run", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: domain: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
-    ["--scenario", "pointer", "--sigma", "1e-300"],
-    ["--scenario", "pointer-sweep", "--sweep", "sigma=1e-300"],
     ["--scenario", "pointer", "--gamma", "0", "--epsilon", "0", "--sigma", "1e-300",
      "--grid-points", "64"],
     ["--scenario", "pointer", "--sigma", "4e-4", "--grid-points", "1024"],
@@ -816,24 +847,20 @@ def test_explicit_large_grid_run_stays_small(capsys):
 
 
 @pytest.mark.parametrize("argv,grid_points", [
-    (["--scenario=pointer"], 64),
-    (["--scenario=pointer", "--sigma=0.00025"], 5246),
-    (["--scenario=pointer", "--grid-points=100"], 100),
-    (["--scenario=pointer-sweep"], 64),
-    (["--scenario=pointer-sweep", "--sweep=sigma=0.00025,1"], 5246),
+    (["--scenario=pointer"], []),
+    (["--scenario=pointer", "--sigma=0.00025"], []),
+    (["--scenario=pointer", "--grid-points=100"], ["grid_points=100"]),
+    (["--scenario=pointer-sweep"], []),
+    (["--scenario=pointer-sweep", "--sweep=sigma=0.00025,1"], []),
+    (["--scenario=pointer-sweep", "--grid-points=8192", "--sweep=sigma=0.00025,1"],
+     ["grid_points=8192"]),
 ])
-def test_reports_print_the_resolved_grid(capsys, argv, grid_points):
+def test_only_a_checking_grid_is_reported(capsys, argv, grid_points):
     code, out, _ = run(["run", *argv], capsys)
     assert code == 0
-    assert [line for line in out.split("\n") if line.startswith("grid_points=")] == [
-        f"grid_points={grid_points}"]
-
-
-def test_grid_over_the_error_budget_exits_two(capsys):
-    code, out, err = run(["run", "--scenario=pointer", "--sigma=0.00014"], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: domain: grid error budget needs more than 8192 points")
-    assert err.count("\n") == 1
+    assert [line for line in out.split("\n") if line.startswith("grid_points=")] == grid_points
+    _, out, _ = run(["run", *argv, "--format=json"], capsys)
+    assert ("grid_points" in json.loads(out)) == bool(grid_points)
 
 
 def _library_pointer(argv):
@@ -890,7 +917,8 @@ def test_pointer_json_prints_the_library_values_bit_for_bit(capsys, argv):
     want = {
         "meta": {"tool": "hardyweak", "version": __version__}, "scenario": "pointer",
         "gamma": p.gamma, "epsilon": p.epsilon, "sigma": p.sigma, "phi": p.phi,
-        "grid_points": spec.n_points, "weakness_ratio": spec.weakness_ratio,
+        **({} if p.grid_points is None else {"grid_points": spec.n_points}),
+        "weakness_ratio": spec.weakness_ratio,
     }
     for name, m, axes in zip(("photon2", "photon4", "joint"), moments, ((0,), (1,), (0, 1))):
         w = [prediction[axis] for axis in axes]

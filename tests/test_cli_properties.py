@@ -6,7 +6,10 @@ which scenarios it is passed to (a sweep's ``maximum`` caps its length), so a ne
 here.  Values are drawn in range, on and past the bounds, and malformed;
 each is passed as ``--flag=value``, as ``--flag value`` or in a JSON
 config file.  Some argvs also carry a key of another scenario, or an
-abbreviated, repeated or unknown flag.
+abbreviated, repeated or unknown flag.  Each ``pointer`` and
+``pointer-sweep`` argv that exits 0 also runs the grid check of its specs
+on their budget-sized grids (``budget_grid``), which a run without
+``--grid-points`` does not sample.
 """
 from __future__ import annotations
 
@@ -19,7 +22,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyweak.cli import BOOL_WORDS, INPUTS, SCENARIOS, SWEEP_VALUE, run_cli
+from budget_grid import check_on_budget_grids
+from hardyweak.cli import (
+    BOOL_WORDS,
+    INPUTS,
+    POINTER_SCENARIOS,
+    SCENARIOS,
+    SWEEP_VALUE,
+    assemble_config,
+    run_cli,
+)
 
 # The largest in-range integer drawn: a grid of 256 points per axis at most.
 INT_CAP = 256
@@ -146,6 +158,7 @@ def _run(argv: list[str], out_file) -> tuple[int, str, str, bytes | None]:
 def test_every_drawn_argv_ends_cleanly_and_repeats_byte_for_byte(tmp_path):
     drawn: set[str] = set()
     codes: set[int] = set()
+    budget_checked = []
 
     @settings(derandomize=True, deadline=None, max_examples=300, database=None)
     @given(st.data())
@@ -160,6 +173,9 @@ def test_every_drawn_argv_ends_cleanly_and_repeats_byte_for_byte(tmp_path):
         if code == 0:
             assert err == ""
             assert not NON_FINITE.search(out + (written or b"").decode()), argv
+            config = assemble_config(argv)
+            if config.scenario in POINTER_SCENARIOS:
+                budget_checked.append(check_on_budget_grids(config))
         else:
             assert out == ""
             assert ERROR_LINE.fullmatch(err), (argv, err)
@@ -170,3 +186,4 @@ def test_every_drawn_argv_ends_cleanly_and_repeats_byte_for_byte(tmp_path):
     check()
     assert drawn == set(INPUTS)
     assert codes == {0, 1, 2}
+    assert sum(budget_checked) > 0

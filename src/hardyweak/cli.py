@@ -298,9 +298,7 @@ def _read_flags(argv: list[str]) -> dict[str, str]:
 
 def _read_config(path: str) -> str:
     """The config file's text, read as ``Path.read_text`` would, but never
-    more than ``CONFIG_READ_LIMIT`` bytes of it, and only from a regular
-    file: a FIFO would block the open until a writer came, and a device
-    or a directory holds no config."""
+    more than ``CONFIG_READ_LIMIT`` bytes of it, and only from a regular file."""
     import stat
 
     try:
@@ -542,11 +540,6 @@ def _pointer_block(profile: PointerProfile, prediction: tuple[float, ...]) -> di
     }
 
 
-def _grid(grid_points: int | None) -> dict[str, int]:
-    """The report's ``grid_points``, if a grid checked its numbers."""
-    return {} if grid_points is None else {"grid_points": grid_points}
-
-
 def _pointer_payload(config: RunConfig) -> dict[str, Any]:
     p = config.parameters
     pre = run_entanglement_swap().conditional_state()
@@ -560,7 +553,7 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
         "epsilon": p.epsilon + 0.0,
         "sigma": p.sigma,
         "phi": p.phi + 0.0,
-        **_grid(p.grid_points),
+        **({} if p.grid_points is None else {"grid_points": p.grid_points}),
         "weakness_ratio": spec.weakness_ratio,
         "photon2": _pointer_block(photon2, (a2,)),
         "photon4": _pointer_block(photon4, (a4,)),
@@ -586,7 +579,7 @@ def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
         "gamma": p.gamma + 0.0,
         "epsilon": p.epsilon + 0.0,
         "phi": p.phi + 0.0,
-        **_grid(p.grid_points),
+        **({} if p.grid_points is None else {"grid_points": p.grid_points}),
         "measured": ["2", "4"],
         "rows": [
             {

@@ -83,13 +83,13 @@ class PointerSpec:
             _require_finite(self, name)
         if self.sigma <= 0.0:
             raise GridError("sigma must be positive")
+        tiny = sys.float_info.min
         grid = (self.t_min, self.t_max, self.n_points)
         if None in grid:
             if grid != (None, None, None):
                 raise GridError("a grid needs t_min, t_max and n_points")
             # The closed form reads sigma**2 and second moments out to the
             # padded window, which must neither underflow nor overflow.
-            tiny = sys.float_info.min
             if self.sigma * self.sigma < tiny:
                 raise GridError(f"sigma {self.sigma:g} is too small: sigma**2 "
                                 f"underflows below {tiny:g}")
@@ -114,7 +114,6 @@ class PointerSpec:
         # epsilon passes the step test).  An infinite grid end fails here; a
         # nan one passes every comparison and is named below.
         step = self.step
-        tiny = sys.float_info.min
         aliasing = math.inf if step <= 0.0 else _aliasing(step / self.sigma)
         if aliasing > ALIASING_TOLERANCE or self.sigma * self.sigma < tiny:
             raise GridError(
@@ -200,15 +199,6 @@ def _require_finite(spec: PointerSpec, name: str) -> None:
         raise GridError(f"{name} must be finite, got {value}")
 
 
-def _budget(step_ratio: float, padding: float) -> tuple[float, float]:
-    """``grid_error_budget`` at a step of ``step_ratio`` sigma and a padding
-    of ``padding`` sigma."""
-    tail = math.exp(-padding * padding / 2.0) / math.sqrt(2.0 * math.pi)
-    truncation = (math.erfc(padding / math.sqrt(2.0))
-                  + (2.0 + step_ratio * padding) * padding * tail)
-    return _aliasing(step_ratio), truncation
-
-
 def _aliasing(step_ratio: float) -> float:
     a2 = (2.0 * math.pi / step_ratio) ** 2
     return 2.0 * math.exp(-a2 / 2.0) * (1.0 + a2)
@@ -230,7 +220,11 @@ def grid_error_budget(spec: PointerSpec) -> tuple[float, float]:
     (h/sigma) p^2 phi(p), with phi the standard normal density.  See
     Trefethen & Weideman, SIAM Review 56, 385 (2014).
     """
-    return _budget(spec.step / spec.sigma, spec.padding / spec.sigma)
+    step_ratio, padding = spec.step / spec.sigma, spec.padding / spec.sigma
+    tail = math.exp(-padding * padding / 2.0) / math.sqrt(2.0 * math.pi)
+    truncation = (math.erfc(padding / math.sqrt(2.0))
+                  + (2.0 + step_ratio * padding) * padding * tail)
+    return _aliasing(step_ratio), truncation
 
 
 @lru_cache(maxsize=4)  # bounded: a process may meet every size up to MAX_N_POINTS

@@ -9,6 +9,7 @@ larger than its truncation (``grid_error_budget``).
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import replace
 
 from hardyweak import pointer
 from hardyweak.cli import DEFAULT_SWEEP_MULTIPLES, RunConfig
@@ -17,6 +18,7 @@ from hardyweak.pointer import (
     MIN_N_POINTS,
     GridError,
     PointerSpec,
+    grid_error_budget,
     pointer_moments,
     pointer_profiles,
 )
@@ -31,21 +33,24 @@ RESOLUTION_REFUSALS = ("grid error budget needs more than", "grid step ")
 def budget_spec(gamma: float, epsilon: float, sigma: float) -> PointerSpec:
     """``PointerSpec.default`` on its budget-sized grid, by a plain bisection."""
     finest = PointerSpec.default(gamma, epsilon, sigma, MAX_N_POINTS)
-    padding = finest.padding / sigma
 
-    def budget(n: int) -> tuple[float, float]:
-        return pointer._budget((finest.t_max - finest.t_min) / (n - 1) / sigma, padding)
+    def within(n: int) -> bool:
+        try:
+            aliasing, truncation = grid_error_budget(replace(finest, n_points=n))
+        except GridError:  # a step that aliases past ALIASING_TOLERANCE
+            return False
+        return aliasing <= truncation
 
     sizes = range(MIN_N_POINTS, MAX_N_POINTS + 1)
-    index = bisect_left(sizes, True, key=lambda n: budget(n)[0] <= budget(n)[1])
+    index = bisect_left(sizes, True, key=within)
     if index == len(sizes):
-        aliasing, truncation = budget(MAX_N_POINTS)
+        aliasing, truncation = grid_error_budget(finest)
         raise GridError(
             f"grid error budget needs more than {MAX_N_POINTS} points for "
             f"sigma {sigma:g}: at {MAX_N_POINTS} the aliasing {aliasing:.3g} "
             f"exceeds the truncation {truncation:.3g} of the padding"
         )
-    return PointerSpec.default(gamma, epsilon, sigma, sizes[index])
+    return replace(finest, n_points=sizes[index])
 
 
 def _budget_spec_or_none(gamma: float, epsilon: float, sigma: float) -> PointerSpec | None:

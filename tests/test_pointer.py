@@ -758,8 +758,9 @@ class TestWorkCount:
         centers = self.count_samplings(monkeypatch)
         checks = self.count_grid_checks(monkeypatch)
         budgets = []
-        original = pointer._budget
-        monkeypatch.setattr(pointer, "_budget", lambda *a: budgets.append(a) or original(*a))
+        original = pointer.grid_error_budget
+        monkeypatch.setattr(pointer, "grid_error_budget",
+                            lambda spec: budgets.append(spec) or original(spec))
         assert run_cli(["run", *argv]) == 0
         assert "grid_points" not in capsys.readouterr().out
         assert (centers, checks, budgets) == ([], [], [])
@@ -780,8 +781,9 @@ class TestWorkCount:
 
     def test_a_grid_points_run_evaluates_its_budget_once(self, monkeypatch, capsys):
         budgets = []
-        original = pointer._budget
-        monkeypatch.setattr(pointer, "_budget", lambda *a: budgets.append(a) or original(*a))
+        original = pointer.grid_error_budget
+        monkeypatch.setattr(pointer, "grid_error_budget",
+                            lambda spec: budgets.append(spec) or original(spec))
         assert run_cli(["run", "--scenario=pointer", "--grid-points=64"]) == 0
         assert "grid_points=64\n" in capsys.readouterr().out
         # The tolerance every table of the spec is checked to.

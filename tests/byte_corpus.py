@@ -11,8 +11,9 @@ The argv lists are:
 * every golden argv of ``test_cli.GOLDENS``;
 * the first requests of each benchmark workload at fixed seeds (the
   generators of ``bench/workloads.py`` are imported, not changed);
-* edge argvs: near-orthogonal and orthogonal analyzers, grids over their
-  error budget or overflowing, equal delays, extreme widths, the sweep's
+* edge argvs: near-orthogonal and orthogonal analyzers, a width no grid
+  within the error budget resolves, grids unresolved or overflowing,
+  equal delays, extreme widths, the sweep's
   error order, abbreviated, repeated and unknown flags (refused), help,
   configuration errors, and the config files in ``configs/``.
 
@@ -93,7 +94,8 @@ EDGE_ARGVS = [
     ["--scenario=pointer", "--phi=-0.0", "--format=json"],
     ["--scenario=pointer", "--phi=1e-16", "--format=json"],
     ["--scenario=pointer", "--phi=-1.5707963267948966", "--format=json"],
-    # Grids: over the error budget, unresolved, overflowing, strong.
+    # Widths and grids: a pointer no grid within the error budget resolves
+    # (printed from the closed form), unresolved, overflowing, strong.
     ["--scenario=pointer", "--sigma=0.00014"],
     ["--scenario=pointer", "--sigma=0.00025", "--format=json"],
     ["--scenario=pointer", "--sigma=1e-300"],

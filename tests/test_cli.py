@@ -428,7 +428,7 @@ def test_orthogonal_analyzer_exits_two(capsys):
      "pointer window [-8e+154, 9e+154], 8 sigma beyond the delays, is too wide: "
      "its squared extent overflows"),
 ])
-def test_a_run_without_a_grid_names_what_overflows(capsys, argv, message):
+def test_a_run_without_a_grid_names_the_square_that_fails(capsys, argv, message):
     # Refused for the closed form's own squares, which no grid sets.
     code, out, err = run(["run", *argv], capsys)
     assert (code, out) == (2, "")

@@ -735,6 +735,14 @@ class TestWorkCount:
         assert calls.count("sum") == 0
 
     @staticmethod
+    def count_budgets(monkeypatch) -> list[PointerSpec]:
+        budgets = []
+        original = pointer.grid_error_budget
+        monkeypatch.setattr(pointer, "grid_error_budget",
+                            lambda spec: budgets.append(spec) or original(spec))
+        return budgets
+
+    @staticmethod
     def count_grid_checks(monkeypatch) -> list[tuple[PointerSpec, int]]:
         built = []
         original = pointer._GridCheck
@@ -757,10 +765,7 @@ class TestWorkCount:
     def test_default_runs_sample_no_grid(self, monkeypatch, capsys, argv):
         centers = self.count_samplings(monkeypatch)
         checks = self.count_grid_checks(monkeypatch)
-        budgets = []
-        original = pointer.grid_error_budget
-        monkeypatch.setattr(pointer, "grid_error_budget",
-                            lambda spec: budgets.append(spec) or original(spec))
+        budgets = self.count_budgets(monkeypatch)
         assert run_cli(["run", *argv]) == 0
         assert "grid_points" not in capsys.readouterr().out
         assert (centers, checks, budgets) == ([], [], [])
@@ -780,10 +785,7 @@ class TestWorkCount:
         assert {spec.n_points for spec, _ in checks} == {128}
 
     def test_a_grid_points_run_evaluates_its_budget_once(self, monkeypatch, capsys):
-        budgets = []
-        original = pointer.grid_error_budget
-        monkeypatch.setattr(pointer, "grid_error_budget",
-                            lambda spec: budgets.append(spec) or original(spec))
+        budgets = self.count_budgets(monkeypatch)
         assert run_cli(["run", "--scenario=pointer", "--grid-points=64"]) == 0
         assert "grid_points=64\n" in capsys.readouterr().out
         # The tolerance every table of the spec is checked to.

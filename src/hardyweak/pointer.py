@@ -20,18 +20,18 @@ means read the table about 0 with b0 = f_gamma (``closed_integrals``);
 each variance reads the table about its mean c with b0 at the delay
 nearer c, so E[(t - c)^2] - E[t - c]^2 subtracts no large squares.
 
-The grid prints nothing; it checks the closed form (``_GridCheck``), and
-only on a spec that has one: ``PointerSpec.default`` gives a grid only
-for ``n_points``, so a run without ``--grid-points`` samples nothing.  One
-sampling of f_gamma per spec on a cached index ramp gives plain trapezoid
-sums of f_gamma^2, f_gamma f_epsilon and f_epsilon^2 (on every default
-grid by the mirror f_epsilon(t_i) = f_gamma(t_(N-1-i))), which make up
-every table, about any centre and with either anchor.  A sweep width
-checks the first-order table its means read, a ``pointer`` spec that and
-the second-order table about each mean.  An entry off its closed form by
-more than ``grid_error_budget`` (aliasing from the step plus truncation
-at the padding) plus 4 eps (N + T/sigma) of rounding refuses the spec
-(``GridError``), as does a grid that aliases more than
+The grid prints nothing; it checks the closed form (``_GridCheck``) after
+it, and only on a spec with ``n_points``: a run without ``--grid-points``
+samples nothing.  Every grid spans the window ``DEFAULT_PADDING`` sigma
+beyond both delays, so one sampling of f_gamma per spec on a cached index
+ramp gives plain trapezoid sums of f_gamma^2, f_gamma f_epsilon and
+f_epsilon^2 (by the mirror f_epsilon(t_i) = f_gamma(t_(N-1-i))), which
+make up every table, about any centre and with either anchor.  A sweep
+width checks the first-order table its means read, a ``pointer`` spec
+that and the second-order table about each mean.  An entry off its
+closed form by more than ``grid_error_budget`` (aliasing from the step
+plus truncation at the padding) plus 4 eps (N + T/sigma) of rounding
+refuses the spec (``GridError``), as does a grid that aliases more than
 ``ALIASING_TOLERANCE``.
 """
 from __future__ import annotations
@@ -50,11 +50,9 @@ from .weakvalues import coefficient_weak_value, level_coefficients, polarization
 DEFAULT_PADDING = 8.0
 MIN_N_POINTS = 64
 MAX_N_POINTS = 8192
-MIN_PADDING = 6.0
 # The most aliasing any grid may carry: the accuracy PointerProfile promises.
 ALIASING_TOLERANCE = 1e-9
 _EMPTY = "post-selected pointer norm vanishes"
-_EMPTY_ON_GRID = _EMPTY + " on grid"
 _Table = dict[tuple[int, int], tuple[float, ...]]  # (p, q): int t^k b_p b_q, k = 0, ...
 
 
@@ -69,13 +67,13 @@ class EmptyPostSelectionError(ValueError):
 @dataclass(frozen=True)
 class PointerSpec:
     """Delays, pointer width and, if the closed form is to be checked, the
-    sampling grid per time axis: its ends and its number of points."""
+    number of grid points per time axis.  The grid, if any, spans the
+    window [``t_min``, ``t_max``], ``DEFAULT_PADDING`` sigma beyond both
+    delays, which the closed form's second moments read out to."""
 
     gamma: float
     epsilon: float
     sigma: float
-    t_min: float | None = None
-    t_max: float | None = None
     n_points: int | None = None
 
     def __post_init__(self) -> None:
@@ -83,60 +81,46 @@ class PointerSpec:
             _require_finite(self, name)
         if self.sigma <= 0.0:
             raise GridError("sigma must be positive")
+        # The closed form reads sigma**2 and second moments out to the
+        # window, which must neither underflow nor overflow.
         tiny = sys.float_info.min
-        grid = (self.t_min, self.t_max, self.n_points)
-        if None in grid:
-            if grid != (None, None, None):
-                raise GridError("a grid needs t_min, t_max and n_points")
-            # The closed form reads sigma**2 and second moments out to the
-            # padded window, which must neither underflow nor overflow.
-            if self.sigma * self.sigma < tiny:
-                raise GridError(f"sigma {self.sigma:g} is too small: sigma**2 "
-                                f"underflows below {tiny:g}")
-            lo, hi = _window(self.gamma, self.epsilon, self.sigma)
-            if not math.isfinite(2.0 * max(lo * lo, hi * hi)):
-                raise GridError(f"pointer window [{lo:g}, {hi:g}], {DEFAULT_PADDING:g} sigma "
-                                "beyond the delays, is too wide: its squared extent overflows")
+        if self.sigma * self.sigma < tiny:
+            raise GridError(f"sigma {self.sigma:g} is too small: sigma**2 "
+                            f"underflows below {tiny:g}")
+        lo, hi = self.t_min, self.t_max
+        if not math.isfinite(2.0 * max(lo * lo, hi * hi)):
+            raise GridError(f"pointer window [{lo:g}, {hi:g}], {DEFAULT_PADDING:g} sigma "
+                            "beyond the delays, is too wide: its squared extent overflows")
+        if self.n_points is None:
             return
         if self.n_points < MIN_N_POINTS:
             raise GridError(f"need at least {MIN_N_POINTS} grid points")
         if self.n_points > MAX_N_POINTS:
             raise GridError(f"need at most {MAX_N_POINTS} grid points")
-        lo = min(self.gamma, self.epsilon) - MIN_PADDING * self.sigma
-        hi = max(self.gamma, self.epsilon) + MIN_PADDING * self.sigma
-        if self.t_min > lo or self.t_max < hi:
-            raise GridError(
-                f"grid [{self.t_min}, {self.t_max}] narrower than required "
-                f"[{lo}, {hi}]"
-            )
         # The step must keep the aliasing within its tolerance (about
-        # step <= 0.88 sigma), and sigma**2 must not underflow (gamma ==
-        # epsilon passes the step test).  An infinite grid end fails here; a
-        # nan one passes every comparison and is named below.
+        # step <= 0.88 sigma); a window too narrow to round apart has none.
         step = self.step
         aliasing = math.inf if step <= 0.0 else _aliasing(step / self.sigma)
-        if aliasing > ALIASING_TOLERANCE or self.sigma * self.sigma < tiny:
+        if aliasing > ALIASING_TOLERANCE:
             raise GridError(
                 f"grid step {step:g} does not resolve sigma {self.sigma:g}: "
                 f"need step > 0 with an aliasing error of at most "
-                f"{ALIASING_TOLERANCE:g} (here {aliasing:.3g}) and "
-                f"sigma**2 >= {tiny:g}"
+                f"{ALIASING_TOLERANCE:g} (here {aliasing:.3g})"
             )
-        for name in ("t_min", "t_max"):
-            _require_finite(self, name)
-        # Second moments add squared grid times, which must stay finite.
-        if not math.isfinite(2.0 * max(t * t for t in (self.t_min, self.t_max))):
-            raise GridError(f"grid [{self.t_min:g}, {self.t_max:g}] is too wide: "
-                            "its squared extent overflows")
 
     @classmethod
     def default(cls, gamma: float = 0.0, epsilon: float = 1.0, sigma: float = 8.0,
                 n_points: int | None = None) -> PointerSpec:
-        """The spec without a grid, or with ``n_points`` on the grid padded
-        by ``DEFAULT_PADDING`` sigma beyond both delays."""
-        if n_points is None:
-            return cls(gamma, epsilon, sigma)
-        return cls(gamma, epsilon, sigma, *_window(gamma, epsilon, sigma), n_points)
+        """The spec, with a grid of ``n_points`` on its window if given."""
+        return cls(gamma, epsilon, sigma, n_points)
+
+    @property
+    def t_min(self) -> float:
+        return min(self.gamma, self.epsilon) - DEFAULT_PADDING * self.sigma
+
+    @property
+    def t_max(self) -> float:
+        return max(self.gamma, self.epsilon) + DEFAULT_PADDING * self.sigma
 
     @property
     def weakness_ratio(self) -> float:
@@ -187,12 +171,6 @@ def _about(spec: PointerSpec, centre: float) -> tuple[int, _Table]:
     return anchor, _closed_table(spec, centre, anchor)
 
 
-def _window(gamma: float, epsilon: float, sigma: float) -> tuple[float, float]:
-    """``DEFAULT_PADDING`` sigma beyond both delays: every default grid's ends."""
-    return (min(gamma, epsilon) - DEFAULT_PADDING * sigma,
-            max(gamma, epsilon) + DEFAULT_PADDING * sigma)
-
-
 def _require_finite(spec: PointerSpec, name: str) -> None:
     value = getattr(spec, name)
     if not math.isfinite(value):
@@ -234,17 +212,11 @@ def _index_ramp(n_points: int) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=4)
-def _index_squares(n_points: int, middle: float) -> tuple[float, ...]:
-    """(i - middle)^2 per index i, ``middle`` a half-integer: exact."""
+def _index_squares(n_points: int) -> tuple[float, ...]:
+    """(i - M)^2 per index i about the middle index M = (N - 1)/2, a
+    half-integer: exact, and no padding inflates it."""
+    middle = (n_points - 1) / 2.0
     return tuple((i - middle) ** 2 for i in _index_ramp(n_points))
-
-
-def _ramp_middle(spec: PointerSpec) -> float:
-    """The half-index M nearest the delays' midpoint, (N - 1)/2 on a mirrored
-    grid: second-order sums weigh by (i - M)^2, which no padding inflates."""
-    if _is_mirrored(spec):
-        return (spec.n_points - 1) / 2.0
-    return round((spec.gamma + spec.epsilon - 2.0 * spec.t_min) / spec.step) / 2.0
 
 
 def _ramp_gaussian(spec: PointerSpec, center: float) -> list[float]:
@@ -264,31 +236,27 @@ def _trapezoid_sums(y: list[float], squares: tuple[float, ...] | None) -> tuple[
 
 
 def _grid_sums(spec: PointerSpec, order: int) -> _Table:
-    """``_trapezoid_sums`` S, I and, at order 2, J about ``_ramp_middle`` of
+    """``_trapezoid_sums`` S, I and, at order 2, J about the middle index of
     each product f_d f_d' of the unnormalised pointers at the delays (0 for
-    gamma, 1 for epsilon).  On a mirrored grid f_epsilon is f_gamma
-    reversed: f_epsilon^2 has the sums S, (N - 1) S - I and J of f_gamma^2,
-    and f_gamma f_epsilon, symmetric, is summed over half the grid."""
-    squares = _index_squares(spec.n_points, _ramp_middle(spec)) if order == 2 else None
+    gamma, 1 for epsilon).  The window is symmetric about the delays'
+    midpoint, so f_epsilon is f_gamma reversed: f_epsilon^2 has the sums S,
+    (N - 1) S - I and J of f_gamma^2, and f_gamma f_epsilon, symmetric, is
+    summed over half the grid."""
+    squares = _index_squares(spec.n_points) if order == 2 else None
     early = _ramp_gaussian(spec, spec.gamma)
     sums = {(0, 0): _trapezoid_sums(list(map(mul, early, early)), squares)}
     if spec.epsilon == spec.gamma:
         return sums
-    if _is_mirrored(spec):
-        n, half = len(early), len(early) // 2
-        pairs = map(mul, islice(early, half), reversed(early))
-        pairs = list(pairs) if squares else pairs  # summed twice
-        middle = early[half] * early[half] if n % 2 else 0.0
-        cross = 2.0 * sum(pairs) + middle - early[0] * early[-1]
-        s, i, *j = sums[0, 0]
-        sums[0, 1] = (cross, (n - 1) / 2.0 * cross)
-        sums[1, 1] = (s, (n - 1) * s - i, *j)
-        if squares:  # the middle point, if any, sits at j = 0
-            sums[0, 1] += (2.0 * sum(map(mul, squares, pairs)) - squares[0] * pairs[0],)
-    else:
-        late = _ramp_gaussian(spec, spec.epsilon)
-        sums[0, 1] = _trapezoid_sums(list(map(mul, early, late)), squares)
-        sums[1, 1] = _trapezoid_sums(list(map(mul, late, late)), squares)
+    n, half = len(early), len(early) // 2
+    pairs = map(mul, islice(early, half), reversed(early))
+    pairs = list(pairs) if squares else pairs  # summed twice
+    middle = early[half] * early[half] if n % 2 else 0.0
+    cross = 2.0 * sum(pairs) + middle - early[0] * early[-1]
+    s, i, *j = sums[0, 0]
+    sums[0, 1] = (cross, (n - 1) / 2.0 * cross)
+    sums[1, 1] = (s, (n - 1) * s - i, *j)
+    if squares:  # the middle point, if any, sits at j = 0
+        sums[0, 1] += (2.0 * sum(map(mul, squares, pairs)) - squares[0] * pairs[0],)
     return sums
 
 
@@ -296,10 +264,10 @@ def _grid_table(spec: PointerSpec, sums: _Table, centre: float, anchor: int) -> 
     """``_closed_table``'s entries, p <= q, on the spec's grid to the order
     of ``sums``.  By linearity b0 b0 = f_a^2, b0 b1 = f_a f_o - f_a^2 and
     b1 b1 = f_o^2 - 2 f_a f_o + f_a^2.  With t_i - centre = l + (i - M) h,
-    M = ``_ramp_middle``, a product's sums give int y = H S, int (t -
-    centre) y = H ((t_min - centre) S + h I) and int (t - centre)^2 y =
-    H (l^2 S + 2 l h (I - M S) + h^2 J), H = h (2 pi sigma^2)^(-1/2), with
-    no (8 sigma)^2 of padding to cancel."""
+    M = (N - 1)/2, a product's sums give int y = H S, int (t - centre) y
+    = H ((t_min - centre) S + h I) and int (t - centre)^2 y = H (l^2 S +
+    2 l h (I - M S) + h^2 J), H = h (2 pi sigma^2)^(-1/2), with no (8
+    sigma)^2 of padding to cancel."""
     aa = sums[anchor, anchor]
     basis = {(0, 0): aa}
     if (0, 1) in sums:
@@ -310,22 +278,11 @@ def _grid_table(spec: PointerSpec, sums: _Table, centre: float, anchor: int) -> 
     scale = h / (math.sqrt(2.0 * math.pi) * spec.sigma)
     if len(aa) == 2:
         return {key: (scale * s, scale * (start * s + h * i)) for key, (s, i) in basis.items()}
-    middle = _ramp_middle(spec)
+    middle = (spec.n_points - 1) / 2.0
     lead = start + middle * h
     return {key: (scale * s, scale * (start * s + h * i),
                   scale * (lead * lead * s + 2.0 * lead * h * (i - middle * s) + h * h * j))
             for key, (s, i, j) in basis.items()}
-
-
-def _extent(spec: PointerSpec) -> float:
-    return max(abs(spec.t_min), abs(spec.t_max))
-
-
-def _is_mirrored(spec: PointerSpec) -> bool:
-    """Whether t_min + t_max is the delays' sum within 4 ulps of the grid's
-    extent T = max(|t_min|, |t_max|); every default grid is, within 3."""
-    asymmetry = (spec.t_min + spec.t_max) - (spec.gamma + spec.epsilon)
-    return abs(asymmetry) <= 4.0 * sys.float_info.epsilon * _extent(spec)
 
 
 def _grid_rounding(spec: PointerSpec) -> float:
@@ -339,31 +296,36 @@ def _grid_rounding(spec: PointerSpec) -> float:
     extent, the position errors of the ramp times t_min + i h, of t_min S
     + h I, and of the mirror, each of which shifts a Gaussian by a
     fraction of sigma."""
-    return 4.0 * sys.float_info.epsilon * (spec.n_points + _extent(spec) / spec.sigma)
+    extent = max(abs(spec.t_min), abs(spec.t_max))
+    return 4.0 * sys.float_info.epsilon * (spec.n_points + extent / spec.sigma)
 
 
 class _GridCheck:
     """A spec's closed-form tables checked on one sampling, ``_grid_sums`` to
-    ``order``: ``closed_integrals`` when made, a table ``about`` a centre
-    when first read."""
+    ``order``: ``closed_integrals`` when made, a table about a centre when
+    ``check``ed."""
 
     def __init__(self, spec: PointerSpec, order: int) -> None:
-        self.spec, self.sums, self.tables = spec, _grid_sums(spec, order), {}
+        self.spec, self.sums = spec, _grid_sums(spec, order)
         self.tolerance = sum(grid_error_budget(spec)) + _grid_rounding(spec)
         closed = spec.closed_integrals
         overlap = 1.0 + closed[0, 1][0] if (0, 1) in closed else 1.0
         weights = {(0, 0): 1.0, (0, 1): 1.0 + overlap, (1, 1): 2.0 + 2.0 * overlap}
         self.weights = {key: w for key, w in weights.items() if key in closed}
-        self.check(closed)
+        self.check()
 
-    def check(self, closed: _Table, centre: float | None = None, anchor: int = 0) -> None:
-        """Refuse the spec (``GridError``) if an entry J_k(p, q) of ``closed``
-        is off its ``_grid_table`` value by more than w (c + sigma)^k, the
-        ``grid_error_budget`` scale with c the farther delay from the centre,
-        times aliasing + truncation + ``_grid_rounding``: to k = 1 without a
-        centre, else to k = 2 about the centre with b0 at the ``anchor``."""
+    def check(self, centre: float | None = None) -> None:
+        """Refuse the spec (``GridError``) if an entry J_k(p, q) of a closed
+        table is off its ``_grid_table`` value by more than w (c + sigma)^k,
+        the ``grid_error_budget`` scale with c the farther delay from the
+        centre, times aliasing + truncation + ``_grid_rounding``: to k = 1
+        of ``closed_integrals`` without a centre, else to k = 2 of the table
+        ``_about`` the centre."""
         spec = self.spec
-        order, about = (1, 0.0) if centre is None else (2, centre)
+        if centre is None:
+            order, about, (anchor, closed) = 1, 0.0, (0, spec.closed_integrals)
+        else:
+            order, about, (anchor, closed) = 2, centre, _about(spec, centre)
         grid = _grid_table(spec, self.sums, about, anchor)
         scale = max(abs(spec.gamma - about), abs(spec.epsilon - about)) + spec.sigma
         for (p, q), weight in self.weights.items():
@@ -374,14 +336,6 @@ class _GridCheck:
                     raise GridError(
                         f"grid check failed at sigma {spec.sigma:g}: J{k}({p}, {q}){where}"
                         f" is off its closed form by {residual:.3g}, above its bound {bound:.3g}")
-
-    def about(self, centre: float) -> tuple[int, _Table]:
-        """``_about`` the centre, checked."""
-        if centre not in self.tables:
-            anchor, table = _about(self.spec, centre)
-            self.check(table, centre, anchor)
-            self.tables[centre] = anchor, table
-        return self.tables[centre]
 
 
 @dataclass(frozen=True)
@@ -486,22 +440,22 @@ def _basis_terms(terms, spec: PointerSpec,
     return tuple(coeffs.items())
 
 
-def _means(sums: tuple[float, list[list[float]]], empty: str) -> tuple[float, ...]:
+def _means(sums: tuple[float, list[list[float]]]) -> tuple[float, ...]:
     norm, (first, *_) = sums
     if norm <= 1e-12:
-        raise EmptyPostSelectionError(empty)
+        raise EmptyPostSelectionError(_EMPTY)
     return tuple(f / norm for f in first)
 
 
-def _moments(terms, spec: PointerSpec, empty: str, about=None) -> PointerMoments:
+def _moments(terms, spec: PointerSpec) -> PointerMoments:
     """The norm and means from ``closed_integrals``, then in one more pass
     each axis's variance E[(t - c)^2] - E[t - c]^2 about its mean c, from
-    the table ``_about`` c, or ``about`` c: no square of a delay or of the
-    mean is subtracted, however narrow the pointer."""
+    the table ``_about`` c: no square of a delay or of the mean is
+    subtracted, however narrow the pointer."""
     basis = _basis_terms(terms, spec)
     norm, first = _pair_sums(basis, spec.closed_integrals, order=1)
-    mean = _means((norm, first), empty)
-    anchors, tables = zip(*map(about or partial(_about, spec), mean))
+    mean = _means((norm, first))
+    anchors, tables = zip(*map(partial(_about, spec), mean))
     if any(anchors):
         basis = _basis_terms(terms, spec, anchors)
     total, (shift, spread) = _pair_sums(basis, *tables)
@@ -512,7 +466,7 @@ def _moments(terms, spec: PointerSpec, empty: str, about=None) -> PointerMoments
 def analytic_moments(terms: Sequence[tuple[tuple[float, ...], complex]],
                      spec: PointerSpec) -> PointerMoments:
     """Closed-form moments of the Gaussian mixture (``_moments``), no grid."""
-    return _moments(terms, spec, _EMPTY)
+    return _moments(terms, spec)
 
 
 def build_pointer_profile(pre: StateVector, post: StateVector, measured: Sequence[str],
@@ -522,15 +476,17 @@ def build_pointer_profile(pre: StateVector, post: StateVector, measured: Sequenc
 
 
 def pointer_moments(profile: PointerProfile) -> PointerMoments:
-    """``analytic_moments`` of the profile, checked on its spec's grid if
-    it has one (``PointerSpec.grid_check``): the first-order table before
-    the means, then the second-order table about each mean before its
-    variance."""
+    """``analytic_moments`` of the profile, then, if its spec has a grid,
+    the tables they read checked on it (``PointerSpec.grid_check``): the
+    first-order table of the means, once per spec, and the second-order
+    table about each distinct mean."""
     spec = profile.spec
-    if spec.n_points is None:
-        return _moments(profile.terms, spec, _EMPTY)
-    # The checked grid agrees with the closed form, so its message stands.
-    return _moments(profile.terms, spec, _EMPTY_ON_GRID, spec.grid_check.about)
+    moments = _moments(profile.terms, spec)
+    if spec.n_points is not None:
+        check = spec.grid_check
+        for centre in dict.fromkeys(moments.mean):
+            check.check(centre)
+    return moments
 
 
 def weak_prediction(profile: PointerProfile) -> tuple[float, ...]:
@@ -547,9 +503,10 @@ def weak_limit_sweep(pre: StateVector, post: StateVector, measured: Sequence[str
 
     ``sigmas`` must be positive and ascending so the rows read as an
     approach to the weak limit.  A width prints the closed-form means,
-    ``analytic_moments`` bit for bit.  With ``n_points`` each width first
-    checks them on its grid of that many points (``_GridCheck``), which
-    sets how closely they are checked; without, no grid is sampled.
+    ``analytic_moments`` bit for bit.  With ``n_points`` each width then
+    checks the table they read on its grid of that many points
+    (``_GridCheck``), which sets how closely they are checked; without,
+    no grid is sampled.
     """
     if not sigmas:
         raise GridError("sweep needs at least one value")
@@ -557,8 +514,6 @@ def weak_limit_sweep(pre: StateVector, post: StateVector, measured: Sequence[str
         raise GridError("sweep value must be positive")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise GridError("sweep values must be strictly ascending")
-    # A checked grid agrees with the closed form, so its message stands.
-    empty = _EMPTY if n_points is None else _EMPTY_ON_GRID
     rows: list[SweepRow] = []
     for sigma in sigmas:
         spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
@@ -566,9 +521,9 @@ def weak_limit_sweep(pre: StateVector, post: StateVector, measured: Sequence[str
             profile = build_pointer_profile(pre, post, measured, spec)
             prediction = weak_prediction(profile)
             terms = _basis_terms(profile.terms, spec)  # reads the delays only
+        mean = _means(_pair_sums(terms, spec.closed_integrals))
         if n_points is not None:
             _GridCheck(spec, 1)
-        mean = _means(_pair_sums(terms, spec.closed_integrals), empty)
         deviation = tuple(abs(m - w) for m, w in zip(mean, prediction))
         rows.append(SweepRow(sigma, spec.weakness_ratio, mean, deviation))
     return rows

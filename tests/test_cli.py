@@ -416,28 +416,38 @@ def test_orthogonal_analyzer_exits_two(capsys):
     assert err.count("\n") == 1
 
 
+WINDOW_OVERFLOWS = "8 sigma beyond the delays, is too wide: its squared extent overflows"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--scenario", "pointer", "--sigma", "1e-300"],
      "sigma 1e-300 is too small: sigma**2 underflows below 2.22507e-308"),
     (["--scenario", "pointer-sweep", "--sweep", "sigma=1e-300"],
      "sigma 1e-300 is too small: sigma**2 underflows below 2.22507e-308"),
+    (["--scenario", "pointer", "--gamma", "0", "--epsilon", "0", "--sigma", "1e-300",
+      "--grid-points", "64"],
+     "sigma 1e-300 is too small: sigma**2 underflows below 2.22507e-308"),
     (["--scenario", "pointer", "--sigma", "1e200"],
-     "pointer window [-8e+200, 8e+200], 8 sigma beyond the delays, is too wide: "
-     "its squared extent overflows"),
+     f"pointer window [-8e+200, 8e+200], {WINDOW_OVERFLOWS}"),
     (["--scenario=pointer-sweep", "--epsilon=1e154", "--format=csv"],
-     "pointer window [-8e+154, 9e+154], 8 sigma beyond the delays, is too wide: "
-     "its squared extent overflows"),
+     f"pointer window [-8e+154, 9e+154], {WINDOW_OVERFLOWS}"),
+    (["--scenario=pointer", "--gamma=0", "--epsilon=1e154", "--sigma=1e153", "--grid-points=64"],
+     f"pointer window [-8e+153, 1.8e+154], {WINDOW_OVERFLOWS}"),
+    (["--scenario=pointer", "--gamma=-1e300", "--epsilon=1e300", "--sigma=1e299",
+      "--grid-points=64"],
+     f"pointer window [-1.8e+300, 1.8e+300], {WINDOW_OVERFLOWS}"),
+    (["--scenario=pointer-sweep", "--epsilon=1e154", "--grid-points=64", "--format=csv"],
+     f"pointer window [-8e+154, 9e+154], {WINDOW_OVERFLOWS}"),
 ])
-def test_a_run_without_a_grid_names_the_square_that_fails(capsys, argv, message):
-    # Refused for the closed form's own squares, which no grid sets.
+def test_a_run_names_the_square_that_fails(capsys, argv, message):
+    # Refused for the closed form's own squares, with or without a grid:
+    # every grid spans the window, so no grid adds a square of its own.
     code, out, err = run(["run", *argv], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: domain: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
-    ["--scenario", "pointer", "--gamma", "0", "--epsilon", "0", "--sigma", "1e-300",
-     "--grid-points", "64"],
     ["--scenario", "pointer", "--sigma", "4e-4", "--grid-points", "1024"],
     # A step of exactly sigma aliases 2e-7 of each density, over the 1e-9 budget.
     ["--scenario=pointer", "--sigma=0.02127659574468085", "--grid-points=64", "--phi=0.3"],
@@ -446,21 +456,6 @@ def test_unresolved_grid_exits_two(capsys, argv):
     code, out, err = run(["run", *argv], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: domain: grid step ")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("argv", [
-    ["--scenario=pointer", "--gamma=0", "--epsilon=1e154", "--sigma=1e153",
-     "--grid-points=64"],
-    ["--scenario=pointer", "--gamma=-1e300", "--epsilon=1e300", "--sigma=1e299",
-     "--grid-points=64"],
-    ["--scenario=pointer-sweep", "--epsilon=1e154", "--grid-points=64", "--format=csv"],
-])
-def test_overflowing_grid_exits_two(capsys, argv):
-    code, out, err = run(["run", *argv], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: domain: grid [")
-    assert "squared extent overflows" in err
     assert err.count("\n") == 1
 
 

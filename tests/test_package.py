@@ -1,13 +1,18 @@
-"""The package: its public names, and sources that parse on the oldest
-supported Python and import only the standard library."""
+"""The package: its public names, sources that parse on the oldest
+supported Python and import only the standard library, and the README's
+library example."""
 from __future__ import annotations
 
 import ast
 import importlib
+import io
 import sys
 import types
+from contextlib import redirect_stdout
 from pathlib import Path
 from typing import Iterable
+
+import pytest
 
 import hardyweak
 
@@ -133,3 +138,22 @@ def test_the_unused_import_scan_counts_exports_and_not_strings():
         "print(a, g.h, 'os', 'e')\n"
     )
     assert _unused_imports(tree, ["f"]) == ["os (line 2)", "e (line 4)"]
+
+
+def test_the_readme_library_example_runs_and_prints_its_comments():
+    # The ```python block under "## Library": each print is one line, and
+    # a print commented with a value prints that value, to rounding.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    printed = out.getvalue().splitlines()
+    assert len(prints) == len(printed) > 0
+    commented = [(line.split("#", 1)[1].strip(), got)
+                 for line, got in zip(prints, printed) if "#" in line]
+    assert len(commented) == 2
+    for want, got in commented:
+        assert ast.literal_eval(got) == pytest.approx(ast.literal_eval(want), rel=1e-12)

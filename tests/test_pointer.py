@@ -3,7 +3,7 @@ import math
 import random
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations_with_replacement, product
 from operator import mul, sub
 
@@ -32,7 +32,6 @@ from hardyweak.pointer import (
     GridError,
     MAX_N_POINTS,
     MIN_N_POINTS,
-    MIN_PADDING,
     PointerSpec,
     analytic_moments,
     build_pointer_profile,
@@ -157,49 +156,51 @@ class TestProfileConstruction:
             analytic_moments(profile.terms, spec)
 
     def test_grid_validation(self):
-        with pytest.raises(GridError):
-            PointerSpec(0.0, 1.0, -1.0, -10.0, 10.0, 1024)
-        with pytest.raises(GridError):
-            PointerSpec(0.0, 1.0, 1.0, -10.0, 10.0, 32)
+        with pytest.raises(GridError, match="^sigma must be positive$"):
+            PointerSpec(0.0, 1.0, -1.0, 1024)
+        with pytest.raises(GridError, match="at least"):
+            PointerSpec(0.0, 1.0, 1.0, 32)
         with pytest.raises(GridError, match="at most"):
-            PointerSpec(0.0, 1.0, 1.0, -10.0, 10.0, MAX_N_POINTS + 1)
-        with pytest.raises(GridError):
-            PointerSpec(0.0, 1.0, 1.0, -5.0, 7.0, 1024)
-        spec = PointerSpec(0.0, 1.0, 1.0, -6.0, 7.0, 1024)
+            PointerSpec(0.0, 1.0, 1.0, MAX_N_POINTS + 1)
+        spec = PointerSpec(0.0, 1.0, 1.0, 1024)
         assert spec.weakness_ratio == 1.0
+        assert (spec.t_min, spec.t_max, spec.step) == (-8.0, 9.0, 17.0 / 1023)
         for gamma, epsilon, sigma, n_points in (
-            (0.0, 1.0, 1e-300, 4096),  # sigma**2 underflows and the step is huge
-            (0.0, 0.0, 1e-300, 64),  # equal delays: the step passes, sigma**2 does not
             (0.0, 1.0, 4e-4, 1024),  # step about 2.5 sigma
             (0.0, 1.0, 1e-6, 256),
-            (0.0, 1.0, 1e308, 64),  # the grid span overflows to inf
+            (1e150, 1e150, 1e-150, 64),  # the window rounds to one time: no step
         ):
             with pytest.raises(GridError, match="grid step .* does not resolve sigma"):
                 PointerSpec.default(gamma, epsilon, sigma, n_points)
-        with pytest.raises(GridError, match="grid step 1 does not resolve sigma 1: .*aliasing"):
-            PointerSpec(0.0, 0.0, 1.0, -31.5, 31.5, 64)  # a step of exactly sigma
-        with pytest.raises(GridError, match="squared extent overflows"):
-            PointerSpec.default(0.0, 1e154, 1e153, 64)  # (1.8e154)**2 is not finite
+        # A step of exactly sigma: 47 sigma between the delays, 63 intervals.
+        with pytest.raises(GridError, match="^grid step 1 does not resolve sigma 1: .*aliasing"):
+            PointerSpec(0.0, 47.0, 1.0, 64)
         PointerSpec.default(0.0, 1e150, 1e149, 64)
-        with pytest.raises(GridError, match="does not resolve sigma 1:"):
-            PointerSpec(0.0, 0.0, 1.0, -32.0, 32.0, 64)
 
     def test_a_spec_without_a_grid_checks_what_the_closed_form_reads(self):
         spec = PointerSpec.default(0.0, 1.0, 8.0)
         assert spec == PointerSpec(0.0, 1.0, 8.0)
-        assert (spec.t_min, spec.t_max, spec.n_points) == (None, None, None)
-        for args in ((0.0, 1.0, 8.0, -100.0), (0.0, 1.0, 8.0, -100.0, 100.0),
-                     (0.0, 1.0, 8.0, None, None, 128)):
-            with pytest.raises(GridError, match="^a grid needs t_min, t_max and n_points$"):
-                PointerSpec(*args)
+        assert [f.name for f in fields(PointerSpec)] == ["gamma", "epsilon", "sigma", "n_points"]
+        assert spec.n_points is None
+        # The window the closed form reads out to, and any grid spans.
+        assert (spec.t_min, spec.t_max) == (-64.0, 65.0)
+        late_first = PointerSpec(2.0, 0.5, 0.25)
+        assert (late_first.t_min, late_first.t_max) == (-1.5, 4.0)
+        with pytest.raises(AttributeError):
+            spec.t_min = 0.0
         tiny = math.sqrt(sys.float_info.min)
         PointerSpec(0.0, 1.0, tiny)
-        with pytest.raises(GridError, match=r"^sigma 1e-300 is too small: sigma\*\*2 underflows"):
-            PointerSpec(0.0, 1.0, 1e-300)
         PointerSpec(0.0, 0.0, 1.18e153)  # 2 (8 sigma)**2 is just below the largest float
-        for args in ((0.0, 1.0, 1e200), (0.0, 1e154, 1e153), (-1e300, 1e300, 1.0)):
-            with pytest.raises(GridError, match="^pointer window .* squared extent overflows$"):
-                PointerSpec(*args)
+        refusals = [((0.0, 1.0, 1e-300), r"^sigma 1e-300 is too small: sigma\*\*2 underflows"),
+                    ((0.0, 0.0, 1e-300), r"^sigma 1e-300 is too small: sigma\*\*2 underflows")]
+        for args in ((0.0, 1.0, 1e200), (0.0, 1e154, 1e153), (-1e300, 1e300, 1.0),
+                     (0.0, 1.0, 1e308)):
+            refusals.append((args, "^pointer window .* squared extent overflows$"))
+        # One validation path: a grid of any size is refused alike, first.
+        for args, message in refusals:
+            for n_points in (None, 64, 4096, MAX_N_POINTS + 1):
+                with pytest.raises(GridError, match=message):
+                    PointerSpec(*args, n_points)
 
     def test_a_spec_without_a_grid_prints_the_closed_form(self):
         pre, post = _pre_post()
@@ -214,37 +215,41 @@ class TestProfileConstruction:
             pointer_moments(profile)
 
     @pytest.mark.parametrize("field,args", [
-        ("gamma", (math.nan, 1.0, 8.0, -100.0, 100.0, 128)),
-        ("gamma", (-math.inf, 1.0, 8.0, -100.0, 100.0, 128)),
-        ("epsilon", (0.0, math.nan, 8.0, -100.0, 100.0, 128)),
-        ("epsilon", (0.0, math.inf, 8.0, -100.0, 100.0, 128)),
-        ("sigma", (0.0, 1.0, math.nan, -100.0, 100.0, 128)),
-        ("sigma", (0.0, 1.0, math.inf, -100.0, 100.0, 128)),
-        ("t_min", (0.0, 1.0, 8.0, math.nan, 100.0, 128)),
-        ("t_max", (0.0, 1.0, 8.0, -100.0, math.nan, 128)),
+        ("gamma", (math.nan, 1.0, 8.0, 128)),
+        ("gamma", (-math.inf, 1.0, 8.0, 128)),
+        ("epsilon", (0.0, math.nan, 8.0, 128)),
+        ("epsilon", (0.0, math.inf, 8.0, None)),
+        ("sigma", (0.0, 1.0, math.nan, 128)),
+        ("sigma", (0.0, 1.0, math.inf, None)),
     ])
     def test_non_finite_field_is_named(self, field, args):
         with pytest.raises(GridError, match=f"^{field} must be finite"):
             PointerSpec(*args)
 
     def test_grid_is_numpy_linspace(self):
-        # The reference table's grid is linspace bit for bit; the check's
-        # ramp times t_min + i h are too, but for the end point, which the
-        # ramp reaches within a few ulps.
+        # The reference table's grid is linspace over the window bit for
+        # bit; the check's ramp times t_min + i h are too, but for the end
+        # point, which the ramp reaches within a few ulps.
         rng = random.Random("grid")
-        for _ in range(300):
-            t_min = rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-3, 3)
-            t_max = t_min + rng.uniform(0.1, 1e3) * 10.0 ** rng.randint(-3, 3)
-            n_points = rng.randint(64, 4096)
-            mid, sigma = (t_min + t_max) / 2.0, (t_max - t_min) / 13.0
-            spec = PointerSpec(mid, mid, sigma, t_min, t_max, n_points)
+        checked = 0
+        while checked < 300:
+            gamma = rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-3, 3)
+            epsilon = gamma + rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-3, 3)
+            sigma = abs(epsilon - gamma) * 2.0 ** rng.uniform(-6.0, 2.0)
+            try:
+                spec = PointerSpec(gamma, epsilon, sigma, rng.randint(64, 4096))
+            except GridError:  # a step that does not resolve sigma
+                continue
+            checked += 1
+            n_points = spec.n_points
             grid = fsum_table.grid(spec)
             linspace = np.linspace(spec.t_min, spec.t_max, n_points).tolist()
             assert grid == linspace
             assert grid[-1] == spec.t_max
             ramp = [i * spec.step + spec.t_min for i in pointer._index_ramp(n_points)]
             assert ramp[:-1] == linspace[:-1]
-            assert abs(ramp[-1] - spec.t_max) <= 4 * math.ulp(pointer._extent(spec))
+            extent = max(abs(spec.t_min), abs(spec.t_max))
+            assert abs(ramp[-1] - spec.t_max) <= 4 * math.ulp(extent)
 
     def test_grid_moments_match_a_dense_trapezoid_oracle(self):
         rng = random.Random("dense oracle")
@@ -470,8 +475,7 @@ def _exact(value):
     if isinstance(value, (tuple, list)):
         return [_exact(v) for v in value]
     if isinstance(value, PointerSpec):
-        return _exact([getattr(value, f) for f in ("gamma", "epsilon", "sigma", "t_min",
-                                                  "t_max")]) + [value.n_points]
+        return _exact([value.gamma, value.epsilon, value.sigma]) + [value.n_points]
     if isinstance(value, pointer.PointerMoments):
         return _exact([value.mean, value.variance, value.success_probability])
     return value
@@ -649,18 +653,16 @@ class TestRequestOracles:
             bare = _outcome(PointerSpec.default, gamma, epsilon, sigma)
             sized = _outcome(budget_spec, gamma, epsilon, sigma)
             if isinstance(sized, list):  # the same spec, but for its grid
-                assert bare == sized[:3] + [None, None, None], (gamma, epsilon, sigma)
+                assert bare == sized[:3] + [None], (gamma, epsilon, sigma)
                 outcomes.add("both accept")
             elif isinstance(bare, list):
                 assert sized[0] is GridError, (gamma, epsilon, sigma)
                 assert sized[1].startswith(budget_grid.RESOLUTION_REFUSALS), sized
                 outcomes.add("only the grid refuses")
-            else:  # the input itself: both refuse it, a bad input by name
-                assert bare[0] is sized[0] is GridError, (gamma, epsilon, sigma)
+            else:  # the input itself: one validation path refuses it by name
+                assert bare[0] is GridError, (gamma, epsilon, sigma)
                 assert "grid" not in bare[1], bare
-                if not bare[1].endswith(("underflows below 2.22507e-308",
-                                         "squared extent overflows")):
-                    assert bare == sized
+                assert bare == sized
                 outcomes.add("both refuse")
         assert outcomes == {"both accept", "only the grid refuses", "both refuse"}
 
@@ -1194,25 +1196,38 @@ STEP_LIMIT = 0.88
 
 
 @st.composite
-def accepted_specs(draw, ratios=(0.0, STEP_LIMIT), spread=True):
-    """Specs of at most 512 points, padded by MIN_PADDING sigma or more, at a
-    step between ``ratios`` sigma.  Their delays are equal, or ``spread``
-    over the grid, or else both within sigma of 0."""
+def accepted_specs(draw):
+    """Specs of at most 512 points with equal delays, or with delays as far
+    apart as a drawn step of up to ``STEP_LIMIT`` sigma sets them (the
+    window spans their distance and 16 sigma), either one the later."""
     n = draw(st.integers(MIN_N_POINTS, 512))
-    ratio = draw(st.floats(max(ratios[0], 13.0 / (n - 1)), ratios[1]))
+    ratio = draw(st.floats(16.0 / (n - 1), STEP_LIMIT))
     sigma = 2.0 ** draw(st.floats(-8.0, 8.0))
-    span = (n - 1) * ratio * sigma
-    room = span - 12.5 * sigma  # beyond the minimum padding, with a margin
-    if spread:
-        gamma = draw(st.floats(-4.0, 4.0))
-        delta = draw(st.floats(0.0, 1.0)) * room
-    else:
-        gamma = draw(st.floats(-1.0, 1.0)) * sigma
-        delta = draw(st.floats(0.0, 1.0)) * min(room, sigma - abs(gamma))
+    gamma = draw(st.floats(-4.0, 4.0))
+    delta = (ratio * (n - 1) - 16.0) * sigma
     if draw(st.booleans()):
         delta = 0.0
-    t_min = gamma - MIN_PADDING * sigma - draw(st.floats(0.0, 1.0)) * (room - delta)
-    return PointerSpec(gamma, gamma + delta, sigma, t_min, t_min + span, n)
+    if draw(st.booleans()):
+        delta = -delta
+    return PointerSpec(gamma, gamma + delta, sigma, n)
+
+
+@st.composite
+def aliased_samplings(draw):
+    """Grids of at most 512 points at a step of 0.8 to ``STEP_LIMIT``
+    sigma, placed anywhere around two delays within sigma of 0 with
+    ``DEFAULT_PADDING`` sigma or more on each side.  The budget holds for
+    any placement.  A window reaches such a step only with its delays 34
+    sigma or more apart, and its step fixes where the delays fall between
+    grid points, so these grids are placed by the test instead."""
+    n = draw(st.integers(MIN_N_POINTS, 512))
+    sigma = 2.0 ** draw(st.floats(-8.0, 8.0))
+    span = (n - 1) * draw(st.floats(0.8, STEP_LIMIT)) * sigma
+    gamma = draw(st.floats(-1.0, 1.0)) * sigma
+    delta = 0.0 if draw(st.booleans()) else draw(st.floats(0.0, 1.0)) * (sigma - abs(gamma))
+    room = span - 2.0 * pointer.DEFAULT_PADDING * sigma - delta
+    t_min = gamma - pointer.DEFAULT_PADDING * sigma - draw(st.floats(0.0, 1.0)) * room
+    return fsum_table.Sampling(gamma, gamma + delta, sigma, t_min, t_min + span, n)
 
 
 @st.composite
@@ -1223,6 +1238,19 @@ def wide_specs(draw):
     gamma = draw(st.floats(-4.0, 4.0))
     delta = 0.0 if draw(st.booleans()) else draw(st.floats(0.0, 8.0)) * sigma
     return budget_spec(gamma, gamma + delta, sigma)
+
+
+@st.composite
+def mirrored_specs(draw):
+    """Specs of an odd or even number of points, sigma from 2^-8 to 2^26
+    and delays up to 1e6 in size, either one the later, at most as far
+    apart as the points resolve."""
+    n = draw(st.integers(MIN_N_POINTS, MAX_N_POINTS))
+    sigma = 2.0 ** draw(st.floats(-8.0, 26.0))
+    gamma = draw(st.floats(-1e6, 1e6))
+    reach = (STEP_LIMIT * (n - 1) - 16.0) * sigma
+    epsilon = min(1e6, max(-1e6, gamma + draw(st.floats(-1.0, 1.0)) * reach))
+    return PointerSpec(gamma, epsilon, sigma, n)
 
 
 class TestClosedIntegrals:
@@ -1271,30 +1299,25 @@ class TestGridErrorBudget:
         for error, scale in _table_errors(spec, fsum_table.basis_integrals(spec)):
             assert error <= scale * (aliasing + truncation + 32 * sys.float_info.epsilon)
 
-    @given(accepted_specs(ratios=(0.8, STEP_LIMIT), spread=False))
+    @given(aliased_samplings())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_budget_is_tight_where_aliasing_dominates(self, spec):
-        # So the default grid cannot creep up: where aliasing is far above
-        # rounding, the budget overstates the worst entry at most 100-fold.
+        # So the budget-sized grid cannot creep up: where aliasing is far
+        # above rounding, the budget overstates the worst entry at most
+        # 100-fold, for a grid at any placement.
         budget = sum(grid_error_budget(spec))
         assert budget > 1e-12
         errors = _table_errors(spec, fsum_table.basis_integrals(spec))
         assert max(error / scale for error, scale in errors) >= budget / 100
 
     def test_step_limit_is_the_aliasing_tolerance(self):
-        PointerSpec(0.0, 0.0, 1.0, -6.0, -6.0 + 0.8821 * 99, 100)
-        with pytest.raises(GridError, match="grid step 0.8823 does not resolve sigma 1: "
-                                            "need step > 0 with an aliasing error of at most 1e-09"):
-            PointerSpec(0.0, 0.0, 1.0, -6.0, -6.0 + 0.8823 * 99, 100)
-
-    def test_minimum_padding_is_the_truncation_side(self):
-        # A pad of 6 sigma leaves erfc(6 / sqrt 2) = 2e-9 of the norm out,
-        # and 36 times that of the second moment.
-        spec = PointerSpec(0.0, 0.0, 1.0, -6.0, 6.0, 256)
-        aliasing, truncation = grid_error_budget(spec)
-        assert aliasing < 1e-300 and 2e-9 < truncation < 1e-7
-        error = max(error for error, _ in _table_errors(spec, fsum_table.basis_integrals(spec)))
-        assert truncation / 100 < error <= truncation
+        # 99 steps span the delays' distance and 16 sigma of padding.
+        spec = PointerSpec(0.0, 0.8821 * 99 - 16.0, 1.0, 100)
+        assert spec.step == pytest.approx(0.8821, rel=1e-14)
+        with pytest.raises(GridError, match="^grid step 0.8823 does not resolve sigma 1: "
+                                            "need step > 0 with an aliasing error of at most "
+                                            r"1e-09 \(here 1.0[0-9]e-09\)$"):
+            PointerSpec(0.0, 0.8823 * 99 - 16.0, 1.0, 100)
 
 
 class TestGridSizing:
@@ -1416,14 +1439,13 @@ def _check_specs():
 
 def _difference_basis_table(spec: PointerSpec):
     """The reference for the first-order grid table: b1 = f_epsilon -
-    f_gamma formed from normalised samples at the grid times, then each
-    product of basis functions summed over t."""
+    f_gamma formed from normalised samples of both pointers at the grid
+    times, then each product of basis functions summed over t."""
     t, h = fsum_table.grid(spec), spec.step
     early = fsum_table.gaussian_amplitude(t, spec.gamma, spec.sigma)
     basis = [early]
     if spec.epsilon != spec.gamma:
-        late = (early[::-1] if pointer._is_mirrored(spec)
-                else fsum_table.gaussian_amplitude(t, spec.epsilon, spec.sigma))
+        late = fsum_table.gaussian_amplitude(t, spec.epsilon, spec.sigma)
         basis.append(list(map(sub, late, early)))
     table = {}
     for p, q in combinations_with_replacement(range(len(basis)), 2):
@@ -1439,9 +1461,18 @@ def _fsum_reference(spec: PointerSpec, centre: float, anchor: int):
     the ``anchor`` delay: that of the spec shifted by the centre, its
     delays swapped when b0 is at epsilon."""
     delays = (spec.gamma - centre, spec.epsilon - centre)
-    return fsum_table.basis_integrals(PointerSpec(
+    return fsum_table.basis_integrals(fsum_table.Sampling(
         delays[anchor], delays[1 - anchor], spec.sigma,
         spec.t_min - centre, spec.t_max - centre, spec.n_points))
+
+
+def _sampled_sums(spec: PointerSpec, order: int):
+    """``pointer._grid_sums`` with f_epsilon sampled on the index ramp in
+    its own right rather than mirrored from f_gamma."""
+    squares = pointer._index_squares(spec.n_points) if order == 2 else None
+    ramps = [pointer._ramp_gaussian(spec, d) for d in dict.fromkeys((spec.gamma, spec.epsilon))]
+    return {(p, q): pointer._trapezoid_sums(list(map(mul, ramps[p], ramps[q])), squares)
+            for p, q in combinations_with_replacement(range(len(ramps)), 2)}
 
 
 def _frames(spec: PointerSpec):
@@ -1533,22 +1564,13 @@ class TestGridCheck:
                        f"{where} is off its closed form by {shift:.3g}, above its bound "
                        f"{bound:.3g}\n")
 
-    def test_a_refused_table_stays_refused(self, monkeypatch):
-        # The spec keeps its check, so a table it refused is refused again.
-        spec = PointerSpec.default(0.0, 1.0, 1.0, 128)
-        check = spec.grid_check
-        _shifted_entry(monkeypatch, 1, 1, 2, 1e-6)
-        for _ in range(2):
-            with pytest.raises(GridError, match=r"J2\(1, 1\) about 0.9 is off"):
-                check.about(0.9)
-        assert check.tables == {}
-
-    @pytest.mark.parametrize("spec", _check_specs())
-    def test_mirrored_and_sampled_late_pointers_agree(self, monkeypatch, spec):
-        assert pointer._is_mirrored(spec)
+    @pytest.mark.parametrize("spec", [
+        *_check_specs(), PointerSpec.default(2.0, 0.5, 1.0, 129),
+        PointerSpec.default(1e6, 1e6 - 3.0, 2.0, 1025)])
+    def test_mirrored_and_sampled_late_pointers_agree(self, spec):
         mirrored = pointer._grid_sums(spec, 2)
-        monkeypatch.setattr(pointer, "_is_mirrored", lambda spec: False)
-        sampled = pointer._grid_sums(spec, 2)
+        sampled = _sampled_sums(spec, 2)
+        assert set(mirrored) == set(sampled)
         for centre, anchor in _frames(spec):
             got = pointer._grid_table(spec, mirrored, centre, anchor)
             want = pointer._grid_table(spec, sampled, centre, anchor)
@@ -1556,12 +1578,15 @@ class TestGridCheck:
                 if p <= q:
                     assert abs(got[p, q][k] - want[p, q][k]) <= bound, (centre, anchor, p, q, k)
 
-    def test_an_asymmetric_grid_samples_both_delays(self, monkeypatch):
-        spec = PointerSpec(0.0, 1.0, 1.0, -8.0, 10.0, 128)
-        assert not pointer._is_mirrored(spec)
-        centers = TestWorkCount.count_samplings(monkeypatch)
-        spec.grid_check.about(0.5)
-        assert centers == [0.0, 1.0]
+    @given(mirrored_specs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_window_is_symmetric_about_the_delays_midpoint(self, spec):
+        # The mirror f_epsilon(t_i) = f_gamma(t_(N-1-i)) holds while t_min +
+        # t_max is gamma + epsilon, to the position error of 4 eps T that
+        # ``_grid_rounding`` allows, T the larger end.
+        asymmetry = (spec.t_min + spec.t_max) - (spec.gamma + spec.epsilon)
+        extent = max(abs(spec.t_min), abs(spec.t_max))
+        assert abs(asymmetry) <= 4.0 * sys.float_info.epsilon * extent
 
     @staticmethod
     def assert_matches_the_difference_basis(spec):
@@ -1584,12 +1609,10 @@ class TestGridCheck:
 
     @pytest.mark.parametrize("spec", [
         *_check_specs(),
-        # Odd sizes put the mirror's middle point on the grid; gamma > epsilon;
-        # the minimum padding, where the end points still weigh.
+        # Odd sizes put the mirror's middle point on the grid; gamma > epsilon.
         PointerSpec.default(0.0, 1.0, 1.0, 129), PointerSpec.default(1e6, 1e6 - 3.0, 2.0, 1025),
-        PointerSpec(0.0, 1.0, 1.0, -MIN_PADDING, 1.0 + MIN_PADDING, 65)])
+        PointerSpec.default(2.0, 0.5, 1.0, 65)])
     def test_sweep_grids_match_the_difference_basis(self, spec):
-        assert pointer._is_mirrored(spec)
         self.assert_matches_the_difference_basis(spec)
 
     @given(st.one_of(accepted_specs(), wide_specs()))
@@ -1599,8 +1622,7 @@ class TestGridCheck:
 
     @pytest.mark.parametrize("spec", [
         *_check_specs(), PointerSpec.default(0.0, 1.0, 1.0, 129),
-        PointerSpec.default(1e6, 1e6 - 3.0, 2.0, 1025),
-        PointerSpec(0.0, 1.0, 1.0, -MIN_PADDING, 1.0 + MIN_PADDING, 65)])
+        PointerSpec.default(1e6, 1e6 - 3.0, 2.0, 1025), PointerSpec.default(2.0, 0.5, 1.0, 65)])
     def test_second_order_grids_match_the_fsum_table(self, spec):
         self.assert_matches_the_fsum_table(spec)
 
@@ -1630,41 +1652,81 @@ class TestGridCheck:
         check = pointer._GridCheck(spec, 2)  # a pointer's, the first-order table too
         centre = spec.gamma + offset * (spec.epsilon - spec.gamma + spec.sigma)
         for c in (spec.gamma, spec.epsilon, centre):
-            check.about(c)
+            check.check(c)
 
     @staticmethod
-    def record_checks(monkeypatch) -> list[tuple[PointerSpec, float | None]]:
-        checked = []
-        original = pointer._GridCheck.check
+    def record_checks(monkeypatch) -> list[tuple]:
+        """Record, in order, each closed-form mean (``_means``), each
+        sampling (``_grid_sums``) and each table checked on a grid."""
+        events = []
+        means, sums, check = pointer._means, pointer._grid_sums, pointer._GridCheck.check
 
-        def check(self, closed, centre=None, anchor=0):
-            checked.append((self.spec, centre))
-            return original(self, closed, centre, anchor)
+        def recording_means(totals):
+            events.append(("means",))
+            return means(totals)
 
-        monkeypatch.setattr(pointer._GridCheck, "check", check)
-        return checked
+        def recording_sums(spec, order):
+            events.append(("sampling", spec, order))
+            return sums(spec, order)
+
+        def recording_check(self, centre=None):
+            events.append(("check", self.spec, centre))
+            return check(self, centre)
+
+        monkeypatch.setattr(pointer, "_means", recording_means)
+        monkeypatch.setattr(pointer, "_grid_sums", recording_sums)
+        monkeypatch.setattr(pointer._GridCheck, "check", recording_check)
+        return events
 
     def test_every_width_is_checked_on_its_grid(self, monkeypatch):
-        checked = self.record_checks(monkeypatch)
+        events = self.record_checks(monkeypatch)
         pre, post = _pre_post()
         weak_limit_sweep(pre, post, ("2", "4"), 0.0, 1.0, [0.00025, 1.0, 2.0])
-        assert checked == []  # no grid, no check
+        assert events == [("means",)] * 3  # no grid, no check
+        events.clear()
         weak_limit_sweep(pre, post, ("2", "4"), 0.0, 1.0, [1.0, 2.0], n_points=96)
-        assert checked == [(PointerSpec.default(0.0, 1.0, s, 96), None) for s in (1.0, 2.0)]
+        # Each width's means, then its first-order table on its own grid.
+        specs = [PointerSpec.default(0.0, 1.0, s, 96) for s in (1.0, 2.0)]
+        assert events == [event for spec in specs for event in (
+            ("means",), ("sampling", spec, 1), ("check", spec, None))]
 
     def test_every_pointer_table_is_checked_on_its_grid(self, monkeypatch, capsys):
-        checked = self.record_checks(monkeypatch)
+        events = self.record_checks(monkeypatch)
         assert run_cli(["run", "--scenario=pointer", "--grid-points=96"]) == 0
         capsys.readouterr()
-        # The means' table, then one about each distinct mean, on one spec.
+        got = events.copy()
+        # Each profile's closed-form means come first.  The first profile's
+        # check samples the spec once for all three and checks the means'
+        # table; each profile then checks the table about each of its
+        # distinct means.
         spec = PointerSpec.default(0.0, 1.0, 8.0, 96)
         pre = run_entanglement_swap().conditional_state()
-        means = [m for profile in pointer.pointer_profiles(
-                     pre, analyzer_post_selection(-math.pi / 4.0), MEASURED_SETS, spec)
-                 for m in analytic_moments(profile.terms, spec).mean]
-        assert len(set(means)) > 1
-        assert [c for _, c in checked] == [None, *dict.fromkeys(means)]
-        assert {s for s, _ in checked} == {spec}
+        profiles = pointer.pointer_profiles(
+            pre, analyzer_post_selection(-math.pi / 4.0), MEASURED_SETS, spec)
+        want = []
+        for profile in profiles:
+            want.append(("means",))
+            if len(want) == 1:
+                want += [("sampling", spec, 2), ("check", spec, None)]
+            mean = analytic_moments(profile.terms, spec).mean
+            want += [("check", spec, centre) for centre in dict.fromkeys(mean)]
+        assert len({event for event in want if event[0] == "check"}) > 2
+        assert got == want
+
+    @pytest.mark.parametrize("n_points", [None, 256])
+    def test_an_empty_post_selection_reads_alike_with_or_without_a_grid(self, n_points):
+        # A vanishing norm is a closed-form fact: a grid does not change
+        # its message, for a pointer or for a sweep.
+        pre = run_entanglement_swap().conditional_state()
+        post = analyzer_post_selection(-math.atan(0.5) + 1e-7)
+        spec = PointerSpec.default(0.0, 1.0, 1e6, n_points)
+        for measured in MEASURED_SETS:
+            with pytest.raises(EmptyPostSelectionError,
+                               match="^post-selected pointer norm vanishes$"):
+                pointer_moments(build_pointer_profile(pre, post, measured, spec))
+            with pytest.raises(EmptyPostSelectionError,
+                               match="^post-selected pointer norm vanishes$"):
+                weak_limit_sweep(pre, post, measured, 0.0, 1.0, [1e6], n_points)
 
 
 def _corpus_configs():

@@ -75,8 +75,8 @@ EDGE_ARGVS = [
      "--format=json"],
     ["--scenario=pointer", "--phi=-0.4636466090008061", "--sigma=100000",
      "--grid-points=1024", "--format=json"],
-    # The sweep's error order: the first spec's grid error, then the
-    # orthogonality error, then each width's spec and its grid norm.
+    # The sweep's error order: the first spec's error, then the
+    # orthogonality error, then each width's spec and its norm.
     ["--scenario=pointer-sweep", NEAR_ORTHOGONAL_PHI, "--sweep=sigma=1000000,1e200",
      "--grid-points=256"],
     ["--scenario=pointer-sweep", NEAR_ORTHOGONAL_PHI, "--sweep=sigma=1000,1000000",
@@ -99,6 +99,7 @@ EDGE_ARGVS = [
     ["--scenario=pointer", "--sigma=0.00014"],
     ["--scenario=pointer", "--sigma=0.00025", "--format=json"],
     ["--scenario=pointer", "--sigma=1e-300"],
+    ["--scenario=pointer", "--sigma=1e-300", "--grid-points=64"],
     ["--scenario=pointer", "--sigma=4e-4", "--grid-points=1024"],
     ["--scenario=pointer", "--sigma=0.02127659574468085", "--grid-points=64", "--phi=0.3"],
     ["--scenario=pointer", "--gamma=0", "--epsilon=1e154", "--sigma=1e153",
@@ -113,6 +114,8 @@ EDGE_ARGVS = [
     ["--scenario=pointer-sweep", "--grid-points=128", "--phi=0.3",
      "--sweep=sigma=32768,262144", "--format=csv"],
     ["--scenario=pointer", "--grid-points=4096", "--format=json"],
+    # gamma above epsilon on an odd grid: the mirror's middle point.
+    ["--scenario=pointer", "--gamma=2", "--epsilon=0.5", "--grid-points=129", "--format=json"],
     # Equal delays.
     ["--scenario=pointer", "--gamma=1", "--epsilon=1", "--format=json"],
     ["--scenario=pointer", "--gamma=0", "--epsilon=0"],

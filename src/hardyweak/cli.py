@@ -414,16 +414,18 @@ def _with_rational(key: str, value: float) -> dict[str, Any]:
 
 
 def _finite(value: Any) -> Any:
-    """``value``, whose floats are final report values, once each is finite."""
+    """A builder's fresh value with each float refused unless finite, then
+    plus 0.0 (so -0.0 prints as 0), written back into its lists and dicts."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"{value}, not a finite number")
-    elif isinstance(value, list):
-        for v in value:
-            _finite(v)
+        return value + 0.0
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            value[i] = _finite(v)
     elif isinstance(value, dict):
-        for v in value.values():
-            _finite(v)
+        for key, v in value.items():
+            value[key] = _finite(v)
     return value
 
 
@@ -518,24 +520,18 @@ def _photonic_weak_payload(config: RunConfig) -> dict[str, Any]:
     }
 
 
-def _raw(values: Iterable[float]) -> list[float]:
-    """Measured floats as the library computed them; ``+ 0.0`` moves only a
-    signed zero, so ``-0.0`` prints as 0."""
-    return [v + 0.0 for v in values]
-
-
 def _pointer_block(profile: PointerProfile, prediction: tuple[float, ...]) -> dict[str, Any]:
     moments = pointer_moments(profile)
     deviation = [abs(m - w) for m, w in zip(moments.mean, prediction)]
 
-    def per_photon(values: list[float]) -> float | list[float]:
-        return values[0] if len(prediction) == 1 else values
+    def per_photon(values: Sequence[float]) -> float | list[float]:
+        return values[0] if len(prediction) == 1 else list(values)
 
     return {
-        "mean": per_photon(_raw(moments.mean)),
-        "variance": per_photon(_raw(moments.variance)),
-        "success_probability": moments.success_probability + 0.0,
-        "weak_value": per_photon(_raw(prediction)),
+        "mean": per_photon(moments.mean),
+        "variance": per_photon(moments.variance),
+        "success_probability": moments.success_probability,
+        "weak_value": per_photon(prediction),
         "deviation": per_photon(deviation),
     }
 
@@ -549,10 +545,10 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
     # The joint weak value holds each photon's, bit for bit.
     a2, a4 = weak_prediction(joint)
     return {
-        "gamma": p.gamma + 0.0,
-        "epsilon": p.epsilon + 0.0,
+        "gamma": p.gamma,
+        "epsilon": p.epsilon,
         "sigma": p.sigma,
-        "phi": p.phi + 0.0,
+        "phi": p.phi,
         **({} if p.grid_points is None else {"grid_points": p.grid_points}),
         "weakness_ratio": spec.weakness_ratio,
         "photon2": _pointer_block(photon2, (a2,)),
@@ -576,16 +572,16 @@ def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
         pre, post, ("2", "4"), p.gamma, p.epsilon, sigmas, n_points=p.grid_points
     )
     return {
-        "gamma": p.gamma + 0.0,
-        "epsilon": p.epsilon + 0.0,
-        "phi": p.phi + 0.0,
+        "gamma": p.gamma,
+        "epsilon": p.epsilon,
+        "phi": p.phi,
         **({} if p.grid_points is None else {"grid_points": p.grid_points}),
         "measured": ["2", "4"],
         "rows": [
             {
                 "sigma": row.sigma,
                 "r": row.weakness_ratio,
-                "mean": _raw(row.mean),
+                "mean": list(row.mean),
                 "deviation": list(row.deviation),
             }
             for row in rows
@@ -722,7 +718,7 @@ def build_payload(config: RunConfig) -> dict[str, Any]:
         "scenario": config.scenario,
         **build(config),
     }
-    # A pointer or sweep builder returns final values, measured and raw.
+    # A pointer or sweep builder returns measured values, which print raw.
     finish = _finite if config.scenario in POINTER_SCENARIOS else _clean
     payload = {}
     for key, value in raw.items():

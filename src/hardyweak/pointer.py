@@ -15,10 +15,10 @@ Every moment writes the terms in a difference basis, b0 = f at one delay
 and b1 = f at the other minus b0, which adds nearly cancelling delay
 coefficients before any integral enters, and sums pairs of terms against
 a closed-form table of one-axis integrals of b_p b_q (``_closed_table``;
-Kofman, Ashhab & Nori, Phys. Rep. 520, 43 (2012)).  The norm and the
-means read the table about 0 with b0 = f_gamma (``closed_integrals``);
-each variance reads the table about its mean c with b0 at the delay
-nearer c, so E[(t - c)^2] - E[t - c]^2 subtracts no large squares.
+Kofman, Ashhab & Nori, Phys. Rep. 520, 43 (2012)).  One first-order pass
+over the table about 0 with b0 = f_gamma sums the norm and the means
+(``_closed_means``); each variance reads the table about its mean c, b0 at
+the nearer delay, so E[(t - c)^2] - E[t - c]^2 subtracts no large squares.
 
 The grid prints nothing; it checks the closed form (``_GridCheck``) after
 it, and only on a spec with ``n_points``: a run without ``--grid-points``
@@ -78,7 +78,8 @@ class PointerSpec:
 
     def __post_init__(self) -> None:
         for name in ("gamma", "epsilon", "sigma"):
-            _require_finite(self, name)
+            if not math.isfinite(value := getattr(self, name)):
+                raise GridError(f"{name} must be finite, got {value}")
         if self.sigma <= 0.0:
             raise GridError("sigma must be positive")
         # The closed form reads sigma**2 and second moments out to the
@@ -93,6 +94,8 @@ class PointerSpec:
                             "beyond the delays, is too wide: its squared extent overflows")
         if self.n_points is None:
             return
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, int):
+            raise GridError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < MIN_N_POINTS:
             raise GridError(f"need at least {MIN_N_POINTS} grid points")
         if self.n_points > MAX_N_POINTS:
@@ -130,12 +133,6 @@ class PointerSpec:
     def step(self) -> float:
         return (self.t_max - self.t_min) / (self.n_points - 1)
 
-    @property
-    def padding(self) -> float:
-        """The grid's extent beyond the nearer delay, on its narrower side."""
-        return min(min(self.gamma, self.epsilon) - self.t_min,
-                   self.t_max - max(self.gamma, self.epsilon))
-
     @cached_property
     def closed_integrals(self) -> _Table:
         """``_closed_table`` about 0 with b0 = f_gamma, read by norm and means."""
@@ -171,12 +168,6 @@ def _about(spec: PointerSpec, centre: float) -> tuple[int, _Table]:
     return anchor, _closed_table(spec, centre, anchor)
 
 
-def _require_finite(spec: PointerSpec, name: str) -> None:
-    value = getattr(spec, name)
-    if not math.isfinite(value):
-        raise GridError(f"{name} must be finite, got {value}")
-
-
 def _aliasing(step_ratio: float) -> float:
     a2 = (2.0 * math.pi / step_ratio) ** 2
     return 2.0 * math.exp(-a2 / 2.0) * (1.0 + a2)
@@ -193,12 +184,16 @@ def grid_error_budget(spec: PointerSpec) -> tuple[float, float]:
     centre, rounding aside.  At step h and a = 2 pi sigma / h, aliasing is
     the leading Poisson-summation term 2 exp(-a^2/2) times the 1 + a^2
     that t^2 brings to it.  Truncation is what the grid leaves out beyond
-    its padding p sigma: the two tails of t^2 under the density,
-    erfc(p/sqrt 2) + 2 p phi(p), and the half-weighted end points,
-    (h/sigma) p^2 phi(p), with phi the standard normal density.  See
-    Trefethen & Weideman, SIAM Review 56, 385 (2014).
+    the window's padding of p = ``DEFAULT_PADDING`` sigma: the two tails of
+    t^2 under the density, erfc(p/sqrt 2) + 2 p phi(p), and the
+    half-weighted end points, (h/sigma) p^2 phi(p), with phi the standard
+    normal density.  See Trefethen & Weideman, SIAM Review 56, 385 (2014).
+    Rounding t_min and t_max moves p by at most eps T/sigma, T the larger
+    |end|, and so truncation by under 3e-12 eps T/sigma (6.5e-13 per unit
+    of p, 2.9e-12 at the step limit): 10^12 times below the 4 eps T/sigma
+    of ``_grid_rounding``, which the check adds to the budget.
     """
-    step_ratio, padding = spec.step / spec.sigma, spec.padding / spec.sigma
+    step_ratio, padding = spec.step / spec.sigma, DEFAULT_PADDING
     tail = math.exp(-padding * padding / 2.0) / math.sqrt(2.0 * math.pi)
     truncation = (math.erfc(padding / math.sqrt(2.0))
                   + (2.0 + step_ratio * padding) * padding * tail)
@@ -340,21 +335,16 @@ class _GridCheck:
 
 @dataclass(frozen=True)
 class PointerProfile:
-    """Post-selected pointer on a spec: its mixture and closed-form norm.
+    """Post-selected pointer on a spec: the measured photons and the mixture.
 
     ``terms`` holds per measured axis a delay, with a complex coefficient
     each; they do not depend on sigma, so any width of the same delays may
-    share them.  ``success_probability`` is the closed-form squared norm,
-    summed when first read.
+    share them.  ``pointer_moments`` gives their norm and moments.
     """
 
     spec: PointerSpec
     measured: tuple[str, ...]
     terms: tuple[tuple[tuple[float, ...], complex], ...]
-
-    @cached_property
-    def success_probability(self) -> float:
-        return _pair_sums(_basis_terms(self.terms, self.spec), self.spec.closed_integrals)[0]
 
 
 @dataclass(frozen=True)
@@ -440,21 +430,22 @@ def _basis_terms(terms, spec: PointerSpec,
     return tuple(coeffs.items())
 
 
-def _means(sums: tuple[float, list[list[float]]]) -> tuple[float, ...]:
-    norm, (first, *_) = sums
+def _closed_means(basis, spec: PointerSpec) -> tuple[float, tuple[float, ...]]:
+    """The norm and per-axis means of the basis terms' mixture from one
+    first-order pass over ``closed_integrals``; a vanishing norm is refused."""
+    norm, (first,) = _pair_sums(basis, spec.closed_integrals, order=1)
     if norm <= 1e-12:
         raise EmptyPostSelectionError(_EMPTY)
-    return tuple(f / norm for f in first)
+    return norm, tuple(f / norm for f in first)
 
 
 def _moments(terms, spec: PointerSpec) -> PointerMoments:
-    """The norm and means from ``closed_integrals``, then in one more pass
-    each axis's variance E[(t - c)^2] - E[t - c]^2 about its mean c, from
-    the table ``_about`` c: no square of a delay or of the mean is
-    subtracted, however narrow the pointer."""
+    """The norm and means (``_closed_means``), then in one more pass each
+    axis's variance E[(t - c)^2] - E[t - c]^2 about its mean c, from the
+    table ``_about`` c: no square of a delay or of the mean is subtracted,
+    however narrow the pointer."""
     basis = _basis_terms(terms, spec)
-    norm, first = _pair_sums(basis, spec.closed_integrals, order=1)
-    mean = _means((norm, first))
+    norm, mean = _closed_means(basis, spec)
     anchors, tables = zip(*map(partial(_about, spec), mean))
     if any(anchors):
         basis = _basis_terms(terms, spec, anchors)
@@ -471,7 +462,7 @@ def analytic_moments(terms: Sequence[tuple[tuple[float, ...], complex]],
 
 def build_pointer_profile(pre: StateVector, post: StateVector, measured: Sequence[str],
                           spec: PointerSpec) -> PointerProfile:
-    """The post-selected pointer's terms and closed-form success probability."""
+    """The post-selected pointer's terms on the spec."""
     return pointer_profiles(pre, post, (measured,), spec)[0]
 
 
@@ -502,11 +493,11 @@ def weak_limit_sweep(pre: StateVector, post: StateVector, measured: Sequence[str
     """Pointer means against the weak-value prediction across widths.
 
     ``sigmas`` must be positive and ascending so the rows read as an
-    approach to the weak limit.  A width prints the closed-form means,
-    ``analytic_moments`` bit for bit.  With ``n_points`` each width then
-    checks the table they read on its grid of that many points
-    (``_GridCheck``), which sets how closely they are checked; without,
-    no grid is sampled.
+    approach to the weak limit.  A width prints the means of one
+    ``_closed_means`` pass, ``analytic_moments``' bit for bit (the same
+    first-order sums).  With ``n_points`` each width then checks the table
+    they read on its grid of that many points (``_GridCheck``), which sets
+    how closely they are checked; without, no grid is sampled.
     """
     if not sigmas:
         raise GridError("sweep needs at least one value")
@@ -520,8 +511,8 @@ def weak_limit_sweep(pre: StateVector, post: StateVector, measured: Sequence[str
         if not rows:  # terms and prediction are sigma-free: one walk, before any grid
             profile = build_pointer_profile(pre, post, measured, spec)
             prediction = weak_prediction(profile)
-            terms = _basis_terms(profile.terms, spec)  # reads the delays only
-        mean = _means(_pair_sums(terms, spec.closed_integrals))
+            basis = _basis_terms(profile.terms, spec)  # reads the delays only
+        mean = _closed_means(basis, spec)[1]
         if n_points is not None:
             _GridCheck(spec, 1)
         deviation = tuple(abs(m - w) for m, w in zip(mean, prediction))

@@ -25,7 +25,9 @@ from hardyweak.pointer import PointerSpec
 @dataclass(frozen=True)
 class Sampling:
     """A pointer sampled on a grid with explicit ends, such as a spec's
-    window shifted by a centre."""
+    window shifted by a centre.  ``grid_error_budget`` takes its truncation
+    at the window's ``DEFAULT_PADDING`` sigma, which bounds that of a
+    sampling padded at least as far beyond both delays."""
 
     gamma: float
     epsilon: float
@@ -37,12 +39,6 @@ class Sampling:
     @property
     def step(self) -> float:
         return (self.t_max - self.t_min) / (self.n_points - 1)
-
-    @property
-    def padding(self) -> float:
-        """As ``PointerSpec.padding``, which ``grid_error_budget`` reads."""
-        return min(min(self.gamma, self.epsilon) - self.t_min,
-                   self.t_max - max(self.gamma, self.epsilon))
 
 
 Spec = Union[PointerSpec, Sampling]

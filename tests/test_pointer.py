@@ -118,12 +118,20 @@ class TestProfileConstruction:
         assert abs(by_delay[1.0] - (-1.0 / (2.0 * math.sqrt(3.0)))) < 1e-12
 
     def test_profile_norm_matches_closed_form(self):
+        # The exactly summed norm on the spec's grid (``fsum_table``): per
+        # pair of terms, the product over axes of the grid's int f_a f_b.
         pre, post = _pre_post()
         for measured, n in ((("2",), 4096), (("2", "4"), 1024)):
             spec = PointerSpec.default(0.0, 1.0, 1.0, n)
             profile = build_pointer_profile(pre, post, measured, spec)
-            grid_norm = pointer_moments(profile).success_probability
-            assert abs(grid_norm - profile.success_probability) < 1e-9
+            f = fsum_table.samples(spec)
+            overlap = {(a, b): fsum_table.grid_integrals(spec, list(map(mul, f[a], f[b])))[0]
+                       for a, b in product(f, repeat=2)}
+            grid_norm = math.fsum(
+                (ci.conjugate() * cj).real * math.prod(map(overlap.get, zip(di, dj)))
+                for (di, ci), (dj, cj) in product(profile.terms, repeat=2))
+            norm = analytic_moments(profile.terms, spec).success_probability
+            assert abs(grid_norm - norm) < 1e-9
 
     def test_success_probability_reaches_post_selection_rate(self):
         # At r = 1/32 the disturbance correction is quadratically small.
@@ -149,11 +157,18 @@ class TestProfileConstruction:
         post = state_of(s, {("V", "V"): 1.0})
         spec = PointerSpec.default(0.0, 1.0, 1.0, 1024)
         profile = build_pointer_profile(pre, post, ("2",), spec)
-        assert profile.success_probability == 0.0
+        assert profile.terms == ()  # no amplitude survives, so the norm is 0
         with pytest.raises(EmptyPostSelectionError):
             pointer_moments(profile)
         with pytest.raises(EmptyPostSelectionError):
             analytic_moments(profile.terms, spec)
+
+    @pytest.mark.parametrize("n_points", [64.5, 64.0, "64", True])
+    def test_n_points_must_be_an_integer(self, n_points):
+        # Refused where the spec is made, not deep in the grid's sampling.
+        with pytest.raises(GridError, match=f"^n_points must be an integer, got "
+                                            f"{re.escape(repr(n_points))}$"):
+            PointerSpec.default(0.0, 1.0, 8.0, n_points)
 
     def test_grid_validation(self):
         with pytest.raises(GridError, match="^sigma must be positive$"):
@@ -793,29 +808,25 @@ class TestWorkCount:
         # The tolerance every table of the spec is checked to.
         assert len(budgets) == 1
 
-    def test_closed_form_norm_is_summed_when_read(self, monkeypatch, capsys):
-        # No report prints the closed-form norm: a pointer request sums only
-        # its three profiles' moments, the means and then the variances.
-        calls = []
+    @pytest.mark.parametrize("grid", [[], ["--grid-points=128"]])
+    def test_the_norm_and_means_are_one_first_order_pass(self, monkeypatch, capsys, grid):
+        # A pointer request sums each of its three profiles twice, the norm
+        # and means to first order and then the variances at the table's
+        # order; a sweep width sums its norm and means once, to first order.
+        orders = []
         original = pointer._pair_sums
 
-        def counting(terms, *tables, **order):
-            calls.append(tables)
-            return original(terms, *tables, **order)
+        def counting(terms, *tables, order=None):
+            orders.append(order)
+            return original(terms, *tables, order=order)
 
         monkeypatch.setattr(pointer, "_pair_sums", counting)
-        assert run_cli(["run", "--scenario=pointer", "--grid-points=128"]) == 0
+        assert run_cli(["run", "--scenario=pointer", *grid]) == 0
+        assert orders == [1, None] * 3
+        orders.clear()
+        assert run_cli(["run", "--scenario=pointer-sweep", *grid]) == 0
         capsys.readouterr()
-        assert len(calls) == 6
-        pre, post = _pre_post()
-        spec = PointerSpec.default(0.0, 1.0, 1.0, 128)
-        profile = build_pointer_profile(pre, post, ("2", "4"), spec)
-        assert len(calls) == 6
-        want = analytic_moments(profile.terms, spec).success_probability
-        assert len(calls) == 8
-        assert profile.success_probability == want
-        assert profile.success_probability == want
-        assert calls[8:] == [(spec.closed_integrals,)]
+        assert orders == [1] * len(DEFAULT_SWEEP_MULTIPLES)
 
     @pytest.fixture
     def fsums(self, monkeypatch):
@@ -1145,13 +1156,18 @@ class TestNearOrthogonalAnalyzer:
         for measured in (("2",), ("4",), ("2", "4")):
             profile = build_pointer_profile(pre, post, measured, spec)
             norm, mean, _ = _mp_moments(profile.terms, sigma)
-            assert abs(profile.success_probability - norm) <= 1e-14 * norm, measured
-            if norm <= 1e-12:  # the fixed floor of ``_moments`` (ROADMAP item 4)
+            if norm <= 1e-12:  # the fixed floor of ``_closed_means`` (ROADMAP item 4)
                 assert (offset, sigma) == (1e-7, 1e6)
                 with pytest.raises(EmptyPostSelectionError):
                     analytic_moments(profile.terms, spec)
+                # The pass that refuses it still sums the norm to 1e-14.
+                basis = pointer._basis_terms(profile.terms, spec)
+                closed = pointer._pair_sums(basis, spec.closed_integrals, order=1)[0]
+                assert abs(closed - norm) <= 1e-14 * norm, measured
                 continue
-            for got, want in zip(analytic_moments(profile.terms, spec).mean, mean):
+            moments = analytic_moments(profile.terms, spec)
+            assert abs(moments.success_probability - norm) <= 1e-14 * norm, measured
+            for got, want in zip(moments.mean, mean):
                 assert abs(got - want) <= 1e-14 * sigma, measured
 
 
@@ -1656,14 +1672,14 @@ class TestGridCheck:
 
     @staticmethod
     def record_checks(monkeypatch) -> list[tuple]:
-        """Record, in order, each closed-form mean (``_means``), each
-        sampling (``_grid_sums``) and each table checked on a grid."""
+        """Record, in order, each closed-form means pass (``_closed_means``),
+        each sampling (``_grid_sums``) and each table checked on a grid."""
         events = []
-        means, sums, check = pointer._means, pointer._grid_sums, pointer._GridCheck.check
+        means, sums, check = pointer._closed_means, pointer._grid_sums, pointer._GridCheck.check
 
-        def recording_means(totals):
+        def recording_means(basis, spec):
             events.append(("means",))
-            return means(totals)
+            return means(basis, spec)
 
         def recording_sums(spec, order):
             events.append(("sampling", spec, order))
@@ -1673,7 +1689,7 @@ class TestGridCheck:
             events.append(("check", self.spec, centre))
             return check(self, centre)
 
-        monkeypatch.setattr(pointer, "_means", recording_means)
+        monkeypatch.setattr(pointer, "_closed_means", recording_means)
         monkeypatch.setattr(pointer, "_grid_sums", recording_sums)
         monkeypatch.setattr(pointer._GridCheck, "check", recording_check)
         return events

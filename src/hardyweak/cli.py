@@ -563,11 +563,11 @@ def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
     post = analyzer_post_selection(p.phi)
     sigmas = config.sweep
     if sigmas is None:
-        if p.epsilon <= 0.0:
-            raise GridError("the default sweep widths are multiples of epsilon "
-                            f"({p.epsilon:g}), so none is positive; pass "
-                            "--sweep sigma=v1,v2,...")
         sigmas = tuple(k * p.epsilon for k in DEFAULT_SWEEP_MULTIPLES)
+        if p.epsilon <= 0.0 or not math.isfinite(sigmas[-1]):
+            cause = "none is positive" if p.epsilon <= 0.0 else "the largest overflows"
+            raise GridError("the default sweep widths are multiples of epsilon "
+                            f"({p.epsilon:g}), so {cause}; pass --sweep sigma=v1,v2,...")
     rows = weak_limit_sweep(
         pre, post, ("2", "4"), p.gamma, p.epsilon, sigmas, n_points=p.grid_points
     )

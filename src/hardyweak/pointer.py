@@ -23,15 +23,16 @@ the nearer delay, so E[(t - c)^2] - E[t - c]^2 subtracts no large squares.
 The grid prints nothing; it checks the closed form (``_GridCheck``) after
 it, and only on a spec with ``n_points``: a run without ``--grid-points``
 samples nothing.  Every grid spans the window ``DEFAULT_PADDING`` sigma
-beyond both delays, so one sampling of f_gamma per spec on a cached index
-ramp gives plain trapezoid sums of f_gamma^2, f_gamma f_epsilon and
-f_epsilon^2 (by the mirror f_epsilon(t_i) = f_gamma(t_(N-1-i))), which
-make up every table, about any centre and with either anchor.  A sweep
-width checks the first-order table its means read, a ``pointer`` spec
-that and the second-order table about each mean.  An entry off its
-closed form by more than ``grid_error_budget`` (aliasing from the step
-plus truncation at the padding) plus 4 eps (N + T/sigma) of rounding
-refuses the spec (``GridError``), as does a grid that aliases more than
+beyond both delays, so one sampling of the density f_gamma^2 per spec on a
+cached index ramp gives plain trapezoid sums of f_gamma^2, f_epsilon^2 and
+f_gamma f_epsilon, the root of mirrored products (by the mirror
+f_epsilon(t_i) = f_gamma(t_(N-1-i))), which make up every table, about
+any centre and with either anchor.  A sweep width checks the first-order
+table its means read, a ``pointer`` spec that and the second-order table
+about each mean.  An entry off its closed form by more than
+``grid_error_budget`` (aliasing from the step plus truncation at the
+padding) plus 4 eps (N + T/sigma) of rounding refuses the spec
+(``GridError``), as does a grid that aliases more than
 ``ALIASING_TOLERANCE``.
 """
 from __future__ import annotations
@@ -214,39 +215,33 @@ def _index_squares(n_points: int) -> tuple[float, ...]:
     return tuple((i - middle) ** 2 for i in _index_ramp(n_points))
 
 
-def _ramp_gaussian(spec: PointerSpec, center: float) -> list[float]:
-    """exp(-(t_i - center)^2 / (4 sigma^2)) at t_i = t_min + i h: the
-    pointer at ``center`` on the spec's grid, without its norm."""
-    h, a, k = spec.step, spec.t_min - center, -0.25 / (spec.sigma * spec.sigma)
+def _ramp_density(spec: PointerSpec) -> list[float]:
+    """exp(-(t_i - gamma)^2 / (2 sigma^2)) at t_i = t_min + i h: the density
+    f_gamma^2 on the spec's grid, without its norm, one ``exp`` per point."""
+    h, a, k = spec.step, spec.t_min - spec.gamma, -0.5 / (spec.sigma * spec.sigma)
     return [math.exp(k * (x := i * h + a) * x) for i in _index_ramp(spec.n_points)]
 
 
-def _trapezoid_sums(y: list[float], squares: tuple[float, ...] | None) -> tuple[float, ...]:
-    """sum w_i y_i, sum w_i i y_i and, given them, sum w_i squares_i y_i,
-    with the trapezoid's half end weights."""
-    ramp = _index_ramp(len(y))
-    sums = (sum(y) - (y[0] + y[-1]) / 2.0, sum(map(mul, ramp, y)) - ramp[-1] / 2.0 * y[-1])
-    return sums if squares is None else (
-        *sums, sum(map(mul, squares, y)) - (squares[0] * y[0] + squares[-1] * y[-1]) / 2.0)
-
-
 def _grid_sums(spec: PointerSpec, order: int) -> _Table:
-    """``_trapezoid_sums`` S, I and, at order 2, J about the middle index of
-    each product f_d f_d' of the unnormalised pointers at the delays (0 for
-    gamma, 1 for epsilon).  The window is symmetric about the delays'
-    midpoint, so f_epsilon is f_gamma reversed: f_epsilon^2 has the sums S,
-    (N - 1) S - I and J of f_gamma^2, and f_gamma f_epsilon, symmetric, is
-    summed over half the grid."""
-    squares = _index_squares(spec.n_points) if order == 2 else None
-    early = _ramp_gaussian(spec, spec.gamma)
-    sums = {(0, 0): _trapezoid_sums(list(map(mul, early, early)), squares)}
+    """Trapezoid sums, with half end weights w, of each product y = f_d f_d'
+    of the unnormalised pointers at the delays (0 for gamma, 1 for epsilon):
+    S = sum w_i y_i, I = sum w_i i y_i and, at order 2, J about the middle
+    index M, sum w_i (i - M)^2 y_i, all read off one sampled f_gamma^2
+    (``_ramp_density``).  The window is symmetric about the delays' midpoint,
+    so f_epsilon is f_gamma reversed: f_epsilon^2 has the sums S, (N - 1) S
+    - I and J of f_gamma^2, and f_gamma f_epsilon, symmetric, is the root of
+    mirrored samples of f_gamma^2, summed over half the grid."""
+    y = _ramp_density(spec)
+    n, half, ends = len(y), len(y) // 2, (y[0] + y[-1]) / 2.0
+    ramp, squares = _index_ramp(n), (_index_squares(n) if order == 2 else ())
+    sums = {(0, 0): (sum(y) - ends, sum(map(mul, ramp, y)) - ramp[-1] / 2.0 * y[-1])}
+    if squares:  # symmetric: both end points weigh squares[0]
+        sums[0, 0] += (sum(map(mul, squares, y)) - squares[0] * ends,)
     if spec.epsilon == spec.gamma:
         return sums
-    n, half = len(early), len(early) // 2
-    pairs = map(mul, islice(early, half), reversed(early))
+    pairs = map(math.sqrt, map(mul, islice(y, half), reversed(y)))
     pairs = list(pairs) if squares else pairs  # summed twice
-    middle = early[half] * early[half] if n % 2 else 0.0
-    cross = 2.0 * sum(pairs) + middle - early[0] * early[-1]
+    cross = 2.0 * sum(pairs) + (y[half] if n % 2 else 0.0) - math.sqrt(y[0] * y[-1])
     s, i, *j = sums[0, 0]
     sums[0, 1] = (cross, (n - 1) / 2.0 * cross)
     sums[1, 1] = (s, (n - 1) * s - i, *j)
@@ -269,15 +264,12 @@ def _grid_table(spec: PointerSpec, sums: _Table, centre: float, anchor: int) -> 
         ao, oo = sums[0, 1], sums[1 - anchor, 1 - anchor]
         basis[0, 1] = [x - y for x, y in zip(ao, aa)]
         basis[1, 1] = [x - 2.0 * y + z for x, y, z in zip(oo, ao, aa)]
-    h, start = spec.step, spec.t_min - centre
-    scale = h / (math.sqrt(2.0 * math.pi) * spec.sigma)
-    if len(aa) == 2:
-        return {key: (scale * s, scale * (start * s + h * i)) for key, (s, i) in basis.items()}
-    middle = (spec.n_points - 1) / 2.0
-    lead = start + middle * h
+    h, start, middle = spec.step, spec.t_min - centre, (spec.n_points - 1) / 2.0
+    scale, lead = h / (math.sqrt(2.0 * math.pi) * spec.sigma), start + middle * h
     return {key: (scale * s, scale * (start * s + h * i),
-                  scale * (lead * lead * s + 2.0 * lead * h * (i - middle * s) + h * h * j))
-            for key, (s, i, j) in basis.items()}
+                  *(scale * (lead * lead * s + 2.0 * lead * h * (i - middle * s) + h * h * j)
+                    for j in rest))
+            for key, (s, i, *rest) in basis.items()}
 
 
 def _grid_rounding(spec: PointerSpec) -> float:
@@ -287,10 +279,13 @@ def _grid_rounding(spec: PointerSpec) -> float:
     4 eps N covers the plain sums: at most N ulps for each sum of a
     unit-mass Gaussian product, and b1 b1 combines four of them (f_epsilon^2
     - 2 f_gamma f_epsilon + f_gamma^2), which cancel in the weak regime but
-    fit under its weight 2 + 2u.  4 eps T / sigma covers, per sigma of
-    extent, the position errors of the ramp times t_min + i h, of t_min S
-    + h I, and of the mirror, each of which shifts a Gaussian by a
-    fraction of sigma."""
+    fit under its weight 2 + 2u.  f_gamma^2 sampled at twice f_gamma's
+    exponent rounds as a sampled f_gamma squared did, and the root of two
+    samples' product adds about one ulp to their errors, as the product of
+    two f_gamma samples did; only cross terms below about 1e-154 underflow.
+    4 eps T / sigma covers, per sigma of extent, the position errors of the
+    ramp times t_min + i h, of t_min S + h I, and of the mirror, each of
+    which shifts a Gaussian by a fraction of sigma."""
     extent = max(abs(spec.t_min), abs(spec.t_max))
     return 4.0 * sys.float_info.epsilon * (spec.n_points + extent / spec.sigma)
 

@@ -404,6 +404,17 @@ def test_default_sweep_at_zero_epsilon_names_the_cause(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("epsilon", ["5.7e306", "1e307", "2e307", "1e308"])
+def test_default_sweep_widths_that_overflow_name_the_cause(capsys, epsilon):
+    # 32 epsilon overflows; from 16 epsilon on two widths would be infinite,
+    # equal, and so read as a sweep out of order.
+    code, out, err = run(["run", "--scenario=pointer-sweep", f"--epsilon={epsilon}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: domain: the default sweep widths are multiples of epsilon "
+                   f"({float(epsilon):g}), so the largest overflows; pass --sweep "
+                   "sigma=v1,v2,...\n")
+
+
 def test_orthogonal_analyzer_exits_two(capsys):
     # phi of a quarter turn post-selects on V V, orthogonal to the pair.
     code, _, err = run(

@@ -686,15 +686,15 @@ class TestWorkCount:
     @staticmethod
     def count_samplings(monkeypatch) -> list[float]:
         centers = []
-        original = pointer._ramp_gaussian
-        monkeypatch.setattr(pointer, "_ramp_gaussian",
-                            lambda spec, center: centers.append(center) or original(spec, center))
+        original = pointer._ramp_density
+        monkeypatch.setattr(pointer, "_ramp_density",
+                            lambda spec: centers.append(spec.gamma) or original(spec))
         return centers
 
     @pytest.mark.parametrize("argv,want", [
         # A pointer's three profiles are checked against one sampling of
         # their spec's grid, a sweep width against its own: each samples
-        # f_gamma on the index ramp and mirrors it for f_epsilon.
+        # f_gamma^2 on the index ramp and mirrors it for f_epsilon.
         (["--scenario=pointer"], 1),
         (["--scenario=pointer", "--gamma=1", "--epsilon=1"], 1),
         (["--scenario=pointer-sweep"], 6),
@@ -1483,12 +1483,21 @@ def _fsum_reference(spec: PointerSpec, centre: float, anchor: int):
 
 
 def _sampled_sums(spec: PointerSpec, order: int):
-    """``pointer._grid_sums`` with f_epsilon sampled on the index ramp in
-    its own right rather than mirrored from f_gamma."""
-    squares = pointer._index_squares(spec.n_points) if order == 2 else None
-    ramps = [pointer._ramp_gaussian(spec, d) for d in dict.fromkeys((spec.gamma, spec.epsilon))]
-    return {(p, q): pointer._trapezoid_sums(list(map(mul, ramps[p], ramps[q])), squares)
-            for p, q in combinations_with_replacement(range(len(ramps)), 2)}
+    """``pointer._grid_sums`` with f_gamma and f_epsilon each sampled on the
+    index ramp in its own right, exp(-(t_i - d)^2 / (4 sigma^2)) at each
+    delay d, and the trapezoid sums of each product taken over the whole
+    grid, rather than read off one mirrored density."""
+    n, h, k = spec.n_points, spec.step, -0.25 / (spec.sigma * spec.sigma)
+    ramp = pointer._index_ramp(n)
+    pointers = [[math.exp(k * (x := i * h + a) * x) for i in ramp]
+                for a in (spec.t_min - d for d in dict.fromkeys((spec.gamma, spec.epsilon)))]
+    weights = ([1.0] * n, ramp, pointer._index_squares(n))[:order + 1]
+    sums = {}
+    for p, q in combinations_with_replacement(range(len(pointers)), 2):
+        y = list(map(mul, pointers[p], pointers[q]))
+        sums[p, q] = tuple(sum(map(mul, w, y)) - (w[0] * y[0] + w[-1] * y[-1]) / 2.0
+                           for w in weights)
+    return sums
 
 
 def _frames(spec: PointerSpec):

@@ -94,6 +94,12 @@ EDGE_ARGVS = [
     ["--scenario=pointer", "--phi=-0.0", "--format=json"],
     ["--scenario=pointer", "--phi=1e-16", "--format=json"],
     ["--scenario=pointer", "--phi=-1.5707963267948966", "--format=json"],
+    # The prune boundary: the analyzer product cos(phi) sin(phi) of H V and
+    # V H sits at PRUNE_THRESHOLD (1e-15, kept) or just below it (left out).
+    ["--scenario=pointer", "--phi=1e-15", "--format=json"],
+    ["--scenario=pointer", "--phi=9.99e-16", "--format=json"],
+    ["--scenario=pointer", "--phi=-1e-15"],
+    ["--scenario=pointer-sweep", "--phi=9.99e-16", "--format=csv"],
     # Widths and grids: a pointer no grid within the error budget resolves
     # (printed from the closed form), unresolved, overflowing, strong.
     ["--scenario=pointer", "--sigma=0.00014"],

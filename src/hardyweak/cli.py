@@ -21,8 +21,8 @@ from .pointer import (
     GridError,
     PointerProfile,
     PointerSpec,
+    level_profile,
     pointer_moments,
-    pointer_profiles,
     weak_limit_sweep,
     weak_prediction,
 )
@@ -30,7 +30,7 @@ from .scenarios import (
     CONSTRAINT_NAMES,
     DEFAULT_SWAP_CALIBRATION,
     HardyConfig,
-    analyzer_post_selection,
+    analyzer_coefficients,
     counterfactual_check,
     entangled_target_state,
     run_entanglement_swap,
@@ -538,10 +538,10 @@ def _pointer_block(profile: PointerProfile, prediction: tuple[float, ...]) -> di
 
 def _pointer_payload(config: RunConfig) -> dict[str, Any]:
     p = config.parameters
-    pre = run_entanglement_swap().conditional_state()
-    post = analyzer_post_selection(p.phi)
     spec = PointerSpec.default(p.gamma, p.epsilon, p.sigma, p.grid_points)
-    photon2, photon4, joint = pointer_profiles(pre, post, (("2",), ("4",), ("2", "4")), spec)
+    measured_sets = (("2",), ("4",), ("2", "4"))
+    tables = analyzer_coefficients(measured_sets, p.phi)
+    photon2, photon4, joint = map(level_profile, [spec] * 3, measured_sets, tables)
     # The joint weak value holds each photon's, bit for bit.
     a2, a4 = weak_prediction(joint)
     return {
@@ -559,8 +559,6 @@ def _pointer_payload(config: RunConfig) -> dict[str, Any]:
 
 def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
     p = config.parameters
-    pre = run_entanglement_swap().conditional_state()
-    post = analyzer_post_selection(p.phi)
     sigmas = config.sweep
     if sigmas is None:
         sigmas = tuple(k * p.epsilon for k in DEFAULT_SWEEP_MULTIPLES)
@@ -568,9 +566,9 @@ def _pointer_sweep_payload(config: RunConfig) -> dict[str, Any]:
             cause = "none is positive" if p.epsilon <= 0.0 else "the largest overflows"
             raise GridError("the default sweep widths are multiples of epsilon "
                             f"({p.epsilon:g}), so {cause}; pass --sweep sigma=v1,v2,...")
-    rows = weak_limit_sweep(
-        pre, post, ("2", "4"), p.gamma, p.epsilon, sigmas, n_points=p.grid_points
-    )
+    (table,) = analyzer_coefficients((("2", "4"),), p.phi)
+    joint = level_profile(PointerSpec.default(p.gamma, p.epsilon, sigmas[0]), ("2", "4"), table)
+    rows = weak_limit_sweep(joint, sigmas, n_points=p.grid_points)
     return {
         "gamma": p.gamma,
         "epsilon": p.epsilon,

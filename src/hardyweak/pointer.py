@@ -6,10 +6,10 @@ displaced by delta overlap by exp(-delta^2 / (8 sigma^2)).  A measured
 photon shifts its pointer by gamma when it is H and by epsilon when it is
 V; post-selection leaves a small coherent mixture of shifted Gaussians
 whose moments interpolate between the strong regime and the weak values.
-``pointer_profiles`` gives the levels of one label walk their delays: a
-coefficient per tuple of measured delays, summing to <post|pre>; a ``pointer``
-request walks once for photon 2, photon 4 and the pair.  The weak values
-are read off the same sigma-free terms (``weak_prediction``).
+``level_profile`` gives each level of a coefficient table its delay: a
+coefficient per tuple of measured delays, summing to <post|pre>.  A request
+takes its tables in closed form (``scenarios.analyzer_coefficients``), and
+its weak values off the same sigma-free terms (``weak_prediction``).
 
 Every moment writes the terms in a difference basis, b0 = f at one delay
 and b1 = f at the other minus b0, which adds nearly cancelling delay
@@ -292,11 +292,11 @@ def _grid_rounding(spec: PointerSpec) -> float:
 
 class _GridCheck:
     """A spec's closed-form tables checked on one sampling, ``_grid_sums`` to
-    ``order``: ``closed_integrals`` when made, a table about a centre when
-    ``check``ed."""
+    ``order``: ``closed_integrals`` (centre None) when made, a table about a
+    centre when ``check``ed; ``centres`` holds each centre that passed."""
 
     def __init__(self, spec: PointerSpec, order: int) -> None:
-        self.spec, self.sums = spec, _grid_sums(spec, order)
+        self.spec, self.sums, self.centres = spec, _grid_sums(spec, order), set()
         self.tolerance = sum(grid_error_budget(spec)) + _grid_rounding(spec)
         closed = spec.closed_integrals
         overlap = 1.0 + closed[0, 1][0] if (0, 1) in closed else 1.0
@@ -326,6 +326,7 @@ class _GridCheck:
                     raise GridError(
                         f"grid check failed at sigma {spec.sigma:g}: J{k}({p}, {q}){where}"
                         f" is off its closed form by {residual:.3g}, above its bound {bound:.3g}")
+        self.centres.add(centre)
 
 
 @dataclass(frozen=True)
@@ -363,17 +364,12 @@ def pointer_terms(pre: StateVector, post: StateVector, measured: Sequence[str],
     return build_pointer_profile(pre, post, measured, spec).terms
 
 
-def pointer_profiles(pre: StateVector, post: StateVector,
-                     measured_sets: Sequence[Sequence[str]], spec: PointerSpec
-                     ) -> list[PointerProfile]:
-    """``build_pointer_profile`` for each measured tuple, from one walk over
-    the labels (``level_coefficients``): each level becomes its delay."""
-    tables = level_coefficients(pre, post, measured_sets)
-    delays = [polarization_delays(pre.structure, m, spec.gamma, spec.epsilon)
-              for m in measured_sets]
-    return [PointerProfile(spec, tuple(measured), tuple(
-                (tuple(delay[level] for level in levels), coeff) for levels, coeff in table))
-            for measured, delay, table in zip(measured_sets, delays, tables)]
+def level_profile(spec: PointerSpec, measured: Sequence[str], table) -> PointerProfile:
+    """One measured tuple's coefficient table (``level_coefficients``') as the
+    profile on the spec: each level becomes its delay, gamma on H, epsilon on V."""
+    delay = {"H": float(spec.gamma), "V": float(spec.epsilon)}
+    return PointerProfile(spec, tuple(measured), tuple([
+        (tuple([delay[level] for level in levels]), coeff) for levels, coeff in table]))
 
 
 def _pair_sums(terms, table, second=None, order=None) -> tuple[float, list[list[float]]]:
@@ -457,20 +453,22 @@ def analytic_moments(terms: Sequence[tuple[tuple[float, ...], complex]],
 
 def build_pointer_profile(pre: StateVector, post: StateVector, measured: Sequence[str],
                           spec: PointerSpec) -> PointerProfile:
-    """The post-selected pointer's terms on the spec."""
-    return pointer_profiles(pre, post, (measured,), spec)[0]
+    """The post-selected pointer's terms on the spec, from a walk over the labels."""
+    (table,) = level_coefficients(pre, post, (measured,))
+    polarization_delays(pre.structure, measured, spec.gamma, spec.epsilon)  # H/V only
+    return level_profile(spec, measured, table)
 
 
 def pointer_moments(profile: PointerProfile) -> PointerMoments:
     """``analytic_moments`` of the profile, then, if its spec has a grid,
     the tables they read checked on it (``PointerSpec.grid_check``): the
-    first-order table of the means, once per spec, and the second-order
-    table about each distinct mean."""
+    first-order table of the means and the second-order table about each
+    distinct mean, each once per spec."""
     spec = profile.spec
     moments = _moments(profile.terms, spec)
     if spec.n_points is not None:
         check = spec.grid_check
-        for centre in dict.fromkeys(moments.mean):
+        for centre in [c for c in dict.fromkeys(moments.mean) if c not in check.centres]:
             check.check(centre)
     return moments
 
@@ -478,14 +476,13 @@ def pointer_moments(profile: PointerProfile) -> PointerMoments:
 def weak_prediction(profile: PointerProfile) -> tuple[float, ...]:
     """Where the pointer means go in the weak limit, one per measured photon:
     the real part of ``coefficient_weak_value`` of the terms, the arrival-time
-    weak value that ``photonic-weak`` prints, from the same walk."""
+    weak value that ``photonic-weak`` prints, from the same coefficients."""
     return tuple(w.real for w in coefficient_weak_value(profile.terms).value)
 
 
-def weak_limit_sweep(pre: StateVector, post: StateVector, measured: Sequence[str],
-                     gamma: float, epsilon: float, sigmas: Sequence[float],
+def weak_limit_sweep(profile: PointerProfile, sigmas: Sequence[float],
                      n_points: int | None = None) -> list[SweepRow]:
-    """Pointer means against the weak-value prediction across widths.
+    """Pointer means of the profile's terms against their weak-value prediction across widths.
 
     ``sigmas`` must be positive and ascending so the rows read as an
     approach to the weak limit.  A width prints the means of one
@@ -500,13 +497,12 @@ def weak_limit_sweep(pre: StateVector, post: StateVector, measured: Sequence[str
         raise GridError("sweep value must be positive")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise GridError("sweep values must be strictly ascending")
+    basis = _basis_terms(profile.terms, profile.spec)  # reads the delays only
     rows: list[SweepRow] = []
     for sigma in sigmas:
-        spec = PointerSpec.default(gamma, epsilon, sigma, n_points)
-        if not rows:  # terms and prediction are sigma-free: one walk, before any grid
-            profile = build_pointer_profile(pre, post, measured, spec)
+        spec = PointerSpec.default(profile.spec.gamma, profile.spec.epsilon, sigma, n_points)
+        if not rows:  # the prediction is sigma-free: after the first spec, before any grid
             prediction = weak_prediction(profile)
-            basis = _basis_terms(profile.terms, spec)  # reads the delays only
         mean = _closed_means(basis, spec)[1]
         if n_points is not None:
             _GridCheck(spec, 1)

@@ -40,7 +40,6 @@ from .weakvalues import (
     WeakValueReport,
     check_overlap,
     coefficient_weak_value,
-    level_coefficients,
     polarization_delays,
 )
 
@@ -289,6 +288,28 @@ def analyzer_post_selection(phi: float = -math.pi / 4.0) -> StateVector:
     return StateVector(s, {label: a for label, a in products if abs(a) >= PRUNE_THRESHOLD})
 
 
+@functools.lru_cache(maxsize=1)  # the memoized pair's (level per photon, amplitude) entries
+def _coherent_pair() -> tuple[tuple[dict[str, str], complex], ...]:
+    pre = run_entanglement_swap("coherent").conditional_state()
+    return tuple((dict(label.pairs), ket) for label, ket in pre.items())
+
+
+def analyzer_coefficients(measured_sets: Sequence[Sequence[str]], phi: float = -math.pi / 4.0
+                          ) -> list[tuple[tuple[tuple[str, ...], complex], ...]]:
+    """``level_coefficients`` of the coherent pair at ``analyzer_post_selection(phi)``,
+    bit for bit, with no state built: the pair's entries times one factor per photon."""
+    factor = {"H": math.cos(-phi), "V": -math.sin(-phi)}
+    collected: list[dict[tuple[str, ...], complex]] = [{} for _ in measured_sets]
+    for level, ket in _coherent_pair():
+        a = factor[level["2"]] * factor[level["4"]]
+        cross = complex(a).conjugate() * ket
+        if abs(a) >= PRUNE_THRESHOLD and cross != 0j:
+            for measured, coeffs in zip(measured_sets, collected):
+                key = tuple([level[photon] for photon in measured])
+                coeffs[key] = coeffs.get(key, 0j) + cross
+    return [tuple(sorted(coeffs.items())) for coeffs in collected]
+
+
 @dataclass(frozen=True)
 class OccupationRow:
     """One occupation weak value in both vocabularies."""
@@ -316,13 +337,12 @@ class PhotonicWeakReport:
 @functools.lru_cache(maxsize=1)
 def _standard_selection() -> tuple[StateVector, StateVector, tuple, tuple[OccupationRow, ...]]:
     # Everything in a photonic-weak report that does not depend on the
-    # delays, from one label walk: <post|label><label|pre> per level of each
-    # photon and per pair of levels.  A label the pre-selection does not
-    # hold, such as V2 V4, has coefficient 0 (the paper's N_{O+O-} = 0).
+    # delays.  A label the pre-selection does not hold, such as V2 V4, has
+    # coefficient 0 (the paper's N_{O+O-} = 0).
     pre = run_entanglement_swap("coherent").conditional_state()
     post = analyzer_post_selection()
     measured = (("2",), ("4",), ("2", "4"))
-    tables = dict(zip(measured, map(dict, level_coefficients(pre, post, measured))))
+    tables = dict(zip(measured, map(dict, analyzer_coefficients(measured))))
     pair = tuple((label, tables["2", "4"].get(tuple(lv for _, lv in label.pairs), 0j))
                  for label in pre.structure.product_labels())
     # coefficient_weak_value's sum over the pair, so the overlap it reports

@@ -3,12 +3,13 @@
 A is a real-weighted sum of product-basis projectors whose weights are
 k-vectors, so a joint arrival-time observable carries one delay per
 measured photon; plain occupation numbers are the k = 1 case.  Every
-weak value is read off one walk over the pre-selection's labels
-(``level_coefficients``): a coefficient c = <post|label><label|pre> per
-tuple of measured levels.  By linearity (Aharonov et al., Phys. Lett. A
-301, 130 (2002)) the weak value of the observable weighting those levels
-by d is sum d c / sum c (``coefficient_weak_value``), so no operator is
-built.
+weak value is read off a coefficient c = <post|label><label|pre> per
+tuple of measured levels: a walk over the labels (``level_coefficients``)
+gives them for any selections, and ``scenarios.analyzer_coefficients`` the
+same for the product analyzers without one.  By linearity (Aharonov et
+al., Phys. Lett. A 301, 130 (2002)) the weak value of the observable
+weighting those levels by d is sum d c / sum c (``coefficient_weak_value``),
+so no operator is built.
 """
 from __future__ import annotations
 
@@ -90,7 +91,7 @@ def level_coefficients(
 
 def coefficient_weak_value(terms: Sequence[tuple[Sequence[float], complex]]) -> WeakValueReport:
     """sum d c / sum c per component of the weights d, each sum taken in the
-    terms' order: over a walk's coefficients c, the weak value of the
+    terms' order: over a table's coefficients c, the weak value of the
     observable with those weights.  An orthogonal selection is refused."""
     overlap, numerator = 0j, [0j] * (len(terms[0][0]) if terms else 0)
     for weights, coeff in terms:

@@ -19,10 +19,10 @@ from hardyweak.pointer import (
     GridError,
     PointerSpec,
     grid_error_budget,
+    level_profile,
     pointer_moments,
-    pointer_profiles,
 )
-from hardyweak.scenarios import analyzer_post_selection, run_entanglement_swap
+from hardyweak.scenarios import analyzer_coefficients
 
 MEASURED_SETS = (("2",), ("4",), ("2", "4"))
 # The refusals of a budget grid that only say the pointer is too narrow
@@ -76,11 +76,10 @@ def check_on_budget_grids(config: RunConfig) -> int:
         spec = _budget_spec_or_none(p.gamma, p.epsilon, p.sigma)
         if spec is None:
             return 0
-        pre = run_entanglement_swap().conditional_state()
-        post = analyzer_post_selection(p.phi)
         gridless = PointerSpec.default(p.gamma, p.epsilon, p.sigma)
-        for checked, printed in zip(pointer_profiles(pre, post, MEASURED_SETS, spec),
-                                    pointer_profiles(pre, post, MEASURED_SETS, gridless)):
+        tables = analyzer_coefficients(MEASURED_SETS, p.phi)
+        for measured, table in zip(MEASURED_SETS, tables):
+            checked, printed = (level_profile(s, measured, table) for s in (spec, gridless))
             assert pointer_moments(checked) == pointer_moments(printed)
         return 1
     assert config.scenario == "pointer-sweep"

@@ -876,7 +876,8 @@ def _library_pointer(argv):
     pre = scenarios.run_entanglement_swap().conditional_state()
     post = scenarios.analyzer_post_selection(p.phi)
     spec = pointer.PointerSpec.default(p.gamma, p.epsilon, p.sigma, p.grid_points)
-    profiles = pointer.pointer_profiles(pre, post, (("2",), ("4",), ("2", "4")), spec)
+    profiles = [pointer.build_pointer_profile(pre, post, measured, spec)
+                for measured in (("2",), ("4",), ("2", "4"))]
     joint = profiles[-1]
     return p, spec, [pointer.pointer_moments(x) for x in profiles], joint
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from budget_grid import budget_spec
 from byte_corpus import CORPUS, ROOT
 from conftest import analyzer_literal, entangled_target_literal, state_of, photon_structure
-from hardyweak import pointer, scenarios, weakvalues
+from hardyweak import cli, pointer, scenarios, weakvalues
 from hardyweak.cli import (
     DEFAULT_SWEEP_MULTIPLES,
     POINTER_SCENARIOS,
@@ -320,7 +320,7 @@ class TestProfileConstruction:
         with pytest.raises(StructureError, match="^measure one photon or an ordered pair$"):
             build_pointer_profile(pre, post, measured, spec)
         with pytest.raises(StructureError, match="^measure one photon or an ordered pair$"):
-            weak_limit_sweep(pre, post, measured, 0.0, 1.0, [1.0, 2.0])
+            weak_limit_sweep(build_pointer_profile(pre, post, measured, spec), [1.0, 2.0])
 
 
 class TestGridIntegrals:
@@ -566,8 +566,9 @@ class TestRequestOracles:
         for phi in (-math.pi / 4.0, -math.atan(0.5) + 1e-7, 0.3, 1.2):
             for gamma, epsilon in ((0.0, 1.0), (1.0, 1.0), (-0.0, 0.0), (2.0, -1.5)):
                 spec = budget_spec(gamma, epsilon, 1.5)
-                for profile in pointer.pointer_profiles(
-                        pre, analyzer_post_selection(phi), MEASURED_SETS, spec):
+                post = analyzer_post_selection(phi)
+                for profile in (build_pointer_profile(pre, post, measured, spec)
+                                for measured in MEASURED_SETS):
                     terms = pointer._basis_terms(profile.terms, spec)
                     for table in (fsum_table.basis_integrals(spec), spec.closed_integrals):
                         tables = (table,) * len(profile.measured)
@@ -604,8 +605,9 @@ class TestRequestOracles:
         for pre_state, post, old_post in cases:
             gamma, epsilon = rng.choice([(0.0, 1.0), (1.0, 1.0), (-0.5, 2.0)])
             spec = PointerSpec.default(gamma, epsilon, 1.0)
-            profiles = pointer.pointer_profiles(pre_state, post, MEASURED_SETS, spec)
-            for measured, profile in zip(MEASURED_SETS, profiles):
+            tables = weakvalues.level_coefficients(pre_state, post, MEASURED_SETS)
+            for measured, table in zip(MEASURED_SETS, tables):
+                profile = pointer.level_profile(spec, measured, table)
                 want = _old_pointer_terms(pre_state, old_post, measured, spec)
                 assert profile.measured == measured
                 assert _exact(profile.terms) == _exact(want)
@@ -618,10 +620,11 @@ class TestRequestOracles:
         pre = run_entanglement_swap().conditional_state()
         spec = PointerSpec.default(0.0, 1.0, 8.0)
         for phi in (-math.atan(0.5), math.pi / 2.0):
-            post, old_post = analyzer_post_selection(phi), _old_analyzer_post_selection(phi)
-            profiles = pointer.pointer_profiles(pre, post, MEASURED_SETS, spec)
+            old_post = _old_analyzer_post_selection(phi)
+            tables = scenarios.analyzer_coefficients(MEASURED_SETS, phi)
             refusals = 0
-            for measured, profile in zip(MEASURED_SETS, profiles):
+            for measured, table in zip(MEASURED_SETS, tables):
+                profile = pointer.level_profile(spec, measured, table)
                 old = pointer.PointerProfile(
                     spec, measured, _old_pointer_terms(pre, old_post, measured, spec))
                 got = _outcome(weak_prediction, profile)
@@ -649,7 +652,7 @@ class TestRequestOracles:
         want = _outcome(_old_pointer_terms, pre, post, measured, spec)
         assert isinstance(want[0], type) and issubclass(want[0], Exception)
         assert _outcome(pointer_terms, pre, post, measured, spec) == want
-        assert _outcome(pointer.pointer_profiles, pre, post, [measured], spec) == want
+        assert _outcome(build_pointer_profile, pre, post, measured, spec) == want
 
     def test_a_spec_without_a_grid_refuses_what_a_budget_grid_refuses_but_resolution(self):
         rng = random.Random("default sizing")
@@ -721,17 +724,18 @@ class TestWorkCount:
         assert pointer_terms(pre, post, ("2", "4"), spec) == profile.terms
         assert len(built) == 2
 
-    @pytest.mark.parametrize("argv,walks", [
+    @pytest.mark.parametrize("argv,builds", [
         (["--scenario=pointer"], 1),  # photon 2, photon 4 and the pair
         (["--scenario=pointer-sweep"], 1),  # six default widths
         (["--scenario=photonic-weak"], 0),  # weights the once-per-process table
     ])
-    def test_one_label_contraction_per_run(self, monkeypatch, capsys, argv, walks):
+    def test_one_label_contraction_per_run(self, monkeypatch, capsys, argv, builds):
         # A pointer reads its weak-value prediction off the joint profile's
         # terms, which do not depend on sigma; the joint arrival-time weak
-        # value holds both photons' values.  One walk fills the terms of
-        # every measured tuple of a request, and no request builds an operator.
-        scenarios._standard_selection()  # the once-per-process walk
+        # value holds both photons' values.  One closed-form build fills the
+        # terms of every measured tuple of a request; no request walks the
+        # labels or builds an operator.
+        scenarios._standard_selection()  # the once-per-process table
         calls = []
 
         def counting(name, original):
@@ -741,15 +745,37 @@ class TestWorkCount:
             return wrapper
 
         projector_sum = WeightedProjectorSum
-        walk = counting("walk", weakvalues.level_coefficients)
-        for module in (pointer, scenarios):
-            monkeypatch.setattr(module, "level_coefficients", walk)
+        monkeypatch.setattr(pointer, "level_coefficients",
+                            counting("walk", weakvalues.level_coefficients))
+        monkeypatch.setattr(cli, "analyzer_coefficients",
+                            counting("closed", scenarios.analyzer_coefficients))
         monkeypatch.setattr(projector_sum, "__post_init__",
                             counting("sum", projector_sum.__post_init__))
         assert run_cli(["run", *argv]) == 0
         capsys.readouterr()
-        assert calls.count("walk") == walks
+        assert calls.count("walk") == 0
+        assert calls.count("closed") == builds
         assert calls.count("sum") == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario=pointer"],
+        ["--scenario=pointer", "--phi=0.3", "--grid-points=128"],
+        ["--scenario=pointer-sweep"],
+        ["--scenario=pointer-sweep", "--phi=9.99e-16", "--grid-points=128"],
+    ])
+    def test_no_state_is_built_once_the_swap_is_warm(self, monkeypatch, capsys, argv):
+        # The coefficients are the memoized pair's entries times one analyzer
+        # factor per photon: a warm request builds no StateVector.
+        assert run_cli(["run", *argv]) == 0
+        built = []
+        original = StateVector.__post_init__
+        monkeypatch.setattr(StateVector, "__post_init__",
+                            lambda state: built.append(state) or original(state))
+        assert run_cli(["run", *argv]) == 0
+        capsys.readouterr()
+        assert built == []
+        analyzer_post_selection(0.3)  # the count sees a state that is built
+        assert len(built) == 1
 
     @staticmethod
     def count_budgets(monkeypatch) -> list[PointerSpec]:
@@ -1030,9 +1056,8 @@ class TestJointMoments:
 class TestWeakLimitSweep:
     def test_joint_deviation_shrinks_monotonically(self):
         pre, post = _pre_post()
-        rows = weak_limit_sweep(
-            pre, post, ("2", "4"), 0.0, 1.0, [1, 2, 4, 8, 16, 32], n_points=1024
-        )
+        joint = build_pointer_profile(pre, post, ("2", "4"), PointerSpec.default(0.0, 1.0, 1.0))
+        rows = weak_limit_sweep(joint, [1, 2, 4, 8, 16, 32], n_points=1024)
         deviations = [row.deviation[0] for row in rows]
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
         assert deviations[-1] < 1e-3
@@ -1040,15 +1065,15 @@ class TestWeakLimitSweep:
 
     def test_single_photon_rows_sit_on_the_weak_value(self):
         pre, post = _pre_post()
-        rows = weak_limit_sweep(
-            pre, post, ("2",), 0.0, 1.0, [0.5, 1, 4, 32], n_points=1024
-        )
+        profile = build_pointer_profile(pre, post, ("2",), PointerSpec.default(0.0, 1.0, 1.0))
+        rows = weak_limit_sweep(profile, [0.5, 1, 4, 32], n_points=1024)
         for row in rows:
             assert row.deviation[0] < 1e-9
 
     def test_degenerate_delays_have_no_deviation(self):
         pre, post = _pre_post()
-        rows = weak_limit_sweep(pre, post, ("2", "4"), 1.0, 1.0, [1, 2], n_points=1024)
+        joint = build_pointer_profile(pre, post, ("2", "4"), PointerSpec.default(1.0, 1.0, 1.0))
+        rows = weak_limit_sweep(joint, [1, 2], n_points=1024)
         for row in rows:
             assert row.weakness_ratio == 0.0
             for axis in (0, 1):
@@ -1068,9 +1093,10 @@ class TestWeakLimitSweep:
             scale = abs(epsilon - gamma) or 1.0
             sigmas = sorted({scale * 2.0 ** rng.uniform(-2.0, 4.0) for _ in range(3)})
             for measured in (("2",), ("4",), ("2", "4")):
-                rows = weak_limit_sweep(pre, post, measured, gamma, epsilon, sigmas, n_points)
-                terms = pointer_terms(pre, post, measured, PointerSpec.default(
+                profile = build_pointer_profile(pre, post, measured, PointerSpec.default(
                     gamma, epsilon, sigmas[0], n_points))
+                rows = weak_limit_sweep(profile, sigmas, n_points)
+                terms = profile.terms
                 for row in rows:
                     spec = PointerSpec.default(gamma, epsilon, row.sigma, n_points)
                     assert _hex(row.mean) == _hex(analytic_moments(terms, spec).mean)
@@ -1087,8 +1113,9 @@ class TestWeakLimitSweep:
                              for _ in range(6)})
             spec = PointerSpec.default(gamma, epsilon, sigmas[0])
             for measured in (("2",), ("4",), ("2", "4")):
-                terms = pointer_terms(pre, post, measured, spec)
-                rows = weak_limit_sweep(pre, post, measured, gamma, epsilon, sigmas, 1024)
+                profile = build_pointer_profile(pre, post, measured, spec)
+                terms = profile.terms
+                rows = weak_limit_sweep(profile, sigmas, 1024)
                 for row in rows:
                     _, mean, _ = _mp_moments(terms, row.sigma)
                     for got, want in zip(row.mean, mean):
@@ -1097,12 +1124,13 @@ class TestWeakLimitSweep:
 
     def test_sweep_validation(self):
         pre, post = _pre_post()
+        profile = build_pointer_profile(pre, post, ("2",), PointerSpec.default(0.0, 1.0, 1.0))
         with pytest.raises(GridError):
-            weak_limit_sweep(pre, post, ("2",), 0.0, 1.0, [])
+            weak_limit_sweep(profile, [])
         with pytest.raises(GridError):
-            weak_limit_sweep(pre, post, ("2",), 0.0, 1.0, [2.0, 1.0])
+            weak_limit_sweep(profile, [2.0, 1.0])
         with pytest.raises(GridError):
-            weak_limit_sweep(pre, post, ("2",), 0.0, 1.0, [-1.0, 2.0])
+            weak_limit_sweep(profile, [-1.0, 2.0])
 
 
 def _mp_moments(terms, sigma: float):
@@ -1427,8 +1455,9 @@ class TestGridSizing:
     def test_a_sweep_without_a_grid_takes_widths_no_budget_grid_resolves(self):
         pre, post = _pre_post()
         sigmas = [0.00014, 0.00025, 1.0]
-        rows = weak_limit_sweep(pre, post, ("2", "4"), 0.0, 1.0, sigmas)
-        terms = pointer_terms(pre, post, ("2", "4"), PointerSpec.default(0.0, 1.0, 1.0))
+        joint = build_pointer_profile(pre, post, ("2", "4"), PointerSpec.default(0.0, 1.0, 1.0))
+        rows = weak_limit_sweep(joint, sigmas)
+        terms = joint.terms
         for row, sigma in zip(rows, sigmas):
             spec = PointerSpec.default(0.0, 1.0, sigma)
             assert row.mean == analytic_moments(terms, spec).mean
@@ -1706,10 +1735,11 @@ class TestGridCheck:
     def test_every_width_is_checked_on_its_grid(self, monkeypatch):
         events = self.record_checks(monkeypatch)
         pre, post = _pre_post()
-        weak_limit_sweep(pre, post, ("2", "4"), 0.0, 1.0, [0.00025, 1.0, 2.0])
+        joint = build_pointer_profile(pre, post, ("2", "4"), PointerSpec.default(0.0, 1.0, 1.0))
+        weak_limit_sweep(joint, [0.00025, 1.0, 2.0])
         assert events == [("means",)] * 3  # no grid, no check
         events.clear()
-        weak_limit_sweep(pre, post, ("2", "4"), 0.0, 1.0, [1.0, 2.0], n_points=96)
+        weak_limit_sweep(joint, [1.0, 2.0], n_points=96)
         # Each width's means, then its first-order table on its own grid.
         specs = [PointerSpec.default(0.0, 1.0, s, 96) for s in (1.0, 2.0)]
         assert events == [event for spec in specs for event in (
@@ -1723,19 +1753,22 @@ class TestGridCheck:
         # Each profile's closed-form means come first.  The first profile's
         # check samples the spec once for all three and checks the means'
         # table; each profile then checks the table about each of its
-        # distinct means.
+        # distinct means that no profile before it has checked.
         spec = PointerSpec.default(0.0, 1.0, 8.0, 96)
         pre = run_entanglement_swap().conditional_state()
-        profiles = pointer.pointer_profiles(
-            pre, analyzer_post_selection(-math.pi / 4.0), MEASURED_SETS, spec)
-        want = []
-        for profile in profiles:
+        post = analyzer_post_selection(-math.pi / 4.0)
+        want, checked = [], {}
+        for measured in MEASURED_SETS:
             want.append(("means",))
             if len(want) == 1:
                 want += [("sampling", spec, 2), ("check", spec, None)]
-            mean = analytic_moments(profile.terms, spec).mean
-            want += [("check", spec, centre) for centre in dict.fromkeys(mean)]
-        assert len({event for event in want if event[0] == "check"}) > 2
+            mean = analytic_moments(pointer_terms(pre, post, measured, spec), spec).mean
+            want += [("check", spec, centre) for centre in dict.fromkeys(mean)
+                     if centre not in checked]
+            checked.update(dict.fromkeys(mean))
+        # Photon 2 and photon 4 share a mean: two second-order checks, not three.
+        assert len(checked) == 2
+        assert [event[2] for event in want if event[0] == "check"] == [None, *checked]
         assert got == want
 
     @pytest.mark.parametrize("n_points", [None, 256])
@@ -1746,12 +1779,13 @@ class TestGridCheck:
         post = analyzer_post_selection(-math.atan(0.5) + 1e-7)
         spec = PointerSpec.default(0.0, 1.0, 1e6, n_points)
         for measured in MEASURED_SETS:
+            profile = build_pointer_profile(pre, post, measured, spec)
             with pytest.raises(EmptyPostSelectionError,
                                match="^post-selected pointer norm vanishes$"):
-                pointer_moments(build_pointer_profile(pre, post, measured, spec))
+                pointer_moments(profile)
             with pytest.raises(EmptyPostSelectionError,
                                match="^post-selected pointer norm vanishes$"):
-                weak_limit_sweep(pre, post, measured, 0.0, 1.0, [1e6], n_points)
+                weak_limit_sweep(profile, [1e6], n_points)
 
 
 def _corpus_configs():

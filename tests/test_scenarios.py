@@ -17,6 +17,7 @@ from hardyweak.scenarios import (
     DEFAULT_SWAP_CALIBRATION,
     HARDY_OUTCOMES,
     HardyConfig,
+    analyzer_coefficients,
     analyzer_post_selection,
     bell_pair,
     counterfactual_check,
@@ -26,6 +27,7 @@ from hardyweak.scenarios import (
     run_photonic_weak,
 )
 from hardyweak.states import GAMMA, StateVector, inner
+from hardyweak.weakvalues import level_coefficients
 
 from conftest import (
     PRE_POST_OVERLAP,
@@ -238,12 +240,13 @@ class TestFixedSetupMemo:
         assert len(enumerations) == 16
 
     def test_one_occupation_table_per_process(self, counted, capsys):
-        # One label walk fills photon 2's, photon 4's and the pair's tables.
-        walks = counted("level_coefficients", scenarios._standard_selection)
+        # One call of the analyzers' closed form fills photon 2's, photon 4's
+        # and the pair's tables.
+        walks = counted("analyzer_coefficients", scenarios._standard_selection)
         assert run_cli(["run", "--scenario=photonic-weak"]) == 0
         assert run_cli(["run", "--scenario=photonic-weak", "--gamma=0.3"]) == 0
         capsys.readouterr()
-        assert [args[2] for args in walks] == [(("2",), ("4",), ("2", "4"))]
+        assert [args[0] for args in walks] == [(("2",), ("4",), ("2", "4"))]
         first, second = run_photonic_weak(0.0, 1.0), run_photonic_weak(0.3, 1.7)
         assert first.occupations is second.occupations
         assert (first.pre, first.post) == (second.pre, second.post)
@@ -329,9 +332,13 @@ class TestSwapMemo:
             return original(a, b)
 
         monkeypatch.setattr(scenarios, "tensor", counting)
-        scenarios._swap.cache_clear()
+        # The pair's entries and the photonic-weak tables are read off the swap.
+        memos = (scenarios._swap, scenarios._coherent_pair, scenarios._standard_selection)
+        for memo in memos:
+            memo.cache_clear()
         yield calls
-        scenarios._swap.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
 
     def test_one_swap_serves_every_request(self, builds, capsys):
         assert run_cli(["run", "--scenario=pointer"]) == 0
@@ -554,6 +561,37 @@ def test_analyzer_post_selection_is_the_two_rotations_bit_for_bit(phi):
     assert got.structure == want.structure
     assert _bits(got) == _bits(want)
     assert got.normalized == want.normalized
+
+
+# Photon 2, photon 4 and the pair in both orders.
+MEASURED = [("2",), ("4",), ("2", "4"), ("4", "2")]
+REQUEST_SETS = (("2",), ("4",), ("2", "4"))
+
+
+def _table_bits(tables):
+    return [[(key, c.real.hex(), c.imag.hex()) for key, c in table] for table in tables]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(-2.0 * math.pi, 2.0 * math.pi),
+       st.lists(st.sampled_from(MEASURED), min_size=1, max_size=4))
+@example(0.0, REQUEST_SETS)
+@example(-0.0, REQUEST_SETS)
+@example(math.pi / 4, REQUEST_SETS)
+@example(-math.pi / 4, REQUEST_SETS)
+@example(math.pi / 2, REQUEST_SETS)
+@example(-math.pi / 2, REQUEST_SETS)
+@example(-math.atan(0.5), REQUEST_SETS)
+@example(1e-16, REQUEST_SETS)
+@example(1e-15, REQUEST_SETS)
+@example(-1e-15, REQUEST_SETS)
+@example(9.99e-16, REQUEST_SETS)  # the H V product falls below PRUNE_THRESHOLD
+def test_analyzer_coefficients_are_the_label_walk_bit_for_bit(phi, measured_sets):
+    # The same keys in the same order, and every part the same float,
+    # signed zeros included.
+    pre = run_entanglement_swap("coherent").conditional_state()
+    want = level_coefficients(pre, analyzer_post_selection(phi), measured_sets)
+    assert _table_bits(analyzer_coefficients(measured_sets, phi)) == _table_bits(want)
 
 
 def test_entangled_target_matches_literal():
